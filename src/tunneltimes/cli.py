@@ -36,6 +36,10 @@ from .timescales import evaluate_widths, longwave_limits, resonance_table
 DEFAULT_SWEEP_POINTS = 1000
 DEFAULT_SWEEP_EMAX = 3.0
 DEFAULT_RESONANCE_NMAX = 4
+# one config file may serve every subcommand, so each accepts any top-level
+# key some subcommand reads and rejects only keys none of them knows
+CONFIG_KEYS = ("barrier", "packet", "field", "sweep", "snapshot_times", "n_x",
+               "n_max", "out")
 
 RATIO_COLUMNS = ("D_phase_over_d", "D_dwell_over_d", "d_eff_over_d",
                  "x_start_over_d")
@@ -106,6 +110,7 @@ def _load_config(path):
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ConfigError("config %s must hold a JSON object" % path)
+    _reject_unknown(raw, CONFIG_KEYS, "config")
     return raw
 
 
@@ -220,7 +225,6 @@ def _parse_float_list(text, flag):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, ("barrier", "sweep", "out"), "config")
     barrier = _barrier_from(cfg)
     section = _section(cfg, "sweep")
     _reject_unknown(section, ("points", "emax"), "sweep")
@@ -259,8 +263,6 @@ def _snapshot_rows(state):
 
 def cmd_packet(args) -> int:
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, ("barrier", "packet", "snapshot_times", "n_x", "out"),
-                    "config")
     barrier = _barrier_from(cfg)
     spec = _packet_from(cfg, barrier)
     if args.snapshot_times is not None:
@@ -333,7 +335,6 @@ def _omega_ladder(args, layout: FieldLayout):
 
 def cmd_larmor(args) -> int:
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, ("barrier", "packet", "field", "out"), "config")
     barrier = _barrier_from(cfg)
     spec = _packet_from(cfg, barrier)
     layout = _field_from(cfg)
@@ -370,7 +371,6 @@ def cmd_larmor(args) -> int:
 
 def cmd_resonance(args) -> int:
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, ("barrier", "n_max", "out"), "config")
     barrier = _barrier_from(cfg)
     n_max = _integer(cfg, "n_max", "config", DEFAULT_RESONANCE_NMAX)
     if n_max < 1:
@@ -391,7 +391,6 @@ def cmd_resonance(args) -> int:
 
 def cmd_limits(args) -> int:
     cfg = _load_config(args.config)
-    _reject_unknown(cfg, ("barrier", "out"), "config")
     barrier = _barrier_from(cfg)
     out = _resolve_out(args, cfg)
 

@@ -42,14 +42,24 @@ def _piecewise(v, series, direct):
     return float(out[0]) if scalar else out
 
 
-def _sinc_sqrt_direct(v):
+def _branches(v, oscillating, evanescent):
+    # each branch runs only on its own side of v = 0: sinh/cosh of the
+    # oscillatory side's sqrt(v) would overflow once v >~ 5e5
     s = np.sqrt(np.abs(v))
-    return np.where(v > 0, np.sin(s) / s, np.sinh(s) / s)
+    out = np.empty_like(s)
+    up = v > 0
+    oscillating(s, out=out, where=up)
+    evanescent(s, out=out, where=~up)
+    return out, s
+
+
+def _sinc_sqrt_direct(v):
+    out, s = _branches(v, np.sin, np.sinh)
+    return out / s
 
 
 def _cos_sqrt_direct(v):
-    s = np.sqrt(np.abs(v))
-    return np.where(v > 0, np.cos(s), np.cosh(s))
+    return _branches(v, np.cos, np.cosh)[0]
 
 
 def sinc_sqrt(v):

@@ -8,6 +8,13 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
+Synthesis cost: outside the support of the potential every psi_k is a sum
+of plane waves, and on the uniform k grid and a uniform x grid the spectral
+sums there are chirp-z transforms, O((N_x + N_k) log(N_x + N_k)) instead of
+O(N_x N_k).  Only grid points inside the support are summed against the
+interior states directly, at O(N_k) each.  A caller-supplied grid x must
+therefore be uniform and ascending; evolve raises ValueError otherwise.
+
 Conventions: l0 is the position-space standard deviation of |psi|^2 at t = 0,
 so the momentum density has sigma_k = 1/(2 l0).  All norms, centers of mass
 and second moments are trapezoid sums on the spatial grid.
@@ -17,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from .decomposition import channel_sweep
-from .kernels import cos_sqrt, sinc_sqrt
 from .model import (
     HBAR,
     BarrierSpec,
@@ -31,9 +38,10 @@ from .model import (
 from .scattering import interior_table
 from .timescales import evaluate_widths
 
-# spatial grid size and synthesis chunking; 8192 points resolve the carrier
-# wave at ~10 points per wavelength even on the widest late-time grids used
-# by the deep-well scenario
+# spatial grid size; 8192 points resolve the carrier wave at ~10 points per
+# wavelength even on the widest late-time grids used by the deep-well
+# scenario.  Points inside the support are summed in chunks of _X_CHUNK rows
+# so the (points x k) kernel matrices stay a few tens of MB.
 N_X_DEFAULT = 8192
 _X_CHUNK = 512
 _CONTAINMENT_TOL = 1e-6
@@ -212,60 +220,85 @@ def _trapezoid_weights(ks):
     return w
 
 
+def _chirp_sums(x, dx, ks, weights):
+    """Rows of sum_n weights[:, n] exp(i x_j k_n) at every point x_j.
+
+    x is uniform with step dx and ks is uniform and ascending, so with
+    x_j k_n = x_j k_c + q_n dk x_c + (p_j^2 + q_n^2 - (p_j - q_n)^2) dx dk / 2
+    (p, q offsets from the centre indices, which keeps every chirp phase
+    small) the sum is a convolution with a chirp: a Bluestein chirp-z
+    transform in O((M + N) log(M + N)).  The k step is taken from the
+    grid's span; k[1] - k[0] would cancel most of its digits.
+    """
+    m, n = x.size, ks.size
+    dk = (ks[-1] - ks[0]) / (n - 1)
+    alpha = dx * dk
+    jc, nc = m // 2, n // 2
+    p = np.arange(m) - jc
+    q = np.arange(n) - nc
+    pre = weights * np.exp(1j * (q * dk) * (x[jc] + 0.5 * q * dx))
+    size = next_fast_len(m + n - 1)
+    lag = np.arange(-(n - 1), m) - (jc - nc)
+    chirp = np.exp(-0.5j * alpha * (lag * lag))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[n - 1:]
+    kernel[size - (n - 1):] = chirp[:n - 1]
+    conv = ifft(fft(pre, size) * fft(kernel))[:, :m]
+    return conv * np.exp(1j * (ks[nc] * x + 0.5 * alpha * (p * p)))
+
+
 def _synthesize(x, ks, u_full, u_tr, amps, tables, support):
     """Sum the spectrum against the piecewise stationary states on grid x.
 
-    u_full/u_tr are the spectral column weights (A * quadrature weight * time
-    phase / sqrt(2 pi)); returns (psi_full, psi_tr).  psi_tr uses the
-    channel weight on the incidence side and the full state elsewhere, so the
+    x must be uniform and ascending, ks uniform.  u_full/u_tr are the
+    spectral column weights (A * quadrature weight * time phase /
+    sqrt(2 pi)); returns (psi_full, psi_tr).  psi_tr uses the channel
+    weight on the incidence side and the full state elsewhere, so the
     remainder psi_full - psi_tr vanishes identically right of the support.
+    Outside the support the sums are chirp-z transforms; only the points
+    inside it are summed against the interior basis directly.
     """
     a, b = support
+    lo, hi = np.searchsorted(x, (a, b))
+    dx = (x[-1] - x[0]) / max(x.size - 1, 1)
     psi_full = np.empty(x.shape, dtype=complex)
     psi_tr = np.empty(x.shape, dtype=complex)
-    r_u = amps.r * u_full
-    t_u = amps.t * u_full
-    for start in range(0, x.size, _X_CHUNK):
-        xc = x[start:start + _X_CHUNK]
-        phase = np.exp(1j * np.outer(xc, ks))
-        full_c = np.empty(xc.shape, dtype=complex)
-        tr_c = np.empty(xc.shape, dtype=complex)
-        left = xc < a
-        right = xc >= b
-        mid = ~(left | right)
-        if left.any():
-            full_c[left] = phase[left] @ u_full + np.conj(phase[left]) @ r_u
-            tr_c[left] = phase[left] @ u_tr
-        if right.any():
-            vals = phase[right] @ t_u
-            full_c[right] = vals
-            tr_c[right] = vals
-        if mid.any():
-            vals = np.zeros(int(mid.sum()), dtype=complex)
-            xm = xc[mid]
-            for reg in tables:
-                inside = (xm >= reg.x_left) & (xm < reg.x_right)
-                if not inside.any():
-                    continue
-                dx = xm[inside] - reg.x_right
-                v = np.outer(dx * dx, reg.z)
-                basis = reg.psi * cos_sqrt(v) + (
-                    reg.dpsi * sinc_sqrt(v)
-                ) * dx[:, None]
-                vals[inside] = (basis * np.exp(reg.sigma)) @ u_full
-            full_c[mid] = vals
-            tr_c[mid] = vals
-        psi_full[start:start + _X_CHUNK] = full_c
-        psi_tr[start:start + _X_CHUNK] = tr_c
+    if lo > 0:
+        # exp(-ikx) sums are conjugates of exp(+ikx) sums on conjugate weights
+        inc, tr, ref = _chirp_sums(
+            x[:lo], dx, ks, np.stack([u_full, u_tr, np.conj(amps.r * u_full)]))
+        psi_full[:lo] = inc + np.conj(ref)
+        psi_tr[:lo] = tr
+    if hi < x.size:
+        psi_full[hi:] = _chirp_sums(x[hi:], dx, ks, (amps.t * u_full)[None])[0]
+    for reg in tables:
+        first, stop = np.searchsorted(x, (reg.x_left, reg.x_right))
+        for start in range(first, stop, _X_CHUNK):
+            end = min(start + _X_CHUNK, stop)
+            psi_full[start:end] = reg.superpose(x[start:end], u_full)
+    psi_tr[lo:] = psi_full[lo:]
     return psi_full, psi_tr
+
+
+def _check_grid(x):
+    """Reject a caller grid that is not uniform and ascending to rounding."""
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x must be a 1-d grid of at least two points")
+    step = (x[-1] - x[0]) / (x.size - 1)
+    slack = 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    if not (step > 0.0
+            and np.max(np.abs(x - (x[0] + step * np.arange(x.size)))) <= slack):
+        raise ValueError("x must be a uniform ascending grid")
 
 
 def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -> PacketState:
     """Packet snapshot at time t (ps) with the channel split and diagnostics.
 
-    Synthesizes psi_full, psi_tr and their remainder on the grid, then checks
-    that the grid contains the norm to 1e-6; a violation raises with the
-    margin that would have sufficed.
+    x, when given, must be a uniform ascending grid (ValueError otherwise);
+    the default is default_grid(spec, barrier, t, n_x).  Synthesizes
+    psi_full, psi_tr and their remainder on the grid, then checks that the
+    grid contains the norm to 1e-6; a violation raises with the margin that
+    would have sufficed.
     """
     t = float(t)
     spectrum = gaussian_spectrum(spec)
@@ -274,6 +307,7 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
         x = default_grid(spec, barrier, t, n_x=n_x)
     else:
         x = np.asarray(x, dtype=float)
+        _check_grid(x)
     _, c_tr, _ = channel_sweep(barrier, ks)
     amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
     weights = _trapezoid_weights(ks)

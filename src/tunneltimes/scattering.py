@@ -14,60 +14,93 @@ determinant; thick evanescent regions are rescaled by exp(-kappa L) on
 the fly so products stay representable for kappa L up to ~700.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import kernels
-from .model import energy
 
 # below this kappa*L the unscaled cosh/sinh entries stay < 2.5e8, far
 # from overflow even after products over many regions
 _SCALE_THRESHOLD = 20.0
 
 
-def _region_matrix(z, length):
-    """Scaled (psi, psi') propagator over one uniform region.
+def _region_propagator(z, length):
+    """Scaled (psi, psi') propagator over one uniform region, arrays over k.
 
-    Returns (mat, u) with the true propagator equal to exp(u) * mat.
+    Returns (c, f, g, u) with the true propagator equal to
+    exp(u) * [[c, f], [g, c]]; u is nonzero only where kappa*L exceeds
+    the scaling threshold.
     """
     v = z * length * length
-    if v < 0.0:
-        u = math.sqrt(-v)
-        if u > _SCALE_THRESHOLD:
-            kap = u / length
-            em = math.exp(-2.0 * u)
-            ch = 0.5 * (1.0 + em)
-            sh = 0.5 * (1.0 - em)
-            return np.array([[ch, sh / kap], [kap * sh, ch]]), u
-    c = kernels.cos_sqrt(v)
-    f = length * kernels.sinc_sqrt(v)
-    return np.array([[c, f], [-z * f, c]]), 0.0
+    u = np.sqrt(np.maximum(-v, 0.0))
+    deep = u > _SCALE_THRESHOLD
+    shallow = ~deep
+    c = np.empty_like(v)
+    f = np.empty_like(v)
+    g = np.empty_like(v)
+    c[shallow] = kernels.cos_sqrt(v[shallow])
+    f[shallow] = length * kernels.sinc_sqrt(v[shallow])
+    g[shallow] = -z[shallow] * f[shallow]
+    kap = u[deep] / length
+    em = np.exp(-2.0 * u[deep])
+    sh = 0.5 * (1.0 - em)
+    c[deep] = 0.5 * (1.0 + em)
+    f[deep] = sh / kap
+    g[deep] = kap * sh
+    return c, f, g, np.where(deep, u, 0.0)
+
+
+def _propagators(ks, potential, kinetic_coeff):
+    """[(x_left, x_right, z, (c, f, g, u)), ...] per region, arrays over ks."""
+    e = kinetic_coeff * ks * ks
+    out = []
+    for xl, xr, lev in potential.filled_regions():
+        z = (e - lev) / kinetic_coeff
+        out.append((xl, xr, z, _region_propagator(z, xr - xl)))
+    return out
+
+
+def _compose(props, shape):
+    """Entries (m00, m01, m10, m11) and log_scale of the left-to-right product."""
+    if not props:
+        one, zero = np.ones(shape), np.zeros(shape)
+        return one, zero, zero, one, zero
+    m00, m01, m10, log_scale = props[0][3]
+    m11 = m00
+    for _, _, _, (c, f, g, u) in props[1:]:
+        m00, m01, m10, m11 = (c * m00 + f * m10, c * m01 + f * m11,
+                              g * m00 + c * m10, g * m01 + c * m11)
+        log_scale = log_scale + u
+    return m00, m01, m10, m11, log_scale
 
 
 def transfer_matrix(k, potential, kinetic_coeff):
     """Scaled propagator across the whole support, left edge to right edge.
 
     Returns (mat, log_scale); the true propagator is exp(log_scale) * mat,
-    and det(mat) = exp(-2 log_scale) up to rounding.
+    and det(mat) = exp(-2 log_scale) up to rounding.  For an array of k,
+    mat has shape k.shape + (2, 2) and log_scale shape k.shape.
     """
-    e = energy(k, kinetic_coeff)
-    mat = np.eye(2)
-    log_scale = 0.0
-    for xl, xr, lev in potential.filled_regions():
-        z = (e - lev) / kinetic_coeff
-        pj, u = _region_matrix(z, xr - xl)
-        mat = pj @ mat
-        log_scale += u
+    k = np.asarray(k, dtype=float)
+    ks = np.atleast_1d(k)
+    m00, m01, m10, m11, log_scale = _compose(
+        _propagators(ks, potential, kinetic_coeff), ks.shape)
+    mat = np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
+    if k.ndim == 0:
+        return mat[0], float(log_scale[0])
     return mat, log_scale
 
 
 @dataclass(frozen=True)
 class Amplitudes:
-    """Transmission/reflection amplitudes at one wavenumber."""
+    """Transmission/reflection amplitudes at one k, or arrays over a k grid.
+
+    det_defect is det(mat) - exp(-2 log_scale) of the scaled transfer
+    matrix, normalised by its entry products; it measures how far the
+    propagator product has drifted from unit determinant.
+    """
 
     k: float
     t: complex
@@ -77,16 +110,38 @@ class Amplitudes:
 
     @property
     def transmission(self):
-        return abs(self.t) ** 2
+        return np.abs(self.t) ** 2
 
     @property
     def reflection(self):
-        return abs(self.r) ** 2
+        return np.abs(self.r) ** 2
 
     @property
     def phase(self):
         """arg t on the principal branch."""
-        return cmath.phase(self.t)
+        return np.angle(self.t)
+
+
+def _amplitudes(ks, props, support):
+    m00, m01, m10, m11, s = _compose(props, ks.shape)
+    a, b = support
+    den = m00 + m11 + 1j * (m10 / ks - ks * m01)
+    t = 2.0 * np.exp(-1j * ks * (b - a) - s) / den
+    num = m11 - m00 - 1j * (ks * m01 + m10 / ks)
+    r = np.exp(2j * ks * a) * num / den
+    # det(mat) should be exp(-2s); normalize the residual by the entry
+    # products so the check stays meaningful when exp(-2s) underflows
+    det = m00 * m11 - m01 * m10
+    scale = np.maximum(1.0, np.abs(m00 * m11) + np.abs(m01 * m10))
+    defect = (det - np.exp(-2.0 * s)) / scale
+    return Amplitudes(k=ks, t=t, r=r, log_scale=s, det_defect=defect)
+
+
+def amplitudes_sweep(ks, potential, kinetic_coeff):
+    """t, r, log_scale and det_defect over an array of k > 0, in one pass."""
+    ks = np.asarray(ks, dtype=float)
+    return _amplitudes(ks, _propagators(ks, potential, kinetic_coeff),
+                       potential.support)
 
 
 def amplitudes(k, potential, kinetic_coeff):
@@ -94,52 +149,10 @@ def amplitudes(k, potential, kinetic_coeff):
     k = float(k)
     if k <= 0:
         raise ValueError("need k > 0")
-    mat, s = transfer_matrix(k, potential, kinetic_coeff)
-    a, b = potential.support
-    den = mat[0, 0] + mat[1, 1] + 1j * (mat[1, 0] / k - k * mat[0, 1])
-    t = 2.0 * cmath.exp(-1j * k * (b - a) - s) / den
-    num = mat[1, 1] - mat[0, 0] - 1j * (k * mat[0, 1] + mat[1, 0] / k)
-    r = cmath.exp(2j * k * a) * num / den
-    # det(mat) should be exp(-2s); normalize the residual by the entry
-    # products so the check stays meaningful when exp(-2s) underflows
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    scale = max(1.0, abs(mat[0, 0] * mat[1, 1]) + abs(mat[0, 1] * mat[1, 0]))
-    defect = (det - math.exp(-2.0 * s)) / scale
-    return Amplitudes(k=k, t=complex(t), r=complex(r), log_scale=s, det_defect=defect)
-
-
-@dataclass(frozen=True)
-class SweepAmplitudes:
-    """Amplitudes on a dense ascending k grid, phase already unwrapped."""
-
-    k: np.ndarray
-    t: np.ndarray
-    r: np.ndarray
-    phase: np.ndarray
-
-    @property
-    def transmission(self):
-        return np.abs(self.t) ** 2
-
-    @property
-    def reflection(self):
-        return np.abs(self.r) ** 2
-
-
-def amplitudes_sweep(ks, potential, kinetic_coeff):
-    """amplitudes() over an ascending k grid; arg t unwrapped along it.
-
-    The grid must be fine enough that arg t moves by less than pi
-    between neighbors, or the unwrap is meaningless.
-    """
-    ks = np.asarray(ks, dtype=float)
-    t = np.empty(ks.shape, dtype=complex)
-    r = np.empty(ks.shape, dtype=complex)
-    for i, k in enumerate(ks):
-        amp = amplitudes(k, potential, kinetic_coeff)
-        t[i] = amp.t
-        r[i] = amp.r
-    return SweepAmplitudes(k=ks, t=t, r=r, phase=np.unwrap(np.angle(t)))
+    amp = amplitudes_sweep(np.array([k]), potential, kinetic_coeff)
+    return Amplitudes(k=k, t=complex(amp.t[0]), r=complex(amp.r[0]),
+                      log_scale=float(amp.log_scale[0]),
+                      det_defect=float(amp.det_defect[0]))
 
 
 def ddk(fn, k, h=None):
@@ -173,49 +186,52 @@ class RegionTable:
     dpsi: np.ndarray
     sigma: np.ndarray
 
+    def superpose(self, x, weights):
+        """sum_n weights[n] psi_{k_n}(x) at points x inside the region.
+
+        The kernel matrices are real, so the sums run as real matrix
+        products.
+        """
+        dx = x - self.x_right
+        v = np.outer(dx * dx, self.z)
+        scale = np.exp(self.sigma) * weights
+        return (_real_matmul(kernels.cos_sqrt(v), self.psi * scale)
+                + dx * _real_matmul(kernels.sinc_sqrt(v), self.dpsi * scale))
+
+
+def _real_matmul(mat, vec):
+    return mat @ vec.real + 1j * (mat @ vec.imag)
+
 
 def interior_table(ks, potential, kinetic_coeff):
-    """(SweepAmplitudes, [RegionTable, ...]) for stationary-state evaluation."""
+    """(Amplitudes, [RegionTable, ...]) for stationary-state evaluation.
+
+    One pass over the k array: the region propagators are built once, the
+    left-to-right product gives t and r, and the right-to-left pass pulls
+    the transmitted wave's Cauchy data back through every region,
+    normalised per k so thick barriers stay representable.
+    """
     ks = np.asarray(ks, dtype=float)
-    amps = amplitudes_sweep(ks, potential, kinetic_coeff)
-    regions = potential.filled_regions()
-    n = ks.size
-    tables = [
-        {
-            "z": np.empty(n),
-            "psi": np.empty(n, dtype=complex),
-            "dpsi": np.empty(n, dtype=complex),
-            "sigma": np.empty(n),
-        }
-        for _ in regions
-    ]
+    props = _propagators(ks, potential, kinetic_coeff)
+    amps = _amplitudes(ks, props, potential.support)
     b = potential.support[1]
-    for i, k in enumerate(ks):
-        e = energy(k, kinetic_coeff)
-        psi = amps.t[i] * cmath.exp(1j * k * b)
-        dpsi = 1j * k * psi
-        sigma = 0.0
-        for j in range(len(regions) - 1, -1, -1):
-            xl, xr, lev = regions[j]
-            z = (e - lev) / kinetic_coeff
-            norm = max(abs(psi), abs(dpsi) / k)
-            if norm > 0.0:
-                psi /= norm
-                dpsi /= norm
-                sigma += math.log(norm)
-            tables[j]["z"][i] = z
-            tables[j]["psi"][i] = psi
-            tables[j]["dpsi"][i] = dpsi
-            tables[j]["sigma"][i] = sigma
-            # adjugate of the unit-determinant propagator pulls the data
-            # back to the region's left edge
-            pj, u = _region_matrix(z, xr - xl)
-            psi, dpsi = pj[1, 1] * psi - pj[0, 1] * dpsi, -pj[1, 0] * psi + pj[0, 0] * dpsi
-            sigma += u
-    return amps, [
-        RegionTable(x_left=reg[0], x_right=reg[1], **tab)
-        for reg, tab in zip(regions, tables)
-    ]
+    psi = amps.t * np.exp(1j * ks * b)
+    dpsi = 1j * ks * psi
+    sigma = np.zeros(ks.shape)
+    tables = []
+    for xl, xr, z, (c, f, g, u) in reversed(props):
+        norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
+        norm = np.where(norm > 0.0, norm, 1.0)
+        psi = psi / norm
+        dpsi = dpsi / norm
+        sigma = sigma + np.log(norm)
+        tables.append(RegionTable(x_left=xl, x_right=xr, z=z, psi=psi,
+                                  dpsi=dpsi, sigma=sigma))
+        # adjugate of the unit-determinant propagator pulls the data
+        # back to the region's left edge
+        psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
+        sigma = sigma + u
+    return amps, tables[::-1]
 
 
 def _profile_values(x, k, t, r, region_tables, support):
@@ -230,13 +246,8 @@ def _profile_values(x, k, t, r, region_tables, support):
     mid = ~(left | right)
     for reg in region_tables:
         m = mid & (x >= reg.x_left) & (x < reg.x_right)
-        if not m.any():
-            continue
-        dx = x[m] - reg.x_right
-        v = reg.z[0] * dx * dx
-        out[m] = (
-            reg.psi[0] * kernels.cos_sqrt(v) + reg.dpsi[0] * dx * kernels.sinc_sqrt(v)
-        ) * math.exp(reg.sigma[0])
+        if m.any():
+            out[m] = reg.superpose(x[m], np.ones(1))
     return out
 
 

@@ -158,8 +158,8 @@ def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
     """Evaluate the width quadruple, times and T/R at wavenumber(s) k > 0."""
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    if not np.all(k_arr > 0.0):
-        raise ValueError("wavenumber k must be positive")
+    if not np.all(np.isfinite(k_arr) & (k_arr > 0.0)):
+        raise ValueError("wavenumber k must be positive and finite")
     k02 = barrier.kappa0 ** 2
     d = barrier.width
     d_phase, d_dwell, d_eff, x_start, t_coef, r_coef = _quadruple(

@@ -1,10 +1,13 @@
-"""Independent high-precision references used only by the tests.
+"""Independent references used only by the tests.
 
-Everything here solves the piecewise-matching problem from scratch with
+The mpmath functions solve the piecewise-matching problem from scratch with
 mpmath linear algebra; nothing is shared with the production code paths.
+dense_synthesis is the direct O(N_x N_k) double-precision spectral sum that
+the package replaces with chirp-z transforms.
 """
 
 import mpmath as mp
+import numpy as np
 
 
 def _solve(k, regions, kinetic_coeff):
@@ -116,3 +119,40 @@ def mp_dwell(k, regions, kinetic_coeff, dps=60):
                 [mp.mpf(xl), mp.mpf(xr)],
             )
         return float(total)
+
+
+def dense_synthesis(x, ks, u_full, u_tr, amps, tables, support):
+    """(psi_full, psi_tr) on any grid x by direct summation over k.
+
+    Same contract as tunneltimes.packets._synthesize: left of the support
+    psi_full = sum u (e^{ikx} + r e^{-ikx}) and psi_tr = sum u_tr e^{ikx},
+    right of it both are sum u t e^{ikx}, and inside the support both are
+    the interior states continued from each region table's right edge,
+    written here with complex cos/sin of q = sqrt(z) instead of the
+    package's kernels.
+    """
+    x = np.asarray(x, dtype=float)
+    a = support[0]
+    psi_full = np.empty(x.shape, dtype=complex)
+    psi_tr = np.empty(x.shape, dtype=complex)
+    chunk = 512
+    for start in range(0, x.size, chunk):
+        xc = x[start:start + chunk]
+        phase = np.exp(1j * np.outer(xc, ks))
+        full = phase @ (amps.t * u_full)
+        tr = full.copy()
+        left = xc < a
+        full[left] = phase[left] @ u_full + np.conj(phase[left]) @ (amps.r * u_full)
+        tr[left] = phase[left] @ u_tr
+        for reg in tables:
+            inside = (xc >= reg.x_left) & (xc < reg.x_right)
+            if not inside.any():
+                continue
+            dx = (xc[inside] - reg.x_right)[:, None]
+            qdx = np.sqrt(reg.z.astype(complex)) * dx
+            basis = reg.psi * np.cos(qdx) + reg.dpsi * dx * np.sinc(qdx / np.pi)
+            full[inside] = (basis * np.exp(reg.sigma)) @ u_full
+            tr[inside] = full[inside]
+        psi_full[start:start + chunk] = full
+        psi_tr[start:start + chunk] = tr
+    return psi_full, psi_tr

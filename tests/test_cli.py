@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,38 @@ def test_numeric_invariant_exits_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, {"barrier": BARRIER})
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def _readme_config():
+    """The shared run.json printed in the README's CLI section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("each command reads the ones it\nneeds:", 1)[1]
+    return json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+
+
+class _PastValidation(Exception):
+    pass
+
+
+def test_readme_shared_config_serves_every_subcommand(tmp_path, monkeypatch):
+    payload = _readme_config()
+    assert set(payload) >= {"barrier", "packet", "field", "sweep",
+                            "snapshot_times", "out"}
+    cfg = write_config(tmp_path, payload)
+    for command in ("sweep", "resonance", "limits"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").is_file()
+
+    # packet and larmor are expensive on this geometry; stop them at the
+    # first library call, which runs only once the config is accepted
+    def stop(*args, **kwargs):
+        raise _PastValidation()
+
+    monkeypatch.setattr(cli, "evolve", stop)
+    monkeypatch.setattr(cli, "run_clock", stop)
+    for command in ("packet", "larmor"):
+        with pytest.raises(_PastValidation):
+            cli.main([command, "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_format_float_tokens():

@@ -1,8 +1,12 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from tunneltimes import kernels
+from tunneltimes.model import BarrierSpec
+from tunneltimes.timescales import evaluate_widths
 
 # enough headroom that the worst cancellation in the grid (v = 1e-300 in
 # the gap quotients) still leaves ~100 good digits
@@ -115,3 +119,15 @@ def test_oscillating_zeros():
     for n in (1, 2, 3):
         v = (n * np.pi) ** 2
         assert abs(kernels.sinc_sqrt(v)) < 1e-15 * n
+
+
+def test_oscillatory_side_raises_no_overflow_warning():
+    # v = (k d)^2 up to 4e6: the hyperbolic branch must never be evaluated
+    # on the oscillating side, where sinh/cosh of sqrt(v) would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = evaluate_widths(BarrierSpec(0.25, 100.0), [10.0, 20.0])
+        v = np.array([4e6, -4e4, 1e12, -0.5, 0.5])
+        assert np.isfinite(kernels.sinc_sqrt(v)).all()
+        assert np.isfinite(kernels.cos_sqrt(v)).all()
+    assert np.isfinite(rec.transmission).all()

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from tunneltimes.decomposition import channel_sweep
+from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
 from tunneltimes.packets import (
     PacketSpec,
@@ -17,7 +20,10 @@ from tunneltimes.packets import (
     second_central_moment,
     slow_tail_allowance,
     starting_point_packet,
+    _synthesize,
+    _trapezoid_weights,
 )
+from tunneltimes.scattering import interior_table
 from tunneltimes.timescales import evaluate_widths
 
 FREE = BarrierSpec(height=0.0, width=0.5)
@@ -215,3 +221,54 @@ def test_second_central_moment_gaussian():
     sigma = 7.0
     density = np.exp(-((x - 3.0) ** 2) / (2.0 * sigma**2))
     assert second_central_moment(x, density) == pytest.approx(sigma**2, rel=1e-6)
+
+
+def _synthesis_pair(spec, barrier, potential, t, x, c_tr):
+    """(chirp-z, dense) (psi_full, psi_tr) for one snapshot on grid x."""
+    spectrum = gaussian_spectrum(spec)
+    ks = spectrum.k
+    u_full = (spectrum.amplitude * _trapezoid_weights(ks)
+              * np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
+              / math.sqrt(2.0 * math.pi))
+    amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
+    args = (x, ks, u_full, u_full * c_tr, amps, tables, potential.support)
+    return _synthesize(*args), oracles.dense_synthesis(*args)
+
+
+def _assert_same_waves(fast, dense):
+    for got, want in zip(fast, dense):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t", [0.0, 38.0])
+def test_deep_well_synthesis_matches_dense_sum(t):
+    _, c_tr, _ = channel_sweep(DEEP_WELL, gaussian_spectrum(DEEP_SPEC).k)
+    x = default_grid(DEEP_SPEC, DEEP_WELL, t)
+    fast, dense = _synthesis_pair(DEEP_SPEC, DEEP_WELL, DEEP_WELL.potential(), t, x, c_tr)
+    _assert_same_waves(fast, dense)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.5])
+def test_clock_synthesis_matches_dense_sum(t):
+    # the criterion-11 clock geometry; the grid spans both field-free pads,
+    # so most interior points sit in the pads and a few in the barrier
+    barrier = BarrierSpec(0.25, 0.5, left_edge=1100.0)
+    spec = PacketSpec(l0=100.0, x0=0.0, k0=0.4688469119692836, n_k=2048)
+    layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
+    x = np.linspace(-1000.0, 3500.0, 4501)
+    assert np.count_nonzero((x >= 1100.0) & (x < 1100.5)) > 0
+    _, c_tr, _ = channel_sweep(barrier, gaussian_spectrum(spec).k)
+    for potential in spin_potentials(barrier, layout):
+        fast, dense = _synthesis_pair(spec, barrier, potential, t, x, c_tr)
+        _assert_same_waves(fast, dense)
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(-200.0, 200.0, 512)[::-1],
+    np.concatenate([np.linspace(-200.0, 0.0, 256), np.linspace(0.5, 200.0, 256)]),
+    np.linspace(-200.0, 200.0, 512)[None, :],
+    np.array([0.0]),
+])
+def test_evolve_rejects_non_uniform_grid(x):
+    with pytest.raises(ValueError, match="grid"):
+        evolve(FREE_SPEC, FREE, 0.0, x=x)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from tunneltimes import scattering
+from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import (
     BarrierSpec,
     ParticleSpec,
@@ -161,3 +162,56 @@ def test_dwell_norm_matches_matching_solver(height, width, e):
     got = scattering.dwell_norm(k, pot, K)
     want = oracles.mp_dwell(k, pot.filled_regions(), K, dps=40)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+# batches checked node by node against the matching solver: an opaque
+# barrier reaching kappa*d ~ 696 at the lowest energy, a two-segment
+# potential with a zero-level gap, and the three-region potential of the
+# spin clock (padded barrier with the spin-up Zeeman offset)
+BATCH_CASES = [
+    (BarrierSpec(0.25, 1050.0).potential(),
+     [0.001, 0.01, 0.1, 0.2, 0.249, 0.3, 0.5],
+     [0.0, 1.0, 500.0, 1049.0], 400),
+    (PiecewisePotential(((0.0, 1.0, 0.3), (2.0, 2.5, -0.1))),
+     [0.01, 0.07, 0.2999, 0.3001, 0.9],
+     [0.2, 0.99, 1.5, 2.2, 2.4], 60),
+    (spin_potentials(BarrierSpec(0.25, 0.5, left_edge=1100.0),
+                     FieldLayout(margin=500.0, detector_offset=1100.0,
+                                 omega_larmor=0.2))[0],
+     [0.11, 0.125, 0.14],
+     [600.0, 850.0, 1100.2, 1100.5, 1400.0], 60),
+]
+
+
+@pytest.mark.parametrize("pot,es,xs,dps", BATCH_CASES)
+def test_batched_core_matches_matching_solver(pot, es, xs, dps):
+    ks = wavenumber(np.array(es), K)
+    sweep = scattering.amplitudes_sweep(ks, pot, K)
+    amps, tables = scattering.interior_table(ks, pot, K)
+    assert np.all(np.abs(amps.det_defect) < 1e-12)
+    np.testing.assert_array_equal(amps.t, sweep.t)
+    np.testing.assert_array_equal(amps.r, sweep.r)
+    regions = pot.filled_regions()
+    for i, k in enumerate(ks):
+        r0, t0 = oracles.mp_scatter(k, regions, K, dps=dps)
+        assert amps.t[i] == pytest.approx(t0, rel=1e-11)
+        assert amps.r[i] == pytest.approx(r0, rel=1e-11, abs=1e-13)
+        one = scattering.amplitudes(k, pot, K)
+        assert one.t == pytest.approx(amps.t[i], rel=1e-14)
+    for x in xs:
+        reg = next(tab for tab in tables if tab.x_left <= x < tab.x_right)
+        for k, unit in zip(ks, np.eye(ks.size)):
+            got = reg.superpose(np.array([x]), unit)[0]
+            want = oracles.mp_stationary(x, k, regions, K, dps=dps)
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_transfer_matrix_batch_matches_single_k():
+    pot = PiecewisePotential(((0.0, 1.0, 0.3), (2.0, 2.5, -0.1)))
+    ks = wavenumber(np.array([0.02, 0.07, 0.5]), K)
+    mats, scales = scattering.transfer_matrix(ks, pot, K)
+    assert mats.shape == (3, 2, 2) and scales.shape == (3,)
+    for k, mat, scale in zip(ks, mats, scales):
+        one, s = scattering.transfer_matrix(k, pot, K)
+        np.testing.assert_allclose(one, mat, rtol=1e-15)
+        assert s == scale

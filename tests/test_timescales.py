@@ -410,3 +410,12 @@ def test_input_validation_and_shapes():
     scalar = evaluate_widths(BARRIER, 0.2)
     assert isinstance(scalar.phase_width, float)
     assert scalar.phase_width == pytest.approx(rec.phase_width[1], rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [np.inf, np.nan, -np.inf])
+def test_non_finite_wavenumber_rejected(k):
+    bar = BarrierSpec(0.25, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_widths(bar, k)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_widths(bar, [0.3, k])
