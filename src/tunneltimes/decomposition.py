@@ -30,7 +30,7 @@ import numpy as np
 
 from .kernels import sinc_sqrt
 from .model import BarrierSpec
-from .scattering import amplitudes, ddk, stationary_value
+from .scattering import stationary_value
 from .timescales import evaluate_widths
 
 
@@ -99,32 +99,6 @@ def channel_sweep(barrier: BarrierSpec, k):
     c_ref = 1.0 - c_tr
     gam = np.arctan2(np.sqrt(r_coef), np.sqrt(t_coef))
     return gam, c_tr, c_ref
-
-
-def x_start_from_gamma(barrier: BarrierSpec, k, h=None):
-    """Starting-point shift recovered from the channel phase, -d(arg c_tr)/dk.
-
-    The magnitude is the numerical derivative of the channel angle built from
-    the matched amplitudes (independent of the closed forms); the overall sign
-    follows the branch of the channel phase and is taken from the closed-form
-    starting point, which defines that branch.  Requires 0 < T < 1: at exact
-    resonances (T = 1) and in the opaque limit (T = 0) the channel angle has a
-    kink or is degenerate and the derivative is undefined.
-    """
-    k = float(k)
-    rec = evaluate_widths(barrier, k)
-    if rec.transmission >= 1.0 or rec.transmission <= 0.0:
-        raise ValueError(
-            "channel-phase derivative undefined at T = %r; need 0 < T < 1"
-            % rec.transmission)
-    potential = barrier.potential()
-
-    def angle(kk):
-        amp = amplitudes(kk, potential, barrier.kinetic_coeff)
-        return float(np.arctan2(abs(amp.r), abs(amp.t)))
-
-    slope = ddk(angle, k, h=h)
-    return float(np.sign(rec.starting_point)) * abs(slope)
 
 
 def stationary_channels(barrier: BarrierSpec, k, x):

@@ -19,21 +19,21 @@ advance (rather than regress) at omega.
 The clock is read on the transmission channel wave: its precession counts
 omega times the span the channel wave spends in the field, namely the
 detection time minus the channel's own residence inside [a - l, b + l].
-All three times are CM crossings - detection on the synthesized transmitted
-packet, entry and exit on the channel asymptotes (incidence-side wave at
-a - l, transmitted wave at b + l).  The channel wave enters late by the
-starting-point shift yet crosses the interior in pad time plus
-effective-width time, so the shift survives into the readout.  This is the
-discriminating observable: phase-delay bookkeeping applied to the full
-wave instead would cancel the shift against the detection delay and always
-return zero.
+All three times are CM crossings of free channel asymptotes, closed form in
+spectral moments: detection and exit on the transmitted wave (at b + L and
+b + l), entry on the incidence-side channel wave (at a - l).  A single grid
+synthesis per spin component at detection checks that the grid contains
+the packet.  The channel wave enters late by the starting-point shift yet
+crosses the interior in pad time plus effective-width time, so the shift
+survives into the readout.  This is the discriminating observable:
+phase-delay bookkeeping applied to the full wave instead would cancel the
+shift against the detection delay and always return zero.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .decomposition import _phase_sign
 from .model import (
@@ -43,14 +43,19 @@ from .model import (
     PiecewisePotential,
     group_velocity,
 )
-from .packets import PacketSpec, _synthesize, _trapezoid_weights, gaussian_spectrum
+from .packets import (
+    _CONTAINMENT_TOL,
+    PacketSpec,
+    _synthesize,
+    _trapezoid_weights,
+    dispersion_time,
+    gaussian_spectrum,
+)
 from .scattering import interior_table
 
 # spatial points for clock synthesis; both channels are smooth envelopes at
 # readout times, so this resolves them with tens of points per sigma
 N_X_CLOCK = 2048
-_CONTAINMENT_TOL = 1e-6
-_T_DET_XTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -171,14 +176,14 @@ def synthetic_precession(x_start, left_edge, detector_offset, margin, k,
     return 0.5 * math.cos(azimuth), 0.5 * math.sin(azimuth)
 
 
-def _asymptote_crossing(qs, coeff, x_pos, kinetic_coeff, label):
-    """CM crossing time at x_pos of the free asymptote sum_q coeff_q e^{iqx}.
+def _asymptote_moments(qs, coeff, kinetic_coeff, label):
+    """Launch CM and CM speed of the free asymptote sum_q coeff_q e^{iqx}.
 
-    A free packet's CM runs ballistically, x(t) = <-d arg(coeff)/dq> +
-    v(<q>) t with both means over |coeff|^2, so the crossing time is closed
-    form in spectral space.  Flux-weighted arrivals would instead average
-    the slowness 1/v(q) and pick up a spectral-convexity bias; CM crossings
-    keep every clock time on the same mean-wavenumber footing.
+    A free packet's CM runs ballistically, x(t) = start + speed t, with
+    start = <-d arg(coeff)/dq> and speed = v(<q>), both means over
+    |coeff|^2.  Flux-weighted arrivals would instead average the slowness
+    1/v(q) and pick up a spectral-convexity bias; CM crossings keep every
+    clock time on the same mean-wavenumber footing.
     """
     dens = np.abs(coeff) ** 2
     norm = float(np.trapezoid(dens, qs))
@@ -190,6 +195,11 @@ def _asymptote_crossing(qs, coeff, x_pos, kinetic_coeff, label):
     start = -float(np.trapezoid(np.imag(np.conj(coeff) * grad), qs)) / norm
     speed = group_velocity(float(np.trapezoid(dens * qs, qs)) / norm,
                            kinetic_coeff)
+    return start, speed
+
+
+def _crossing_time(start, speed, x_pos, label):
+    """Time at which a CM running x(t) = start + speed t reaches x_pos."""
     t_cross = (x_pos - start) / speed
     if t_cross <= 0.0:
         raise NumericInvariantError(
@@ -199,15 +209,21 @@ def _asymptote_crossing(qs, coeff, x_pos, kinetic_coeff, label):
 
 
 def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
-              n_x=N_X_CLOCK, bracket=None) -> SpinReadout:
+              n_x=N_X_CLOCK) -> SpinReadout:
     """Evolve both spin components, detect the transmitted CM, read the clock.
 
-    Detection time t_det solves spin-averaged cm_tr(t) = b + L on the
-    transmission channel.  The spin azimuth is pi/4 plus omega times the
-    channel's field time: t_det minus its residence inside [a - l, b + l],
-    the latter the spin-averaged gap between the CM crossing of the
-    incidence-side channel asymptote at a - l and that of the transmitted
-    asymptote at b + l.
+    Every clock time is a CM crossing of a free channel asymptote, closed
+    form in spectral moments.  Detection time t_det solves spin-averaged
+    cm_tr(t) = b + L: the transmitted wave lies past b + l by then, so with
+    launch CMs s_c and CM speeds v_c of the two components' transmitted
+    asymptotes, mean(s_c) + mean(v_c) t_det = b + L.  The spin azimuth is
+    pi/4 plus omega times the channel's field time: t_det minus its
+    residence inside [a - l, b + l], the latter the spin-averaged gap
+    between the CM crossing of the incidence-side channel asymptote at
+    a - l and that of the transmitted asymptote at b + l.  Each component
+    is synthesized once, at t_det, on a grid of n_x points, as the
+    containment check: a grid norm off 1 by more than 1e-6 in either
+    component raises NumericInvariantError.
     """
     if layout.omega_larmor <= 0.0:
         raise ValueError("omega_larmor must be positive to run the clock")
@@ -215,7 +231,6 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
 
     spectrum = gaussian_spectrum(spec)
     qs = spectrum.k
-    weights = _trapezoid_weights(qs)
     support = (barrier.left_edge - layout.margin,
                barrier.right_edge + layout.margin)
     detector = barrier.right_edge + layout.detector_offset
@@ -223,71 +238,49 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
     # channel weight sqrt(T) exp(i s gamma) takes the bare barrier's phase
     # branch: the layered profile deforms continuously into the barrier as
     # omega -> 0, and the branch sets the entry arrival through d(arg)/dk
-    branch = np.where(_phase_sign(barrier, qs) == 0.0, 1.0,
-                      _phase_sign(barrier, qs))
-    components = []
+    sign = _phase_sign(barrier, qs)
+    branch = np.where(sign == 0.0, 1.0, sign)
+    components, entries, exits = [], [], []
     for potential in spin_potentials(barrier, layout):
         amps, tables = interior_table(qs, potential, barrier.kinetic_coeff)
         trans = np.abs(amps.t) ** 2
         refl = np.abs(amps.r) ** 2
         c_tr = trans + 1j * branch * np.sqrt(np.maximum(trans * refl, 0.0))
         components.append((amps, tables, c_tr, trans))
+        entries.append(_asymptote_moments(
+            qs, spectrum.amplitude * c_tr, barrier.kinetic_coeff, "entry"))
+        exits.append(_asymptote_moments(
+            qs, spectrum.amplitude * amps.t, barrier.kinetic_coeff, "exit"))
+
+    # detection on the spin-averaged transmitted CM; averaging the two
+    # components' crossing times instead would differ at second order
+    (start_up, speed_up), (start_dn, speed_dn) = exits
+    t_det = _crossing_time(0.5 * (start_up + start_dn), 0.5 * (speed_up + speed_dn),
+                           detector, "detector")
 
     v0 = group_velocity(spec.k0, barrier.kinetic_coeff)
-    t_nominal = (detector - spec.x0) / v0
-    t_lo, t_hi = bracket if bracket is not None else (0.7 * t_nominal, 1.5 * t_nominal)
-    t_disp = HBAR * spec.l0**2 / barrier.kinetic_coeff
-    pad = 8.0 * spec.l0 * math.sqrt(1.0 + (t_hi / t_disp) ** 2)
-    lo = min(spec.x0, 2.0 * barrier.left_edge - spec.x0 - v0 * t_hi) - pad
-    hi = spec.x0 + v0 * t_hi + pad
+    t_disp = dispersion_time(spec, barrier.kinetic_coeff)
+    pad = 8.0 * spec.l0 * math.sqrt(1.0 + (t_det / t_disp) ** 2)
+    lo = min(spec.x0, 2.0 * barrier.left_edge - spec.x0 - v0 * t_det) - pad
+    hi = spec.x0 + v0 * t_det + pad
     x = np.linspace(lo, hi, n_x)
-
-    base_u = spectrum.amplitude * weights / math.sqrt(2.0 * math.pi)
-
-    def synthesize(t, component):
-        amps, tables, c_tr, _ = components[component]
-        u_full = base_u * np.exp(-1j * barrier.kinetic_coeff * qs**2 * t / HBAR)
-        return _synthesize(x, qs, u_full, u_full * c_tr, amps, tables, support)
-
-    def transmitted_cm_gap(t):
-        total = 0.0
-        for component in (0, 1):
-            _, psi_tr = synthesize(t, component)
-            dens = np.abs(psi_tr) ** 2
-            norm = np.trapezoid(dens, x)
-            total += 0.5 * float(np.trapezoid(x * dens, x) / norm)
-        return total - detector
-
-    gap_lo = transmitted_cm_gap(t_lo)
-    gap_hi = transmitted_cm_gap(t_hi)
-    if not (gap_lo < 0.0 < gap_hi):
-        raise NumericInvariantError(
-            "transmitted CM does not cross the detector inside the time "
-            "bracket [%g, %g] ps (gaps %g, %g nm)" % (t_lo, t_hi, gap_lo, gap_hi)
-        )
-    t_det = float(brentq(transmitted_cm_gap, t_lo, t_hi, xtol=_T_DET_XTOL))
-
-    for component in (0, 1):
-        psi_full, _ = synthesize(t_det, component)
+    base_u = spectrum.amplitude * _trapezoid_weights(qs) / math.sqrt(2.0 * math.pi)
+    u_full = base_u * np.exp(-1j * barrier.kinetic_coeff * qs**2 * t_det / HBAR)
+    for component, (amps, tables, c_tr, _) in enumerate(components):
+        psi_full, _ = _synthesize(x, qs, u_full, u_full * c_tr, amps, tables,
+                                  support)
         n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
         if abs(n_full - 1.0) > _CONTAINMENT_TOL:
             raise NumericInvariantError(
-                "grid holds %.9f of component %d at detection; widen the bracket "
-                "or the grid" % (n_full, component)
+                "grid holds %.9f of component %d at detection; widen the "
+                "grid" % (n_full, component)
             )
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,
-    # transmitted wave at b + l), closed form in spectral space
-    t_entry = 0.0
-    t_exit = 0.0
-    for amps, _, c_tr, _ in components:
-        t_entry += 0.5 * _asymptote_crossing(
-            qs, spectrum.amplitude * c_tr, support[0], barrier.kinetic_coeff,
-            "entry")
-        t_exit += 0.5 * _asymptote_crossing(
-            qs, spectrum.amplitude * amps.t, support[1], barrier.kinetic_coeff,
-            "exit")
+    # transmitted wave at b + l)
+    t_entry = 0.5 * sum(_crossing_time(*m, support[0], "entry") for m in entries)
+    t_exit = 0.5 * sum(_crossing_time(*m, support[1], "exit") for m in exits)
 
     azimuth = 0.25 * math.pi + layout.omega_larmor * (t_det - (t_exit - t_entry))
     sx = 0.5 * math.cos(azimuth)

@@ -91,14 +91,6 @@ class PiecewisePotential:
             return (0.0, 0.0)
         return (self.segments[0][0], self.segments[-1][1])
 
-    def value(self, x):
-        """Potential at x, vectorized."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for xl, xr, lev in self.segments:
-            out = np.where((x >= xl) & (x < xr), lev, out)
-        return float(out) if out.ndim == 0 else out
-
     def filled_regions(self):
         """Contiguous (x_left, x_right, level) cover of the support.
 

@@ -41,9 +41,11 @@ from .timescales import evaluate_widths
 # spatial grid size; 8192 points resolve the carrier wave at ~10 points per
 # wavelength even on the widest late-time grids used by the deep-well
 # scenario.  Points inside the support are summed in chunks of _X_CHUNK rows
-# so the (points x k) kernel matrices stay a few tens of MB.
+# so the (points x k) kernel matrices stay a few MB each: evaluating the
+# kernels holds about six of them at once, and the clock's pads hold
+# hundreds of grid points.
 N_X_DEFAULT = 8192
-_X_CHUNK = 512
+_X_CHUNK = 128
 _CONTAINMENT_TOL = 1e-6
 _NEGATIVE_K_TOL = 1e-12
 

@@ -17,7 +17,6 @@ the fly so products stay representable for kappa L up to ~700.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import kernels
 
@@ -155,20 +154,6 @@ def amplitudes(k, potential, kinetic_coeff):
                       det_defect=float(amp.det_defect[0]))
 
 
-def ddk(fn, k, h=None):
-    """d(fn)/dk at k by Richardson-extrapolated central differences.
-
-    Uses the 4-point stencil k +- h, k +- 2h; fn must be smooth there.
-    The default step balances truncation against rounding for phase-like
-    functions of k in 1/nm.
-    """
-    if h is None:
-        h = max(1e-6, 1e-4 * abs(k))
-    d1 = (fn(k + h) - fn(k - h)) / (2.0 * h)
-    d2 = (fn(k + 2.0 * h) - fn(k - 2.0 * h)) / (4.0 * h)
-    return (4.0 * d1 - d2) / 3.0
-
-
 @dataclass(frozen=True)
 class RegionTable:
     """Right-edge Cauchy data for one region, arrays over the k grid.
@@ -234,23 +219,6 @@ def interior_table(ks, potential, kinetic_coeff):
     return amps, tables[::-1]
 
 
-def _profile_values(x, k, t, r, region_tables, support):
-    """psi_k at points x from precomputed single-k interior data."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
-    a, b = support
-    left = x <= a
-    right = x >= b
-    out[left] = np.exp(1j * k * x[left]) + r * np.exp(-1j * k * x[left])
-    out[right] = t * np.exp(1j * k * x[right])
-    mid = ~(left | right)
-    for reg in region_tables:
-        m = mid & (x >= reg.x_left) & (x < reg.x_right)
-        if m.any():
-            out[m] = reg.superpose(x[m], np.ones(1))
-    return out
-
-
 def stationary_value(x, k, potential, kinetic_coeff):
     """Stationary scattering state psi_k(x) for unit incidence, any x.
 
@@ -258,41 +226,18 @@ def stationary_value(x, k, potential, kinetic_coeff):
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    amps, tables = interior_table(np.array([k], dtype=float), potential, kinetic_coeff)
-    out = _profile_values(
-        np.atleast_1d(x), k, amps.t[0], amps.r[0], tables, potential.support
-    )
-    return complex(out[0]) if scalar else out
-
-
-def dwell_norm(k, potential, kinetic_coeff, x_min=None, x_max=None):
-    """Integral of |psi_k|**2 over [x_min, x_max] by adaptive quadrature.
-
-    Defaults to the support of the potential.  With unit incident
-    amplitude this integral divided by the incident flux is the dwell
-    time.
-    """
-    a, b = potential.support
-    x_min = a if x_min is None else float(x_min)
-    x_max = b if x_max is None else float(x_max)
+    x = np.atleast_1d(x)
     amps, tables = interior_table(np.array([k], dtype=float), potential, kinetic_coeff)
     t, r = amps.t[0], amps.r[0]
-
-    def density(x):
-        val = _profile_values(
-            np.atleast_1d(np.asarray(x, dtype=float)),
-            k,
-            t,
-            r,
-            tables,
-            potential.support,
-        )
-        return float(abs(val[0]) ** 2)
-
-    breaks = sorted(
-        {xl for xl, _, _ in potential.filled_regions()}
-        | {xr for _, xr, _ in potential.filled_regions()}
-    )
-    interior = [p for p in breaks if x_min < p < x_max]
-    val, _ = quad(density, x_min, x_max, points=interior or None, limit=200)
-    return val
+    out = np.empty(x.shape, dtype=complex)
+    a, b = potential.support
+    left = x <= a
+    right = x >= b
+    out[left] = np.exp(1j * k * x[left]) + r * np.exp(-1j * k * x[left])
+    out[right] = t * np.exp(1j * k * x[right])
+    mid = ~(left | right)
+    for reg in tables:
+        m = mid & (x >= reg.x_left) & (x < reg.x_right)
+        if m.any():
+            out[m] = reg.superpose(x[m], np.ones(1))
+    return complex(out[0]) if scalar else out

@@ -1,13 +1,23 @@
-"""Independent references used only by the tests.
+"""References used only by the tests.
 
 The mpmath functions solve the piecewise-matching problem from scratch with
 mpmath linear algebra; nothing is shared with the production code paths.
 dense_synthesis is the direct O(N_x N_k) double-precision spectral sum that
 the package replaces with chirp-z transforms.
+
+dwell_norm and x_start_from_gamma are not independent solvers: they are
+cross-checks built on the package's own states (stationary_value and
+amplitudes), integrated by adaptive quadrature or differentiated by ddk,
+to test the closed forms against a different route through the same
+scattering core.
 """
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad
+
+from tunneltimes.scattering import amplitudes, stationary_value
+from tunneltimes.timescales import evaluate_widths
 
 
 def _solve(k, regions, kinetic_coeff):
@@ -156,3 +166,66 @@ def dense_synthesis(x, ks, u_full, u_tr, amps, tables, support):
         psi_full[start:start + chunk] = full
         psi_tr[start:start + chunk] = tr
     return psi_full, psi_tr
+
+
+def ddk(fn, k, h=None):
+    """d(fn)/dk at k by Richardson-extrapolated central differences.
+
+    Uses the 4-point stencil k +- h, k +- 2h; fn must be smooth there.
+    The default step balances truncation against rounding for phase-like
+    functions of k in 1/nm.
+    """
+    if h is None:
+        h = max(1e-6, 1e-4 * abs(k))
+    d1 = (fn(k + h) - fn(k - h)) / (2.0 * h)
+    d2 = (fn(k + 2.0 * h) - fn(k - 2.0 * h)) / (4.0 * h)
+    return (4.0 * d1 - d2) / 3.0
+
+
+def dwell_norm(k, potential, kinetic_coeff, x_min=None, x_max=None):
+    """Integral of |psi_k|**2 over [x_min, x_max] by adaptive quadrature.
+
+    Defaults to the support of the potential.  With unit incident
+    amplitude this integral divided by the incident flux is the dwell
+    time.
+    """
+    a, b = potential.support
+    x_min = a if x_min is None else float(x_min)
+    x_max = b if x_max is None else float(x_max)
+
+    def density(x):
+        return abs(stationary_value(x, k, potential, kinetic_coeff)) ** 2
+
+    breaks = sorted(
+        {xl for xl, _, _ in potential.filled_regions()}
+        | {xr for _, xr, _ in potential.filled_regions()}
+    )
+    interior = [p for p in breaks if x_min < p < x_max]
+    val, _ = quad(density, x_min, x_max, points=interior or None, limit=200)
+    return val
+
+
+def x_start_from_gamma(barrier, k, h=None):
+    """Starting-point shift recovered from the channel phase, -d(arg c_tr)/dk.
+
+    The magnitude is the numerical derivative of the channel angle built from
+    the matched amplitudes (independent of the closed forms); the overall sign
+    follows the branch of the channel phase and is taken from the closed-form
+    starting point, which defines that branch.  Requires 0 < T < 1: at exact
+    resonances (T = 1) and in the opaque limit (T = 0) the channel angle has a
+    kink or is degenerate and the derivative is undefined.
+    """
+    k = float(k)
+    rec = evaluate_widths(barrier, k)
+    if rec.transmission >= 1.0 or rec.transmission <= 0.0:
+        raise ValueError(
+            "channel-phase derivative undefined at T = %r; need 0 < T < 1"
+            % rec.transmission)
+    potential = barrier.potential()
+
+    def angle(kk):
+        amp = amplitudes(kk, potential, barrier.kinetic_coeff)
+        return float(np.arctan2(abs(amp.r), abs(amp.t)))
+
+    slope = ddk(angle, k, h=h)
+    return float(np.sign(rec.starting_point)) * abs(slope)

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tunneltimes
 from tunneltimes import cli
 from tunneltimes.model import BarrierSpec, NumericInvariantError
 
@@ -34,6 +37,17 @@ def read_rows(path):
         header = handle.readline().rstrip("\n")
         rows = [line.rstrip("\n").split(",") for line in handle]
     return header, rows
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # both cost import time and the package needs neither
+    src = str(Path(tunneltimes.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import tunneltimes, tunneltimes.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))" % src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import ddk, x_start_from_gamma
 from tunneltimes.decomposition import (
     channel_amplitudes,
     channel_angle,
     channel_sweep,
     interface_mismatch,
     stationary_channels,
-    x_start_from_gamma,
 )
 from tunneltimes.model import BarrierSpec
-from tunneltimes.scattering import amplitudes, ddk, stationary_value
+from tunneltimes.scattering import amplitudes, stationary_value
 from tunneltimes.timescales import evaluate_widths, resonance_table
 
 BARRIER = BarrierSpec(height=0.25, width=0.5)

