@@ -12,8 +12,9 @@ Configuration comes from a JSON file (--config); command-line flags override
 config values; unknown keys are rejected.  Output files are written atomically
 (temp file + rename) with 17-significant-digit floats, '.' decimal separators,
 '\\n' line endings and no timestamps, so a rerun with the same inputs is
-byte-identical.  Exit codes: 0 success, 2 configuration error, 3 numeric
-invariant violation.
+byte-identical.  CSV cells print infinities as inf/-inf.  Exit codes: 0
+success, 2 configuration error (NaN and infinite inputs too), 3 numeric
+invariant violation (a NaN in any output, or an infinity in JSON, too).
 """
 
 from __future__ import annotations
@@ -57,27 +58,30 @@ class ConfigError(ValueError):
 # deterministic formatting and atomic output
 
 
-def format_float(value) -> str:
-    """17-significant-digit token; infinities print as inf/-inf, never NaN."""
-    value = float(value)
-    if math.isnan(value):
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}  # by numpy dtype kind
+_ROW_BLOCK = 1024
+
+
+def _csv_text(header, columns) -> str:
+    """CSV text of equal-length float, int or str columns, formatted with one
+    C-level % per block of rows; floats print as %.17g (inf/-inf), NaN raises."""
+    columns = [np.asarray(column) for column in columns]
+    if any(column.dtype.kind == "f" and np.isnan(column).any() for column in columns):
         raise NumericInvariantError("output table contains NaN")
-    return "%.17g" % value
-
-
-def _csv_text(header, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str)
-            else str(cell) if isinstance(cell, int)
-            else format_float(cell)
-            for cell in row))
-    return "\n".join(lines) + "\n"
+    line = ",".join(_CELL_FORMATS[column.dtype.kind] for column in columns) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = np.array([column[start:start + _ROW_BLOCK] for column in columns],
+                         dtype=object).T
+        parts.append(line * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericInvariantError("output JSON contains NaN or infinity")
 
 
 def write_atomic(path, text):
@@ -182,8 +186,8 @@ def _packet_from(cfg, barrier: BarrierSpec) -> PacketSpec:
     if "k0" in section:
         return PacketSpec(k0=_number(section, "k0", "packet"), **common)
     e_mean = _number(section, "e_mean", "packet")
-    if e_mean <= 0.0:
-        raise ConfigError("packet.e_mean must be positive")
+    if not 0.0 < e_mean < math.inf:
+        raise ConfigError("packet.e_mean must be positive and finite")
     return PacketSpec(k0=float(math.sqrt(e_mean / barrier.kinetic_coeff)),
                       **common)
 
@@ -216,6 +220,8 @@ def _parse_float_list(text, flag):
                           % (flag, text))
     if not values:
         raise ConfigError("%s must list at least one number" % flag)
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError("%s values must be finite, got %r" % (flag, text))
     return values
 
 
@@ -234,8 +240,8 @@ def cmd_sweep(args) -> int:
         section, "emax", "sweep", DEFAULT_SWEEP_EMAX)
     if points < 1:
         raise ConfigError("sweep needs at least one point")
-    if emax <= 0.0:
-        raise ConfigError("sweep emax must be positive")
+    if not 0.0 < emax < math.inf:
+        raise ConfigError("sweep emax must be positive and finite")
     out = _resolve_out(args, cfg)
 
     # Uniform E/V0 grid on (0, emax]; a free barrier has no height scale, so
@@ -245,20 +251,18 @@ def cmd_sweep(args) -> int:
     ks = np.sqrt(ratios * scale / barrier.kinetic_coeff)
     record = evaluate_widths(barrier, ks)
     d = barrier.width
-    rows = zip(ratios, ks, record.phase_width / d, record.dwell_width / d,
+    columns = (ratios, ks, record.phase_width / d, record.dwell_width / d,
                record.effective_width / d, record.starting_point / d)
     path = os.path.join(out, "sweep.csv")
-    write_atomic(path, _csv_text(SWEEP_HEADER, rows))
+    write_atomic(path, _csv_text(SWEEP_HEADER, columns))
     print(path)
     return 0
 
 
-def _snapshot_rows(state):
-    return zip(state.grid,
-               np.real(state.psi_full), np.imag(state.psi_full),
-               np.abs(state.psi_full) ** 2,
-               np.abs(state.psi_tr) ** 2,
-               np.abs(state.psi_ref) ** 2)
+def _snapshot_columns(state):
+    psi = state.psi_full
+    return (state.grid, psi.real, psi.imag, np.abs(psi) ** 2,
+            np.abs(state.psi_tr) ** 2, np.abs(state.psi_ref) ** 2)
 
 
 def cmd_packet(args) -> int:
@@ -274,8 +278,8 @@ def cmd_packet(args) -> int:
                            for t in times)):
             raise ConfigError("snapshot_times must be a non-empty list of numbers")
         times = [float(t) for t in times]
-    if any(t < 0.0 for t in times):
-        raise ConfigError("snapshot times must be non-negative")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError("snapshot times must be non-negative and finite")
     n_x = _integer(cfg, "n_x", "config", 8192)
     if n_x < 16:
         raise ConfigError("n_x must be at least 16")
@@ -289,7 +293,7 @@ def cmd_packet(args) -> int:
         states[t] = state
         name = "packet_t%d.csv" % index
         path = os.path.join(out, name)
-        write_atomic(path, _csv_text(SNAPSHOT_HEADER, _snapshot_rows(state)))
+        write_atomic(path, _csv_text(SNAPSHOT_HEADER, _snapshot_columns(state)))
         written.append(path)
         snapshots.append({
             "t": t,
@@ -378,11 +382,11 @@ def cmd_resonance(args) -> int:
     out = _resolve_out(args, cfg)
 
     table = resonance_table(barrier, n_max)
-    rows = [(rec.n, rec.k_res, rec.phase_ratio, rec.dwell_ratio,
-             rec.effective_ratio, rec.starting_ratio)
-            for rec in table.records]
+    columns = [[getattr(rec, field) for rec in table.records]
+               for field in ("n", "k_res", "phase_ratio", "dwell_ratio",
+                             "effective_ratio", "starting_ratio")]
     path = os.path.join(out, "resonance.csv")
-    write_atomic(path, _csv_text(RESONANCE_HEADER, rows))
+    write_atomic(path, _csv_text(RESONANCE_HEADER, columns))
     for n, reason in table.omitted:
         print("resonance n=%d omitted: %s" % (n, reason), file=sys.stderr)
     print(path)
@@ -405,10 +409,9 @@ def cmd_limits(args) -> int:
         branch = "well"
     values = (limits.phase_ratio, limits.dwell_ratio, limits.effective_ratio,
               limits.starting_ratio)
-    rows = [(name, branch, value)
-            for name, value in zip(RATIO_COLUMNS, values)]
+    columns = (RATIO_COLUMNS, [branch] * len(values), values)
     path = os.path.join(out, "limits.csv")
-    write_atomic(path, _csv_text(LIMITS_HEADER, rows))
+    write_atomic(path, _csv_text(LIMITS_HEADER, columns))
     print(path)
     return 0
 
@@ -465,10 +468,7 @@ def main(argv=None) -> int:
     except NumericInvariantError as exc:
         print("numeric invariant violated: %s" % exc, file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and the library's input checks
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
 

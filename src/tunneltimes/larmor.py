@@ -42,6 +42,7 @@ from .model import (
     NumericInvariantError,
     PiecewisePotential,
     group_velocity,
+    require_finite,
 )
 from .packets import (
     _CONTAINMENT_TOL,
@@ -72,6 +73,7 @@ class FieldLayout:
     omega_larmor: float     # 1/ps
 
     def __post_init__(self):
+        require_finite(self, "margin", "detector_offset", "omega_larmor")
         if self.margin <= 0.0:
             raise ValueError("field-free margin must be positive")
         if self.detector_offset <= self.margin:

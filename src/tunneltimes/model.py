@@ -5,6 +5,7 @@ times in ps.  With these units hbar = 6.582119569e-4 eV ps and the free
 dispersion is E = kinetic_coeff * k**2 with kinetic_coeff in eV nm**2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ class NumericInvariantError(RuntimeError):
     """A numerical sanity check (norm, containment, unitarity) failed."""
 
 
+def require_finite(record, *names):
+    """Raise ValueError naming the first of record's fields that is NaN or inf.
+
+    Comparisons such as ``x <= 0`` are all False for NaN, so range checks
+    alone let it through.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class ParticleSpec:
     """Effective-mass particle, parameterized by m/m_e."""
@@ -25,6 +38,7 @@ class ParticleSpec:
     mass_ratio: float = DEFAULT_MASS_RATIO
 
     def __post_init__(self):
+        require_finite(self, "mass_ratio")
         if self.mass_ratio <= 0:
             raise ValueError("mass_ratio must be positive")
 
@@ -117,6 +131,7 @@ class BarrierSpec:
     kinetic_coeff: float = HBAR2_OVER_2ME / DEFAULT_MASS_RATIO
 
     def __post_init__(self):
+        require_finite(self, "height", "width", "left_edge", "kinetic_coeff")
         if self.width <= 0:
             raise ValueError("width must be positive")
         if self.kinetic_coeff <= 0:

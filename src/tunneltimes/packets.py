@@ -33,6 +33,7 @@ from .model import (
     NumericInvariantError,
     ParticleSpec,
     group_velocity,
+    require_finite,
     wavenumber,
 )
 from .scattering import interior_table
@@ -82,6 +83,7 @@ class PacketSpec:
     k_span: float = 6.0  # k-grid half-width in units of sigma_k
 
     def __post_init__(self):
+        require_finite(self, "l0", "x0", "k0", "k_span")
         if self.l0 <= 0.0:
             raise ValueError("l0 must be positive")
         if self.k0 <= 0.0:
@@ -303,6 +305,8 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     would have sufficed.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
     spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
     if x is None:

@@ -10,7 +10,12 @@ cross-checks built on the package's own states (stationary_value and
 amplitudes), integrated by adaptive quadrature or differentiated by ddk,
 to test the closed forms against a different route through the same
 scattering core.
+
+csv_text_per_cell is the CLI's earlier table formatter, one Python call per
+cell, kept as the byte-for-byte reference for the block-wise formatter.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -229,3 +234,19 @@ def x_start_from_gamma(barrier, k, h=None):
 
     slope = ddk(angle, k, h=h)
     return float(np.sign(rec.starting_point)) * abs(slope)
+
+
+def csv_text_per_cell(header, rows):
+    """CSV text of row tuples, each cell formatted on its own: str as is,
+    int by str(), anything else as a %.17g float (NaN raises ValueError)."""
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(value)
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError("output table contains NaN")
+        return "%.17g" % value
+
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"

@@ -1,17 +1,24 @@
 """Command-line interface: config handling, file formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
+import string
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import tunneltimes
 from tunneltimes import cli
+from tunneltimes.larmor import SpinReadout
 from tunneltimes.model import BarrierSpec, NumericInvariantError
 
 BARRIER = {"height": 0.25, "width": 0.5}
@@ -139,11 +146,128 @@ def test_readme_shared_config_serves_every_subcommand(tmp_path, monkeypatch):
 
 
 def test_format_float_tokens():
-    assert cli.format_float(float("inf")) == "inf"
-    assert cli.format_float(float("-inf")) == "-inf"
-    assert cli.format_float(0.1) == "0.10000000000000001"
+    assert (cli._csv_text("v", [[math.inf, -math.inf, 0.1]])
+            == "v\ninf\n-inf\n0.10000000000000001\n")
     with pytest.raises(NumericInvariantError):
-        cli.format_float(float("nan"))
+        cli._csv_text("v", [[0.0, math.nan]])
+
+
+# every float64 bit pattern except NaN, plus hypothesis' own float edge cases
+# (subnormals, +-0, +-inf, 1e+-308, integer-valued floats)
+float_cells = st.one_of(
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(lambda value: not math.isnan(value)),
+    st.floats(allow_nan=False),
+    st.integers(-2**60, 2**60).map(float),
+)
+CELLS = {"float": float_cells,
+         "int": st.integers(-2**63, 2**63 - 1),
+         "str": st.text(string.ascii_letters + string.digits + "_", max_size=12)}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
+    n_rows = draw(st.integers(0, 40))
+    return [draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows))
+            for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_csv_text_matches_per_cell_reference(columns):
+    assert (cli._csv_text("h", columns)
+            == oracles.csv_text_per_cell("h", zip(*columns)))
+
+
+def test_csv_text_matches_reference_across_row_blocks():
+    rng = np.random.default_rng(7)
+    n_rows = 2 * cli._ROW_BLOCK + 3
+    bits = rng.integers(0, 2**64, size=(3, n_rows), dtype=np.uint64)
+    floats = [np.where(np.isnan(col), 0.5, col) for col in bits.view(np.float64)]
+    columns = [list(range(n_rows))] + floats
+    assert (cli._csv_text("n,a,b,c", columns)
+            == oracles.csv_text_per_cell("n,a,b,c", zip(*columns)))
+
+
+def test_resonance_with_every_order_omitted_writes_header_only(tmp_path):
+    cfg = write_config(tmp_path, {"barrier": {"height": -0.25, "width": 8.0},
+                                  "n_max": 1})
+    assert cli.main(["resonance", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "resonance.csv").read_text() == cli.RESONANCE_HEADER + "\n"
+
+
+@pytest.mark.parametrize("field", ["phase_width", "dwell_width",
+                                   "effective_width", "starting_point"])
+def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):
+    real = cli.evaluate_widths
+
+    def poisoned(barrier, ks):
+        record = real(barrier, ks)
+        values = np.array(getattr(record, field))
+        values[len(values) // 2] = np.nan
+        return dataclasses.replace(record, **{field: values})
+
+    monkeypatch.setattr(cli, "evaluate_widths", poisoned)
+    cfg = write_config(tmp_path, {"barrier": BARRIER})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
+                     "--points", "9"]) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_nan_in_json_output_exits_3(tmp_path, monkeypatch, capsys):
+    def nan_clock(spec, barrier, layout):
+        return SpinReadout(t_det=1.0, sx=math.nan, sy=math.nan, x_start_est=math.nan)
+
+    monkeypatch.setattr(cli, "run_clock", nan_clock)
+    cfg = write_config(tmp_path, CLOCK)
+    assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "larmor.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs exit 2
+
+
+@pytest.mark.parametrize("key,value", [("height", math.inf), ("width", math.nan),
+                                       ("left_edge", -math.inf),
+                                       ("mass_ratio", math.nan)])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    # json.dumps writes Infinity/NaN, which json.load reads back as floats
+    cfg = write_config(tmp_path, {"barrier": dict(BARRIER, **{key: value})})
+    assert cli.main(["limits", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "limits.csv").exists()
+
+
+def test_non_finite_e_mean_exits_2(tmp_path, capsys):
+    packet = {"l0": 15.0, "x0": 0.0, "e_mean": math.nan}
+    cfg = write_config(tmp_path, {"barrier": BARRIER, "packet": packet})
+    assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "e_mean must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["larmor", "--omega-ladder", "nan,nan,nan"],
+                                  ["larmor", "--omega-ladder", "inf,inf,inf"],
+                                  ["sweep", "--emax", "nan"],
+                                  ["sweep", "--emax", "inf"]])
+def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, CLOCK)
+    assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("times", ["0,inf", "nan"])
+def test_non_finite_snapshot_time_flag_exits_2(tmp_path, capsys, times):
+    cfg = write_config(tmp_path, PACKET_CFG)
+    assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path),
+                     "--snapshot-times", times]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
@@ -276,7 +400,7 @@ def test_packet_snapshot_times_flag_overrides(tmp_path):
     assert not (tmp_path / "packet_t1.csv").exists()
 
 
-@pytest.mark.parametrize("times", [[], [-1.0], "abc"])
+@pytest.mark.parametrize("times", [[], [-1.0], "abc", [0.0, math.inf], [math.nan]])
 def test_packet_rejects_bad_snapshot_times(tmp_path, times):
     payload = dict(PACKET_CFG, snapshot_times=times)
     cfg = write_config(tmp_path, payload)

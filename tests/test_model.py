@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from tunneltimes.larmor import FieldLayout
 from tunneltimes.model import (
     HBAR,
     HBAR2_OVER_2ME,
@@ -12,6 +15,7 @@ from tunneltimes.model import (
     local_wavenumbers,
     wavenumber,
 )
+from tunneltimes.packets import PacketSpec
 
 
 def test_constants():
@@ -112,3 +116,23 @@ def test_local_wavenumbers():
     regime, kap = local_wavenumbers(well, wavenumber(0.125, K))
     assert regime == "above"
     assert kap**2 == pytest.approx(0.375 / K, rel=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: ParticleSpec(mass_ratio=bad),
+    lambda bad: BarrierSpec(bad, 0.5),
+    lambda bad: BarrierSpec(0.25, bad),
+    lambda bad: BarrierSpec(0.25, 0.5, left_edge=bad),
+    lambda bad: BarrierSpec(0.25, 0.5, kinetic_coeff=bad),
+    lambda bad: PacketSpec(l0=bad, x0=0.0, k0=0.5),
+    lambda bad: PacketSpec(l0=15.0, x0=bad, k0=0.5),
+    lambda bad: PacketSpec(l0=15.0, x0=0.0, k0=bad),
+    lambda bad: PacketSpec(l0=15.0, x0=0.0, k0=0.5, k_span=bad),
+    lambda bad: FieldLayout(margin=bad, detector_offset=1100.0, omega_larmor=0.2),
+    lambda bad: FieldLayout(margin=500.0, detector_offset=bad, omega_larmor=0.2),
+    lambda bad: FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=bad),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_records_reject_non_finite_values(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)

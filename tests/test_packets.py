@@ -272,3 +272,9 @@ def test_clock_synthesis_matches_dense_sum(t):
 def test_evolve_rejects_non_uniform_grid(x):
     with pytest.raises(ValueError, match="grid"):
         evolve(FREE_SPEC, FREE, 0.0, x=x)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_evolve_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        evolve(FREE_SPEC, FREE, t)
