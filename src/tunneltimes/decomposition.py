@@ -36,26 +36,22 @@ from .timescales import evaluate_widths
 
 @dataclass(frozen=True)
 class ChannelAmplitudes:
-    """Channel weights of the forward wave at a single wavenumber."""
+    """Channel weights of the forward wave: floats for scalar k, arrays for array k."""
 
-    k: float
-    gamma: float        # channel angle in [0, pi/2)
-    c_tr: complex       # transmission-channel weight, c_tr + c_ref = 1
-    c_ref: complex      # reflection-channel weight
-    phase_sign: float   # branch s of the channel phase exp(i s gamma)
+    k: object
+    gamma: object       # channel angle in [0, pi/2)
+    c_tr: object        # transmission-channel weight, c_tr + c_ref = 1
+    c_ref: object       # reflection-channel weight
 
+    @property
+    def phase_sign(self):
+        """Branch s of the channel phase exp(i s gamma), the sign of Im c_tr.
 
-def channel_angle(barrier: BarrierSpec, k):
-    """Channel angle gamma(k) = arctan sqrt(R/T) in [0, pi/2).
-
-    Built from the closed-form transmission/reflection split, so it is exact
-    at resonances (gamma = 0 up to roundoff) and well defined for any k > 0.
-    """
-    rec = evaluate_widths(barrier, k)
-    t_coef = np.asarray(rec.transmission, dtype=float)
-    r_coef = np.asarray(rec.reflection, dtype=float)
-    out = np.arctan2(np.sqrt(r_coef), np.sqrt(t_coef))
-    return float(out) if out.ndim == 0 else out
+        0 where T or R is exactly 0: c_tr is real there and the branch has
+        no effect.
+        """
+        out = np.sign(np.imag(self.c_tr))
+        return float(out) if out.ndim == 0 else out
 
 
 def _phase_sign(barrier: BarrierSpec, k):
@@ -65,40 +61,36 @@ def _phase_sign(barrier: BarrierSpec, k):
     return -barrier.beta * np.sign(sinc_sqrt(v))
 
 
-def channel_amplitudes(barrier: BarrierSpec, k) -> ChannelAmplitudes:
-    """Channel weights c_tr, c_ref of the forward wave exp(ikx) at wavenumber k.
+def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
+    """Transmission-channel weight c_tr = T + i s sqrt(T R) = sqrt(T) exp(i s gamma).
 
-    c_tr = sqrt(T) exp(i s gamma) and c_ref = 1 - c_tr, which satisfy
-    |c_tr|^2 = T, |c_ref|^2 = R and Re(conj(c_tr) c_ref) = 0.
+    The branch s is always the bare barrier's, whatever potential T and R
+    come from: the Larmor clock's layered spin potentials deform
+    continuously into the barrier as the field goes to zero, and the
+    branch sets the channel's entry time through d(arg c_tr)/dk.  s = +1
+    where the bare kernel vanishes exactly.
     """
-    k = float(k)
-    rec = evaluate_widths(barrier, k)
-    t_coef = rec.transmission
-    r_coef = rec.reflection
-    sign = float(_phase_sign(barrier, k))
-    # sqrt(T) exp(i s gamma) = T + i s sqrt(T R) since cos(gamma) = sqrt(T)
-    c_tr = complex(t_coef, sign * np.sqrt(t_coef * r_coef))
-    c_ref = 1.0 - c_tr
-    gam = float(np.arctan2(np.sqrt(r_coef), np.sqrt(t_coef)))
-    return ChannelAmplitudes(k=k, gamma=gam, c_tr=c_tr, c_ref=c_ref,
-                             phase_sign=sign)
-
-
-def channel_sweep(barrier: BarrierSpec, k):
-    """Vectorized channel weights over an array of wavenumbers.
-
-    Returns (gamma, c_tr, c_ref) arrays; the branch handling matches
-    channel_amplitudes point by point.
-    """
-    k = np.asarray(k, dtype=float)
-    rec = evaluate_widths(barrier, k)
-    t_coef = np.asarray(rec.transmission, dtype=float)
-    r_coef = np.asarray(rec.reflection, dtype=float)
     sign = _phase_sign(barrier, k)
-    c_tr = t_coef + 1j * sign * np.sqrt(t_coef * r_coef)
+    branch = np.where(sign == 0.0, 1.0, sign)
+    return transmission + 1j * branch * np.sqrt(np.maximum(transmission * reflection, 0.0))
+
+
+def channel_amplitudes(barrier: BarrierSpec, k) -> ChannelAmplitudes:
+    """Channel weights c_tr, c_ref of the forward wave exp(ikx) at wavenumber(s) k.
+
+    c_tr comes from channel_weight with the closed-form T and R and
+    c_ref = 1 - c_tr, which satisfy |c_tr|^2 = T, |c_ref|^2 = R and
+    Re(conj(c_tr) c_ref) = 0.  The channel angle gamma = arctan sqrt(R/T)
+    is exact at resonances (gamma = 0 up to roundoff).
+    """
+    rec = evaluate_widths(barrier, k)
+    c_tr = channel_weight(barrier, rec.k, rec.transmission, rec.reflection)
     c_ref = 1.0 - c_tr
-    gam = np.arctan2(np.sqrt(r_coef), np.sqrt(t_coef))
-    return gam, c_tr, c_ref
+    gamma = np.arctan2(np.sqrt(rec.reflection), np.sqrt(rec.transmission))
+    if np.ndim(k) == 0:
+        return ChannelAmplitudes(k=rec.k, gamma=float(gamma), c_tr=complex(c_tr),
+                                 c_ref=complex(c_ref))
+    return ChannelAmplitudes(k=rec.k, gamma=gamma, c_tr=c_tr, c_ref=c_ref)
 
 
 def stationary_channels(barrier: BarrierSpec, k, x):
@@ -124,19 +116,3 @@ def stationary_channels(barrier: BarrierSpec, k, x):
     if scalar:
         return complex(psi_tr[0]), complex(psi_ref[0])
     return psi_tr, psi_ref
-
-
-def interface_mismatch(barrier: BarrierSpec, k) -> float:
-    """Jump |psi_full(a) - c_tr exp(ika)| of the transmission channel at the left edge.
-
-    The transmission channel is discontinuous at the left edge by construction;
-    the jump equals the boundary value of the reflection channel there and
-    scales like sqrt(R).  Reported as a diagnostic of how sharply the split
-    localizes the reflected portion.
-    """
-    k = float(k)
-    edge = barrier.left_edge
-    potential = barrier.potential()
-    full = stationary_value(edge, k, potential, barrier.kinetic_coeff)
-    chan = channel_amplitudes(barrier, k)
-    return float(abs(full - chan.c_tr * np.exp(1j * k * edge)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import _phase_sign
+from .decomposition import channel_weight
 from .model import (
     HBAR,
     BarrierSpec,
@@ -44,11 +44,12 @@ from .model import (
     group_velocity,
     require_finite,
 )
+# _synthesize stays bound here: the benchmark counts syntheses per clock
+# rung through this binding
 from .packets import (
-    _CONTAINMENT_TOL,
+    CONTAINMENT_TOL,
     PacketSpec,
     _synthesize,
-    _trapezoid_weights,
     dispersion_time,
     gaussian_spectrum,
 )
@@ -237,17 +238,11 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
                barrier.right_edge + layout.margin)
     detector = barrier.right_edge + layout.detector_offset
 
-    # channel weight sqrt(T) exp(i s gamma) takes the bare barrier's phase
-    # branch: the layered profile deforms continuously into the barrier as
-    # omega -> 0, and the branch sets the entry arrival through d(arg)/dk
-    sign = _phase_sign(barrier, qs)
-    branch = np.where(sign == 0.0, 1.0, sign)
     components, entries, exits = [], [], []
     for potential in spin_potentials(barrier, layout):
         amps, tables = interior_table(qs, potential, barrier.kinetic_coeff)
-        trans = np.abs(amps.t) ** 2
-        refl = np.abs(amps.r) ** 2
-        c_tr = trans + 1j * branch * np.sqrt(np.maximum(trans * refl, 0.0))
+        trans = amps.transmission
+        c_tr = channel_weight(barrier, qs, trans, amps.reflection)
         components.append((amps, tables, c_tr, trans))
         entries.append(_asymptote_moments(
             qs, spectrum.amplitude * c_tr, barrier.kinetic_coeff, "entry"))
@@ -266,13 +261,13 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
     lo = min(spec.x0, 2.0 * barrier.left_edge - spec.x0 - v0 * t_det) - pad
     hi = spec.x0 + v0 * t_det + pad
     x = np.linspace(lo, hi, n_x)
-    base_u = spectrum.amplitude * _trapezoid_weights(qs) / math.sqrt(2.0 * math.pi)
+    base_u = spectrum.amplitude * spectrum.weights / math.sqrt(2.0 * math.pi)
     u_full = base_u * np.exp(-1j * barrier.kinetic_coeff * qs**2 * t_det / HBAR)
     for component, (amps, tables, c_tr, _) in enumerate(components):
         psi_full, _ = _synthesize(x, qs, u_full, u_full * c_tr, amps, tables,
                                   support)
         n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
-        if abs(n_full - 1.0) > _CONTAINMENT_TOL:
+        if abs(n_full - 1.0) > CONTAINMENT_TOL:
             raise NumericInvariantError(
                 "grid holds %.9f of component %d at detection; widen the "
                 "grid" % (n_full, component)

@@ -53,6 +53,14 @@ class ParticleSpec:
         return HBAR**2 / (2.0 * self.kinetic_coeff)
 
 
+def require_wavenumbers(k):
+    """k as a float array; ValueError unless every entry is positive and finite."""
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k) & (k > 0.0)):
+        raise ValueError("wavenumber k must be positive and finite")
+    return k
+
+
 def wavenumber(energy, kinetic_coeff):
     """k = sqrt(E / kinetic_coeff) for E >= 0; E = 0 maps to k = 0."""
     energy = np.asarray(energy, dtype=float)
@@ -161,21 +169,3 @@ class BarrierSpec:
 
     def potential(self):
         return PiecewisePotential(((self.left_edge, self.right_edge, self.height),))
-
-
-def local_wavenumbers(barrier, k):
-    """Interior propagation regime and decay/oscillation rate at energy of k.
-
-    Returns ``(regime, kappa)`` where regime is "below" (evanescent interior,
-    only possible for positive barriers), "above" (oscillatory interior) or
-    "edge" (kinetic energy exactly equals the height; kappa = 0).  kappa is
-    sqrt(|E - height|)/sqrt(kinetic_coeff) in 1/nm.
-    """
-    if k < 0:
-        raise ValueError("wavenumber k must be non-negative")
-    e_kin = barrier.kinetic_coeff * k * k
-    if e_kin == barrier.height:
-        return "edge", 0.0
-    if e_kin < barrier.height:
-        return "below", float(np.sqrt((barrier.height - e_kin) / barrier.kinetic_coeff))
-    return "above", float(np.sqrt((e_kin - barrier.height) / barrier.kinetic_coeff))

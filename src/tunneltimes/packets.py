@@ -16,8 +16,8 @@ interior states directly, at O(N_k) each.  A caller-supplied grid x must
 therefore be uniform and ascending; evolve raises ValueError otherwise.
 
 Conventions: l0 is the position-space standard deviation of |psi|^2 at t = 0,
-so the momentum density has sigma_k = 1/(2 l0).  All norms, centers of mass
-and second moments are trapezoid sums on the spatial grid.
+so the momentum density has sigma_k = 1/(2 l0).  All norms and centers of
+mass are trapezoid sums on the spatial grid.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
-from .decomposition import channel_sweep
+from .decomposition import channel_amplitudes
 from .model import (
     HBAR,
     BarrierSpec,
@@ -47,7 +47,8 @@ from .timescales import evaluate_widths
 # hundreds of grid points.
 N_X_DEFAULT = 8192
 _X_CHUNK = 128
-_CONTAINMENT_TOL = 1e-6
+# largest norm a synthesis grid may lose before the snapshot is rejected
+CONTAINMENT_TOL = 1e-6
 _NEGATIVE_K_TOL = 1e-12
 
 # fraction of the spectral grid, per side, smoothly rolled off to zero.  A
@@ -120,6 +121,14 @@ class SampledSpectrum:
     def dk(self):
         return float(self.k[1] - self.k[0])
 
+    @property
+    def weights(self):
+        """Trapezoid quadrature weights of the k grid."""
+        w = np.full(self.k.shape, self.k[1] - self.k[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
 
 @dataclass(frozen=True)
 class PacketState:
@@ -180,7 +189,7 @@ def slow_tail_allowance(spec: PacketSpec, barrier: BarrierSpec) -> float:
     """
     spectrum = gaussian_spectrum(spec)
     rec = evaluate_widths(barrier, spectrum.k)
-    node_mass = np.abs(spectrum.amplitude) ** 2 * _trapezoid_weights(spectrum.k)
+    node_mass = np.abs(spectrum.amplitude) ** 2 * spectrum.weights
     keep = node_mass * np.asarray(rec.reflection, dtype=float) > 1e-13
     if not keep.any():
         return 0.0
@@ -210,18 +219,11 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + slow_tail_allowance(spec, barrier)
     v = group_velocity(spec.k0, barrier.kinetic_coeff)
     lo = spec.x0
-    if t > 0.0 and _reflected_mass(spec, barrier) > 0.1 * _CONTAINMENT_TOL:
+    if t > 0.0 and _reflected_mass(spec, barrier) > 0.1 * CONTAINMENT_TOL:
         lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
     lo -= margin
     hi = barrier.right_edge + v * t + margin
     return np.linspace(lo, hi, n_x)
-
-
-def _trapezoid_weights(ks):
-    w = np.full(ks.shape, ks[1] - ks[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def _chirp_sums(x, dx, ks, weights):
@@ -314,11 +316,10 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     else:
         x = np.asarray(x, dtype=float)
         _check_grid(x)
-    _, c_tr, _ = channel_sweep(barrier, ks)
+    c_tr = channel_amplitudes(barrier, ks).c_tr
     amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
-    weights = _trapezoid_weights(ks)
     phase_t = np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
-    u_full = spectrum.amplitude * weights * phase_t / math.sqrt(2.0 * math.pi)
+    u_full = spectrum.amplitude * spectrum.weights * phase_t / math.sqrt(2.0 * math.pi)
     u_tr = u_full * c_tr
     psi_full, psi_tr = _synthesize(
         x, ks, u_full, u_tr, amps, tables, barrier.potential().support
@@ -328,7 +329,7 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     dens_full = np.abs(psi_full) ** 2
     dens_tr = np.abs(psi_tr) ** 2
     n_full = float(np.trapezoid(dens_full, x))
-    if n_full < 1.0 - _CONTAINMENT_TOL:
+    if n_full < 1.0 - CONTAINMENT_TOL:
         extent = float(x[-1] - x[0])
         raise NumericInvariantError(
             "grid holds only %.9f of the norm at t=%g ps; widen the grid "
@@ -366,74 +367,3 @@ def starting_point_packet(spec: PacketSpec, barrier: BarrierSpec) -> float:
     denom = float(np.trapezoid(weight, spectrum.k))
     shift = float(np.trapezoid(weight * rec.starting_point, spectrum.k)) / denom
     return spec.x0 + shift
-
-
-@dataclass(frozen=True)
-class ChannelMeans:
-    """Spectral mean wavenumbers of the incident/transmitted/reflected packets.
-
-    A channel whose weight vanishes identically has no defined mean; that
-    entry is None and its weight 0.
-    """
-
-    k_incident: float
-    k_transmitted: float | None
-    k_reflected: float | None
-    transmitted_weight: float
-    reflected_weight: float
-
-
-def channel_mean_k(spec: PacketSpec, barrier: BarrierSpec) -> ChannelMeans:
-    """Mean k of |A|^2, |A|^2 T and |A|^2 R (law of total expectation holds)."""
-    spectrum = gaussian_spectrum(spec)
-    ks = spectrum.k
-    density = np.abs(spectrum.amplitude) ** 2
-    rec = evaluate_widths(barrier, ks)
-    k_inc = float(np.trapezoid(density * ks, ks))
-
-    def conditional(coef):
-        weight = float(np.trapezoid(density * coef, ks))
-        if weight <= 0.0:
-            return None, 0.0
-        return float(np.trapezoid(density * coef * ks, ks)) / weight, weight
-
-    k_tr, w_tr = conditional(np.asarray(rec.transmission, dtype=float))
-    k_ref, w_ref = conditional(np.asarray(rec.reflection, dtype=float))
-    return ChannelMeans(
-        k_incident=k_inc,
-        k_transmitted=k_tr,
-        k_reflected=k_ref,
-        transmitted_weight=w_tr,
-        reflected_weight=w_ref,
-    )
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    cm_tr: float
-    cm_full: float
-    n_ref: float
-
-
-def cm_trajectory(spec: PacketSpec, barrier: BarrierSpec, t_list, n_x=N_X_DEFAULT):
-    """Snapshots of (cm_tr, cm_full, N_ref) at the requested ascending times."""
-    times = [float(t) for t in t_list]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("t_list must be strictly ascending")
-    points = []
-    for t in times:
-        state = evolve(spec, barrier, t, n_x=n_x)
-        points.append(
-            TrajectoryPoint(t=t, cm_tr=state.cm_tr, cm_full=state.cm_full, n_ref=state.n_ref)
-        )
-    return points
-
-
-def second_central_moment(x, density):
-    """Trapezoid second central moment of a sampled density."""
-    x = np.asarray(x, dtype=float)
-    density = np.asarray(density, dtype=float)
-    norm = np.trapezoid(density, x)
-    mean = np.trapezoid(x * density, x) / norm
-    return float(np.trapezoid((x - mean) ** 2 * density, x) / norm)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .model import require_wavenumbers
 
 # below this kappa*L the unscaled cosh/sinh entries stay < 2.5e8, far
 # from overflow even after products over many regions
@@ -75,23 +76,6 @@ def _compose(props, shape):
     return m00, m01, m10, m11, log_scale
 
 
-def transfer_matrix(k, potential, kinetic_coeff):
-    """Scaled propagator across the whole support, left edge to right edge.
-
-    Returns (mat, log_scale); the true propagator is exp(log_scale) * mat,
-    and det(mat) = exp(-2 log_scale) up to rounding.  For an array of k,
-    mat has shape k.shape + (2, 2) and log_scale shape k.shape.
-    """
-    k = np.asarray(k, dtype=float)
-    ks = np.atleast_1d(k)
-    m00, m01, m10, m11, log_scale = _compose(
-        _propagators(ks, potential, kinetic_coeff), ks.shape)
-    mat = np.stack([np.stack([m00, m01], -1), np.stack([m10, m11], -1)], -2)
-    if k.ndim == 0:
-        return mat[0], float(log_scale[0])
-    return mat, log_scale
-
-
 @dataclass(frozen=True)
 class Amplitudes:
     """Transmission/reflection amplitudes at one k, or arrays over a k grid.
@@ -136,20 +120,19 @@ def _amplitudes(ks, props, support):
     return Amplitudes(k=ks, t=t, r=r, log_scale=s, det_defect=defect)
 
 
-def amplitudes_sweep(ks, potential, kinetic_coeff):
-    """t, r, log_scale and det_defect over an array of k > 0, in one pass."""
-    ks = np.asarray(ks, dtype=float)
-    return _amplitudes(ks, _propagators(ks, potential, kinetic_coeff),
-                       potential.support)
-
-
 def amplitudes(k, potential, kinetic_coeff):
-    """t and r for unit incidence from the left at wavenumber k > 0."""
-    k = float(k)
-    if k <= 0:
-        raise ValueError("need k > 0")
-    amp = amplitudes_sweep(np.array([k]), potential, kinetic_coeff)
-    return Amplitudes(k=k, t=complex(amp.t[0]), r=complex(amp.r[0]),
+    """t, r, log_scale and det_defect for unit incidence from the left.
+
+    Scalar k gives scalars; an array of k gives arrays, all in one pass.
+    Every k must be positive and finite (ValueError otherwise).
+    """
+    k = require_wavenumbers(k)
+    ks = np.atleast_1d(k)
+    amp = _amplitudes(ks, _propagators(ks, potential, kinetic_coeff),
+                      potential.support)
+    if k.ndim:
+        return amp
+    return Amplitudes(k=float(ks[0]), t=complex(amp.t[0]), r=complex(amp.r[0]),
                       log_scale=float(amp.log_scale[0]),
                       det_defect=float(amp.det_defect[0]))
 
@@ -196,7 +179,7 @@ def interior_table(ks, potential, kinetic_coeff):
     the transmitted wave's Cauchy data back through every region,
     normalised per k so thick barriers stay representable.
     """
-    ks = np.asarray(ks, dtype=float)
+    ks = require_wavenumbers(ks)
     props = _propagators(ks, potential, kinetic_coeff)
     amps = _amplitudes(ks, props, potential.support)
     b = potential.support[1]
@@ -222,9 +205,12 @@ def interior_table(ks, potential, kinetic_coeff):
 def stationary_value(x, k, potential, kinetic_coeff):
     """Stationary scattering state psi_k(x) for unit incidence, any x.
 
-    Vectorized over x; exact piecewise evaluation, no spatial grid.
+    Vectorized over x; exact piecewise evaluation, no spatial grid.  Every
+    x must be finite and k positive and finite (ValueError otherwise).
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("position x must be finite")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     amps, tables = interior_table(np.array([k], dtype=float), potential, kinetic_coeff)

@@ -3,8 +3,8 @@
 All widths below are effective lengths in nm.  Dividing a width by the group
 speed ``2*K*k/HBAR`` (see :func:`tunneltimes.model.group_velocity`) converts it
 to a time in ps; :class:`TimescaleRecord` carries both forms.  For a
-rectangular barrier or well of signed height V0 and width d the module
-evaluates:
+rectangular barrier or well of signed height V0 and width d,
+:func:`evaluate_widths` returns these fields of :class:`TimescaleRecord`:
 
 * ``phase_width``     -- stationary-phase delay expressed as a length,
   ``d + d(arg t)/dk`` for the transmission amplitude t.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import cos_sqrt, sinc4_gap, sinc_cos_gap, sinc_gap, sinc_sqrt
-from .model import BarrierSpec, NumericInvariantError, group_velocity
+from .model import BarrierSpec, NumericInvariantError, group_velocity, require_wavenumbers
 
 __all__ = [
     "TimescaleRecord",
@@ -45,11 +45,6 @@ __all__ = [
     "ResonanceRecord",
     "ResonanceTable",
     "evaluate_widths",
-    "phase_width",
-    "dwell_width",
-    "effective_width",
-    "starting_point",
-    "transmission_reflection",
     "longwave_limits",
     "scaling_limit",
     "resonance_table",
@@ -139,7 +134,10 @@ def _quadruple(k_arr, k02, beta, d):
 
 @dataclass(frozen=True)
 class TimescaleRecord:
-    """Widths (nm), their time equivalents (ps) and T/R at one or many k."""
+    """Widths (nm), their time equivalents (ps) and T/R.
+
+    Every field is a float for scalar k and an array for array k.
+    """
 
     k: object
     phase_width: object
@@ -157,9 +155,7 @@ class TimescaleRecord:
 def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
     """Evaluate the width quadruple, times and T/R at wavenumber(s) k > 0."""
     scalar = np.ndim(k) == 0
-    k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-    if not np.all(np.isfinite(k_arr) & (k_arr > 0.0)):
-        raise ValueError("wavenumber k must be positive and finite")
+    k_arr = np.atleast_1d(require_wavenumbers(k))
     k02 = barrier.kappa0 ** 2
     d = barrier.width
     d_phase, d_dwell, d_eff, x_start, t_coef, r_coef = _quadruple(
@@ -182,28 +178,6 @@ def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
     if scalar:
         fields = tuple(float(f[0]) for f in fields)
     return TimescaleRecord(*fields)
-
-
-def phase_width(barrier: BarrierSpec, k):
-    return evaluate_widths(barrier, k).phase_width
-
-
-def dwell_width(barrier: BarrierSpec, k):
-    return evaluate_widths(barrier, k).dwell_width
-
-
-def effective_width(barrier: BarrierSpec, k):
-    return evaluate_widths(barrier, k).effective_width
-
-
-def starting_point(barrier: BarrierSpec, k):
-    return evaluate_widths(barrier, k).starting_point
-
-
-def transmission_reflection(barrier: BarrierSpec, k):
-    """Closed-form (T, R) for the rectangle; T + R = 1 to rounding."""
-    rec = evaluate_widths(barrier, k)
-    return rec.transmission, rec.reflection
 
 
 @dataclass(frozen=True)
@@ -386,8 +360,8 @@ def lorentz_width(
     def a0_squared(step: float) -> float:
         acc = 0.0
         for kk in (k_res - step, k_res + step):
-            t_coef, r_coef = transmission_reflection(barrier, kk)
-            acc += (r_coef / t_coef) / (kk - k_res) ** 2
+            rec = evaluate_widths(barrier, kk)
+            acc += (rec.reflection / rec.transmission) / (kk - k_res) ** 2
         return 0.5 * acc
 
     coarse = math.sqrt(a0_squared(delta))

@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from diagnostics import second_central_moment
 from oracles import _solve, mp_dwell
 from tunneltimes import (
     BarrierSpec,
@@ -31,7 +32,6 @@ from tunneltimes import (
     lorentz_width,
     resonance_table,
     scaling_limit,
-    second_central_moment,
     synthetic_precession,
 )
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from diagnostics import interface_mismatch
 from oracles import ddk, x_start_from_gamma
 from tunneltimes.decomposition import (
     channel_amplitudes,
-    channel_angle,
-    channel_sweep,
-    interface_mismatch,
+    channel_weight,
     stationary_channels,
 )
 from tunneltimes.model import BarrierSpec
@@ -47,14 +46,15 @@ def test_angle_matches_matched_amplitudes(barrier):
     for k in (0.2, 0.468, 1.7, 6.0):
         amp = amplitudes(k, potential, barrier.kinetic_coeff)
         want = np.arctan2(abs(amp.r), abs(amp.t))
-        assert channel_angle(barrier, k) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        got = channel_amplitudes(barrier, k).gamma
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_angle_free_and_resonance():
     free = BarrierSpec(height=0.0, width=0.5)
-    assert channel_angle(free, 0.3) == 0.0
+    assert channel_amplitudes(free, 0.3).gamma == 0.0
     k_res = resonance_table(BARRIER, 1).records[0].k_res
-    assert channel_angle(BARRIER, k_res) <= 1e-12
+    assert channel_amplitudes(BARRIER, k_res).gamma <= 1e-12
 
 
 def test_transmission_weight_at_half_transmission():
@@ -194,19 +194,43 @@ def test_interface_mismatch_matches_boundary_value():
     assert interface_mismatch(faint, 0.3) < 1e-5
 
 
-def test_channel_sweep_matches_scalar_path():
-    ks = np.linspace(0.1, 9.0, 60)
-    gam, c_tr, c_ref = channel_sweep(BARRIER, ks)
+def test_channel_amplitudes_array_matches_scalar():
+    # one k grid straddling the first two transparency points, where the
+    # phase sign flips, plus the resonances themselves and their neighbours
+    k_res = [r.k_res for r in resonance_table(BARRIER, 2).records]
+    ks = np.concatenate([np.linspace(0.1, 9.0, 60),
+                         [k * f for k in k_res for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]])
+    sweep = channel_amplitudes(BARRIER, ks)
+    assert np.all(sweep.k == ks)
+    for name in ("gamma", "c_tr", "c_ref", "phase_sign"):
+        assert getattr(sweep, name).shape == ks.shape
     for i, k in enumerate(ks):
         chan = channel_amplitudes(BARRIER, float(k))
-        assert gam[i] == chan.gamma
-        assert c_tr[i] == chan.c_tr
-        assert c_ref[i] == chan.c_ref
+        assert isinstance(chan.gamma, float) and isinstance(chan.c_tr, complex)
+        assert isinstance(chan.phase_sign, float)
+        assert sweep.gamma[i] == chan.gamma
+        assert sweep.c_tr[i] == chan.c_tr
+        assert sweep.c_ref[i] == chan.c_ref
+        assert sweep.phase_sign[i] == chan.phase_sign
+    signs = channel_amplitudes(BARRIER, [k_res[0] * 0.999, k_res[0] * 1.001]).phase_sign
+    assert list(signs) == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("barrier", [BARRIER, WELL])
+def test_channel_weight_on_matched_amplitudes(barrier):
+    # the rule the Larmor clock applies to its layered potentials, fed the
+    # transfer-matrix T and R of the bare barrier, reproduces the closed form
+    ks = np.linspace(0.05, 9.0, 200)
+    amps = amplitudes(ks, barrier.potential(), barrier.kinetic_coeff)
+    c_tr = channel_weight(barrier, ks, amps.transmission, amps.reflection)
+    np.testing.assert_allclose(c_tr, channel_amplitudes(barrier, ks).c_tr,
+                               rtol=0, atol=1e-12)
 
 
 def test_channel_weight_continuous_over_dense_grid():
     ks = np.linspace(0.1, 15.0, 4000)
-    gam, c_tr, _ = channel_sweep(BARRIER, ks)
+    chan = channel_amplitudes(BARRIER, ks)
+    gam, c_tr = chan.gamma, chan.c_tr
     assert np.all(np.isfinite(gam))
     assert np.all((gam >= 0.0) & (gam < np.pi / 2))
     # no branch jumps: both the angle and the weight move smoothly

@@ -21,7 +21,7 @@ from tunneltimes import (
     synthetic_precession,
 )
 from tunneltimes import larmor
-from tunneltimes.packets import _synthesize, _trapezoid_weights
+from tunneltimes.packets import _synthesize
 from tunneltimes.scattering import interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
@@ -208,7 +208,7 @@ def test_extrapolation_tightens_on_closed_form(ladder):
 def test_component_norms_conserved_at_detection(readout):
     spectrum = gaussian_spectrum(SPEC)
     qs = spectrum.k
-    base = spectrum.amplitude * _trapezoid_weights(qs) / math.sqrt(2.0 * math.pi)
+    base = spectrum.amplitude * spectrum.weights / math.sqrt(2.0 * math.pi)
     evo = base * np.exp(-1j * BARRIER.kinetic_coeff * qs**2 * readout.t_det / HBAR)
     x = np.linspace(-4000.0, 9000.0, 8192)
     support = (BARRIER.left_edge - LAYOUT.margin,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diagnostics import local_wavenumbers
 from tunneltimes.larmor import FieldLayout
 from tunneltimes.model import (
     HBAR,
@@ -12,7 +13,6 @@ from tunneltimes.model import (
     PiecewisePotential,
     energy,
     group_velocity,
-    local_wavenumbers,
     wavenumber,
 )
 from tunneltimes.packets import PacketSpec

@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 import oracles
-from tunneltimes.decomposition import channel_sweep
+from diagnostics import channel_mean_k, cm_trajectory, second_central_moment
+from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
 from tunneltimes.packets import (
     PacketSpec,
-    channel_mean_k,
-    cm_trajectory,
     default_grid,
     dispersion_time,
     evolve,
     gaussian_spectrum,
-    second_central_moment,
     slow_tail_allowance,
     starting_point_packet,
     _synthesize,
-    _trapezoid_weights,
 )
 from tunneltimes.scattering import interior_table
 from tunneltimes.timescales import evaluate_widths
@@ -227,7 +224,7 @@ def _synthesis_pair(spec, barrier, potential, t, x, c_tr):
     """(chirp-z, dense) (psi_full, psi_tr) for one snapshot on grid x."""
     spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
-    u_full = (spectrum.amplitude * _trapezoid_weights(ks)
+    u_full = (spectrum.amplitude * spectrum.weights
               * np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
               / math.sqrt(2.0 * math.pi))
     amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
@@ -242,7 +239,7 @@ def _assert_same_waves(fast, dense):
 
 @pytest.mark.parametrize("t", [0.0, 38.0])
 def test_deep_well_synthesis_matches_dense_sum(t):
-    _, c_tr, _ = channel_sweep(DEEP_WELL, gaussian_spectrum(DEEP_SPEC).k)
+    c_tr = channel_amplitudes(DEEP_WELL, gaussian_spectrum(DEEP_SPEC).k).c_tr
     x = default_grid(DEEP_SPEC, DEEP_WELL, t)
     fast, dense = _synthesis_pair(DEEP_SPEC, DEEP_WELL, DEEP_WELL.potential(), t, x, c_tr)
     _assert_same_waves(fast, dense)
@@ -257,7 +254,7 @@ def test_clock_synthesis_matches_dense_sum(t):
     layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
     x = np.linspace(-1000.0, 3500.0, 4501)
     assert np.count_nonzero((x >= 1100.0) & (x < 1100.5)) > 0
-    _, c_tr, _ = channel_sweep(barrier, gaussian_spectrum(spec).k)
+    c_tr = channel_amplitudes(barrier, gaussian_spectrum(spec).k).c_tr
     for potential in spin_potentials(barrier, layout):
         fast, dense = _synthesis_pair(spec, barrier, potential, t, x, c_tr)
         _assert_same_waves(fast, dense)

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from tunneltimes import scattering
+from tunneltimes.decomposition import stationary_channels
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import (
     BarrierSpec,
@@ -12,6 +14,7 @@ from tunneltimes.model import (
     PiecewisePotential,
     wavenumber,
 )
+from tunneltimes.timescales import evaluate_widths
 
 K = ParticleSpec().kinetic_coeff
 
@@ -105,10 +108,18 @@ def test_opaque_barrier_stays_finite():
 def test_unitarity_and_determinant_over_sweep(height):
     pot = BarrierSpec(height, 0.5).potential()
     es = np.linspace(0.01, 3.0, 400) * abs(height)
-    sweep = scattering.amplitudes_sweep(wavenumber(es, K), pot, K)
+    ks = wavenumber(es, K)
+    sweep = scattering.amplitudes(ks, pot, K)
+    assert sweep.t.shape == sweep.det_defect.shape == ks.shape
     np.testing.assert_allclose(sweep.transmission + sweep.reflection, 1.0, atol=5e-14)
-    for k in wavenumber(es[::40], K):
-        assert abs(scattering.amplitudes(k, pot, K).det_defect) < 1e-12
+    # the scalar call is the same pass on a one-element grid, bit for bit
+    for i in range(0, ks.size, 40):
+        one = scattering.amplitudes(ks[i], pot, K)
+        assert isinstance(one.t, complex) and isinstance(one.det_defect, float)
+        assert abs(one.det_defect) < 1e-12
+        assert (one.k, one.t, one.r) == (ks[i], sweep.t[i], sweep.r[i])
+        assert (one.log_scale, one.det_defect) == (sweep.log_scale[i],
+                                                   sweep.det_defect[i])
 
 
 STATE_CASES = [
@@ -186,7 +197,7 @@ BATCH_CASES = [
 @pytest.mark.parametrize("pot,es,xs,dps", BATCH_CASES)
 def test_batched_core_matches_matching_solver(pot, es, xs, dps):
     ks = wavenumber(np.array(es), K)
-    sweep = scattering.amplitudes_sweep(ks, pot, K)
+    sweep = scattering.amplitudes(ks, pot, K)
     amps, tables = scattering.interior_table(ks, pot, K)
     assert np.all(np.abs(amps.det_defect) < 1e-12)
     np.testing.assert_array_equal(amps.t, sweep.t)
@@ -206,12 +217,40 @@ def test_batched_core_matches_matching_solver(pot, es, xs, dps):
             assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_transfer_matrix_batch_matches_single_k():
-    pot = PiecewisePotential(((0.0, 1.0, 0.3), (2.0, 2.5, -0.1)))
-    ks = wavenumber(np.array([0.02, 0.07, 0.5]), K)
-    mats, scales = scattering.transfer_matrix(ks, pot, K)
-    assert mats.shape == (3, 2, 2) and scales.shape == (3,)
-    for k, mat, scale in zip(ks, mats, scales):
-        one, s = scattering.transfer_matrix(k, pot, K)
-        np.testing.assert_allclose(one, mat, rtol=1e-15)
-        assert s == scale
+
+BAD_K = [0.0, -0.3, math.nan, math.inf]
+FIG1 = BarrierSpec(0.25, 0.5)
+
+
+def _strict(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+@pytest.mark.parametrize("k", BAD_K)
+@pytest.mark.parametrize("entry", [
+    lambda k: scattering.amplitudes(k, FIG1.potential(), K),
+    lambda k: scattering.amplitudes(np.array([0.3, k]), FIG1.potential(), K),
+    lambda k: scattering.interior_table(np.array([0.3, k]), FIG1.potential(), K),
+    lambda k: scattering.stationary_value(np.array([-1.0, 0.2, 1.0]), k,
+                                          FIG1.potential(), K),
+    lambda k: evaluate_widths(FIG1, k),
+    lambda k: stationary_channels(FIG1, k, 0.2),
+], ids=["amplitudes", "amplitudes_array", "interior_table", "stationary_value",
+        "evaluate_widths", "stationary_channels"])
+def test_every_entry_point_rejects_bad_k(entry, k):
+    with pytest.raises(ValueError, match="positive and finite"):
+        _strict(entry, k)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_stationary_value_rejects_non_finite_x(x):
+    pot = FIG1.potential()
+    with pytest.raises(ValueError, match="x must be finite"):
+        _strict(scattering.stationary_value, x, 0.4, pot, K)
+    with pytest.raises(ValueError, match="x must be finite"):
+        _strict(scattering.stationary_value, np.array([0.1, x, 0.3]), 0.4, pot, K)
+    with pytest.raises(ValueError, match="x must be finite"):
+        _strict(stationary_channels, FIG1, 0.4, [0.1, x, 0.3])
+

@@ -13,11 +13,8 @@ from tunneltimes.timescales import (
     evaluate_widths,
     longwave_limits,
     lorentz_width,
-    phase_width,
     resonance_table,
     scaling_limit,
-    starting_point,
-    transmission_reflection,
 )
 
 K = ParticleSpec().kinetic_coeff
@@ -108,7 +105,7 @@ def test_phase_width_matches_amplitude_derivative(bar):
         k = math.sqrt(ratio * abs(bar.height) / K)
         t0 = t_of_k(k)
         numeric = (ddk(t_of_k, k) / t0).imag + bar.width
-        assert phase_width(bar, k) == pytest.approx(numeric, rel=1e-6)
+        assert evaluate_widths(bar, k).phase_width == pytest.approx(numeric, rel=1e-6)
 
 
 @pytest.mark.parametrize("bar", [BARRIER, WELL], ids=["barrier", "well"])
@@ -139,7 +136,7 @@ def test_starting_point_matches_gamma_derivative(bar):
             continue
         g_prime = abs(ddk(gamma, k))
         alt = abs(ddk(refl, k)) / (2.0 * math.sqrt(a.reflection * a.transmission))
-        closed = abs(starting_point(bar, k))
+        closed = abs(evaluate_widths(bar, k).starting_point)
         assert closed == pytest.approx(g_prime, rel=1e-6)
         assert closed == pytest.approx(alt, rel=1e-6)
         assert g_prime == pytest.approx(alt, rel=1e-6)
@@ -278,7 +275,7 @@ def test_resonance_is_transmission_maximum():
     k_res = resonance_table(bar, 1).records[0].k_res
 
     def neg_t(k):
-        return -transmission_reflection(bar, k)[0]
+        return -evaluate_widths(bar, k).transmission
 
     res = minimize_scalar(
         neg_t,
