@@ -29,9 +29,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .larmor import FieldLayout, richardson_ladder, run_clock
+from .larmor import FieldLayout, extrapolate_start
 from .model import BarrierSpec, NumericInvariantError, ParticleSpec
-from .packets import PacketSpec, evolve, starting_point_packet
+from .packets import N_X_DEFAULT, PacketSpec, evolve, starting_point_packet
 from .timescales import evaluate_widths, longwave_limits, resonance_table
 
 DEFAULT_SWEEP_POINTS = 1000
@@ -280,7 +280,7 @@ def cmd_packet(args) -> int:
         times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise ConfigError("snapshot times must be non-negative and finite")
-    n_x = _integer(cfg, "n_x", "config", 8192)
+    n_x = _integer(cfg, "n_x", "config", N_X_DEFAULT)
     if n_x < 16:
         raise ConfigError("n_x must be at least 16")
     out = _resolve_out(args, cfg)
@@ -322,19 +322,20 @@ def cmd_packet(args) -> int:
     return 0
 
 
-def _omega_ladder(args, layout: FieldLayout):
+def _top_omega(args, layout: FieldLayout):
+    """Top rung of the halving ladder: the config's omega or the flag's first."""
     if args.omega_ladder is None:
         top = layout.omega_larmor
         if top <= 0.0:
             raise ConfigError("field.omega_larmor must be positive")
-        return [top, top / 2.0, top / 4.0]
+        return top
     values = _parse_float_list(args.omega_ladder, "--omega-ladder")
     if len(values) != 3:
         raise ConfigError("--omega-ladder needs exactly three rungs w,w/2,w/4")
     for first, second in zip(values, values[1:]):
         if first <= 0.0 or abs(second - first / 2.0) > 1e-9 * abs(first):
             raise ConfigError("--omega-ladder rungs must halve: w,w/2,w/4")
-    return values
+    return values[0]
 
 
 def cmd_larmor(args) -> int:
@@ -342,25 +343,22 @@ def cmd_larmor(args) -> int:
     barrier = _barrier_from(cfg)
     spec = _packet_from(cfg, barrier)
     layout = _field_from(cfg)
-    ladder = _omega_ladder(args, layout)
+    top = _top_omega(args, layout)
     out = _resolve_out(args, cfg)
 
-    rungs = []
-    estimates = []
-    for omega in ladder:
-        readout = run_clock(spec, barrier, replace(layout, omega_larmor=omega))
-        rungs.append({
-            "omega_larmor": omega,
-            "t_det": readout.t_det,
-            "sx": readout.sx,
-            "sy": readout.sy,
-            "x_start_est": readout.x_start_est,
-        })
-        estimates.append(readout.x_start_est)
+    # only the top rung comes from the ladder: extrapolate_start halves it
+    result = extrapolate_start(spec, barrier, replace(layout, omega_larmor=top))
+    rungs = [{
+        "omega_larmor": omega,
+        "t_det": readout.t_det,
+        "sx": readout.sx,
+        "sy": readout.sy,
+        "x_start_est": readout.x_start_est,
+    } for omega, readout in zip(result.omegas, result.readouts)]
     report = {
-        "omega_ladder": ladder,
+        "omega_ladder": list(result.omegas),
         "rungs": rungs,
-        "extrapolated_x_start": richardson_ladder(estimates),
+        "extrapolated_x_start": result.extrapolated,
         "closed_form_x_start": float(
             evaluate_widths(barrier, spec.k0).starting_point),
         # A stationary-phase reading of the full two-component wave cancels

@@ -97,9 +97,14 @@ class SpinReadout:
 class StartExtrapolation:
     """Clock runs over a frequency ladder and their zero-field limit."""
 
-    omegas: tuple
-    estimates: tuple
-    extrapolated: float
+    omegas: tuple       # 1/ps, omega, omega/2, omega/4
+    readouts: tuple     # SpinReadout per rung
+    extrapolated: float  # nm
+
+    @property
+    def estimates(self):
+        """x_start_est of each rung, in nm."""
+        return tuple(readout.x_start_est for readout in self.readouts)
 
 
 def spin_potentials(barrier: BarrierSpec, layout: FieldLayout):
@@ -159,6 +164,9 @@ def invert_precession(sx, sy, left_edge, detector_offset, margin, k, omega_larmo
     exactly on azimuth pi/4 + omega (a + L - 2 l)/v, so the bracket measures
     where the transmitted particle effectively started.
     """
+    if not 0.0 < omega_larmor < math.inf:
+        raise ValueError("omega_larmor must be positive and finite, got %r"
+                         % omega_larmor)
     if sx == 0.0:
         raise ValueError("sx = 0 puts the azimuth on a branch boundary; "
                          "reduce omega_larmor")
@@ -211,8 +219,7 @@ def _crossing_time(start, speed, x_pos, label):
     return t_cross
 
 
-def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
-              n_x=N_X_CLOCK) -> SpinReadout:
+def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> SpinReadout:
     """Evolve both spin components, detect the transmitted CM, read the clock.
 
     Every clock time is a CM crossing of a free channel asymptote, closed
@@ -224,7 +231,7 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
     residence inside [a - l, b + l], the latter the spin-averaged gap
     between the CM crossing of the incidence-side channel asymptote at
     a - l and that of the transmitted asymptote at b + l.  Each component
-    is synthesized once, at t_det, on a grid of n_x points, as the
+    is synthesized once, at t_det, on a grid of N_X_CLOCK points, as the
     containment check: a grid norm off 1 by more than 1e-6 in either
     component raises NumericInvariantError.
     """
@@ -260,7 +267,7 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
     pad = 8.0 * spec.l0 * math.sqrt(1.0 + (t_det / t_disp) ** 2)
     lo = min(spec.x0, 2.0 * barrier.left_edge - spec.x0 - v0 * t_det) - pad
     hi = spec.x0 + v0 * t_det + pad
-    x = np.linspace(lo, hi, n_x)
+    x = np.linspace(lo, hi, N_X_CLOCK)
     base_u = spectrum.amplitude * spectrum.weights / math.sqrt(2.0 * math.pi)
     u_full = base_u * np.exp(-1j * barrier.kinetic_coeff * qs**2 * t_det / HBAR)
     for component, (amps, tables, c_tr, _) in enumerate(components):
@@ -297,23 +304,25 @@ def richardson_ladder(estimates):
     """Zero-field limit from clock estimates at omega, omega/2, omega/4.
 
     The estimator error is O(omega), so two Richardson stages on the halved
-    ladder cancel the linear and quadratic terms.
+    ladder cancel the linear and quadratic terms.  Exactly three estimates
+    are required.
     """
+    if len(estimates) != 3:
+        raise ValueError("richardson_ladder needs exactly three estimates "
+                         "(omega, omega/2, omega/4), got %d" % len(estimates))
     first = 2.0 * estimates[1] - estimates[0]
     second = 2.0 * estimates[2] - estimates[1]
     return (4.0 * second - first) / 3.0
 
 
-def extrapolate_start(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout,
-                      n_x=N_X_CLOCK) -> StartExtrapolation:
+def extrapolate_start(spec: PacketSpec, barrier: BarrierSpec,
+                      layout: FieldLayout) -> StartExtrapolation:
     """Clock runs at omega, omega/2, omega/4, extrapolated to zero field."""
     omegas = tuple(layout.omega_larmor / 2.0**j for j in range(3))
-    estimates = tuple(
-        run_clock(spec, barrier, replace(layout, omega_larmor=w), n_x=n_x).x_start_est
-        for w in omegas
-    )
+    readouts = tuple(run_clock(spec, barrier, replace(layout, omega_larmor=w))
+                     for w in omegas)
     return StartExtrapolation(
         omegas=omegas,
-        estimates=estimates,
-        extrapolated=richardson_ladder(estimates),
+        readouts=readouts,
+        extrapolated=richardson_ladder([r.x_start_est for r in readouts]),
     )

@@ -10,10 +10,11 @@ of the potential.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
-sums there are chirp-z transforms, O((N_x + N_k) log(N_x + N_k)) instead of
-O(N_x N_k).  Only grid points inside the support are summed against the
-interior states directly, at O(N_k) each.  A caller-supplied grid x must
-therefore be uniform and ascending; evolve raises ValueError otherwise.
+sums there are Bluestein chirp-z transforms, run on numpy.fft in
+O((N_x + N_k) log(N_x + N_k)) instead of O(N_x N_k).  Only grid points
+inside the support are summed against the interior states directly, at
+O(N_k) each.  A caller-supplied grid x must therefore be uniform and
+ascending; evolve raises ValueError otherwise.
 
 Conventions: l0 is the position-space standard deviation of |psi|^2 at t = 0,
 so the momentum density has sigma_k = 1/(2 l0).  All norms and centers of
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .decomposition import channel_amplitudes
 from .model import (
@@ -47,7 +47,8 @@ from .timescales import evaluate_widths
 # hundreds of grid points.
 N_X_DEFAULT = 8192
 _X_CHUNK = 128
-# largest norm a synthesis grid may lose before the snapshot is rejected
+# largest norm a synthesis grid may lose or gain before the snapshot is
+# rejected
 CONTAINMENT_TOL = 1e-6
 _NEGATIVE_K_TOL = 1e-12
 
@@ -59,10 +60,10 @@ _NEGATIVE_K_TOL = 1e-12
 _EDGE_TAPER = 0.12
 
 
-def _taper_window(n, fraction=_EDGE_TAPER):
-    """Flat window with infinitely smooth roll-off over the outer fraction."""
+def _taper_window(n):
+    """Flat window with infinitely smooth roll-off over the outer _EDGE_TAPER."""
     w = np.ones(n)
-    m = int(round(fraction * n))
+    m = int(round(_EDGE_TAPER * n))
     if m < 2:
         return w
     u = np.arange(1, m + 1) / (m + 1.0)
@@ -215,6 +216,8 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     whenever the spectrum carries non-negligible reflected mass.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
     t_disp = dispersion_time(spec, barrier.kinetic_coeff)
     margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + slow_tail_allowance(spec, barrier)
     v = group_velocity(spec.k0, barrier.kinetic_coeff)
@@ -224,6 +227,18 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     lo -= margin
     hi = barrier.right_edge + v * t + margin
     return np.linspace(lo, hi, n_x)
+
+
+def _fast_len(n):
+    """Smallest 2*3*5*7*11-smooth integer >= n >= 1: pocketfft's fast sizes."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _chirp_sums(x, dx, ks, weights):
@@ -243,13 +258,13 @@ def _chirp_sums(x, dx, ks, weights):
     p = np.arange(m) - jc
     q = np.arange(n) - nc
     pre = weights * np.exp(1j * (q * dk) * (x[jc] + 0.5 * q * dx))
-    size = next_fast_len(m + n - 1)
+    size = _fast_len(m + n - 1)
     lag = np.arange(-(n - 1), m) - (jc - nc)
     chirp = np.exp(-0.5j * alpha * (lag * lag))
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = chirp[n - 1:]
     kernel[size - (n - 1):] = chirp[:n - 1]
-    conv = ifft(fft(pre, size) * fft(kernel))[:, :m]
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel))[:, :m]
     return conv * np.exp(1j * (ks[nc] * x + 0.5 * alpha * (p * p)))
 
 
@@ -303,8 +318,9 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     x, when given, must be a uniform ascending grid (ValueError otherwise);
     the default is default_grid(spec, barrier, t, n_x).  Synthesizes
     psi_full, psi_tr and their remainder on the grid, then checks that the
-    grid contains the norm to 1e-6; a violation raises with the margin that
-    would have sufficed.
+    grid norm is 1 to 1e-6.  Too little norm raises with the extent that
+    would have sufficed; too much means the grid undersamples the packet and
+    raises with a hint to raise n_x.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -329,6 +345,11 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     dens_full = np.abs(psi_full) ** 2
     dens_tr = np.abs(psi_tr) ** 2
     n_full = float(np.trapezoid(dens_full, x))
+    if n_full > 1.0 + CONTAINMENT_TOL:
+        raise NumericInvariantError(
+            "grid holds %.9f of the norm at t=%g ps; raise n_x (current %d "
+            "points undersample the packet)" % (n_full, t, x.size)
+        )
     if n_full < 1.0 - CONTAINMENT_TOL:
         extent = float(x[-1] - x[0])
         raise NumericInvariantError(

@@ -59,6 +59,10 @@ _DEEP_SWITCH = 400.0
 # multiple of pi (transparency pole of the k -> 0 ratios).
 _POLE_WINDOW = 1e-8
 
+# Largest relative disagreement of the two Lorentzian stencil fits (delta and
+# delta/2) that lorentz_width accepts.
+_LORENTZ_CONSISTENCY_TOL = 1e-4
+
 
 def _quadruple_kernel(k2, k02, beta, d, v):
     """Width quadruple plus (T, R) on the kernel branch; array friendly."""
@@ -334,20 +338,18 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     return ResonanceTable(records=tuple(records), omitted=tuple(omitted))
 
 
-def lorentz_width(
-    barrier: BarrierSpec,
-    n: int,
-    delta: float | None = None,
-    consistency_tol: float = 1e-4,
-) -> float:
+def lorentz_width(barrier: BarrierSpec, n: int, delta: float | None = None) -> float:
     """Fit the Lorentzian length a0 of the n-th transparency peak.
 
     Near a transparent point, T(k) = 1/(1 + a0^2 (k - k_res)^2).  The fit
     samples R/T at k_res +- delta and +- delta/2, solves for a0 on each
-    stencil and averages the two sides (killing the odd-order error).  If the
-    two stencil sizes disagree by more than ``consistency_tol`` relative, the
+    stencil and averages the two sides (killing the odd-order error).  delta
+    defaults to 1e-3 k_res and must be positive and finite.  If the two
+    stencil sizes disagree by more than _LORENTZ_CONSISTENCY_TOL relative, the
     peak is not Lorentzian at this resolution and the fit aborts.
     """
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     table = resonance_table(barrier, n)
     record = next((r for r in table.records if r.n == n), None)
     if record is None:
@@ -366,10 +368,10 @@ def lorentz_width(
 
     coarse = math.sqrt(a0_squared(delta))
     fine = math.sqrt(a0_squared(0.5 * delta))
-    if abs(coarse - fine) > consistency_tol * abs(fine):
+    if abs(coarse - fine) > _LORENTZ_CONSISTENCY_TOL * abs(fine):
         raise NumericInvariantError(
             "Lorentzian fit did not converge: a0 estimates "
             f"{coarse:.9g} (delta) and {fine:.9g} (delta/2) disagree beyond "
-            f"{consistency_tol:g} relative; reduce delta={delta:g}"
+            f"{_LORENTZ_CONSISTENCY_TOL:g} relative; reduce delta={delta:g}"
         )
     return fine

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tunneltimes
-from tunneltimes import cli
+from tunneltimes import cli, larmor
 from tunneltimes.larmor import SpinReadout
 from tunneltimes.model import BarrierSpec, NumericInvariantError
 
@@ -52,6 +52,17 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     code = ("import sys; sys.path.insert(0, %r); import tunneltimes, tunneltimes.cli; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules))" % src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_module():
+    # the runtime is numpy alone; scipy is a test dependency
+    src = str(Path(tunneltimes.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import tunneltimes, tunneltimes.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))" % src)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
@@ -139,7 +150,7 @@ def test_readme_shared_config_serves_every_subcommand(tmp_path, monkeypatch):
         raise _PastValidation()
 
     monkeypatch.setattr(cli, "evolve", stop)
-    monkeypatch.setattr(cli, "run_clock", stop)
+    monkeypatch.setattr(cli, "extrapolate_start", stop)
     for command in ("packet", "larmor"):
         with pytest.raises(_PastValidation):
             cli.main([command, "--config", cfg, "--out", str(tmp_path)])
@@ -221,7 +232,7 @@ def test_nan_in_json_output_exits_3(tmp_path, monkeypatch, capsys):
     def nan_clock(spec, barrier, layout):
         return SpinReadout(t_det=1.0, sx=math.nan, sy=math.nan, x_start_est=math.nan)
 
-    monkeypatch.setattr(cli, "run_clock", nan_clock)
+    monkeypatch.setattr(larmor, "run_clock", nan_clock)
     cfg = write_config(tmp_path, CLOCK)
     assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "NaN" in capsys.readouterr().err
@@ -413,6 +424,14 @@ def test_packet_requires_exactly_one_carrier(tmp_path):
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_packet_undersampled_grid_exits_3(tmp_path, capsys):
+    # 16 points alias the carrier: the grid reads more than the whole norm
+    cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=16, snapshot_times=[0.0]))
+    assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "raise n_x" in capsys.readouterr().err
+    assert not (tmp_path / "packet_summary.json").exists()
+
+
 def test_packet_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, dict(PACKET_CFG, snapshot_times=[0.0]))
     for sub in ("a", "b"):
@@ -450,6 +469,17 @@ def test_larmor_ladder_flag_must_halve(tmp_path, capsys):
     assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path),
                      "--omega-ladder", "0.2,0.11,0.05"]) == 2
     assert "halve" in capsys.readouterr().err
+
+
+def test_larmor_ladder_flag_records_rungs_run(tmp_path):
+    # a ladder accepted within the halving tolerance runs omega/2 and omega/4
+    # computed from its top rung, and the report records those
+    cfg = write_config(tmp_path, CLOCK)
+    assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path),
+                     "--omega-ladder", "0.2,0.1000000000001,0.05"]) == 0
+    report = json.loads((tmp_path / "larmor.json").read_text())
+    assert report["omega_ladder"] == [0.2, 0.1, 0.05]
+    assert [rung["omega_larmor"] for rung in report["rungs"]] == [0.2, 0.1, 0.05]
 
 
 def test_larmor_branch_guard_surfaces_hint(tmp_path, capsys):

@@ -205,6 +205,11 @@ def test_extrapolation_tightens_on_closed_form(ladder):
     assert ladder.extrapolated == pytest.approx(X_START, rel=5e-3)
 
 
+def test_extrapolation_keeps_every_rung_readout(ladder, readout, readout_half):
+    assert ladder.readouts[:2] == (readout, readout_half)
+    assert ladder.estimates == tuple(r.x_start_est for r in ladder.readouts)
+
+
 def test_component_norms_conserved_at_detection(readout):
     spectrum = gaussian_spectrum(SPEC)
     qs = spectrum.k

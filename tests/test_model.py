@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diagnostics import local_wavenumbers
-from tunneltimes.larmor import FieldLayout
+from tunneltimes.larmor import FieldLayout, invert_precession, richardson_ladder
 from tunneltimes.model import (
     HBAR,
     HBAR2_OVER_2ME,
@@ -15,7 +15,13 @@ from tunneltimes.model import (
     group_velocity,
     wavenumber,
 )
-from tunneltimes.packets import PacketSpec
+from tunneltimes.packets import PacketSpec, default_grid
+from tunneltimes.timescales import lorentz_width
+
+BAR = BarrierSpec(0.25, 0.5, left_edge=60.0)
+SPEC = PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=256)
+# (sx, sy, left_edge, detector_offset, margin, k) of a valid clock readout
+SPIN = (0.3, 0.3, 2200.0, 2200.0, 1000.0, 0.47)
 
 
 def test_constants():
@@ -136,3 +142,24 @@ def test_local_wavenumbers():
 def test_records_reject_non_finite_values(make, bad):
     with pytest.raises(ValueError, match="must be finite"):
         make(bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,match", [
+    (lambda: lorentz_width(BAR, 1, delta=0.0), "delta"),
+    (lambda: lorentz_width(BAR, 1, delta=-1e-3), "delta"),
+    (lambda: lorentz_width(BAR, 1, delta=math.nan), "delta"),
+    (lambda: lorentz_width(BAR, 1, delta=math.inf), "delta"),
+    (lambda: invert_precession(*SPIN, 0.0, BAR.kinetic_coeff), "omega_larmor"),
+    (lambda: invert_precession(*SPIN, -0.2, BAR.kinetic_coeff), "omega_larmor"),
+    (lambda: invert_precession(*SPIN, math.nan, BAR.kinetic_coeff), "omega_larmor"),
+    (lambda: default_grid(SPEC, BAR, math.nan), "t must be finite"),
+    (lambda: default_grid(SPEC, BAR, math.inf), "t must be finite"),
+    (lambda: richardson_ladder([1.0, 2.0]), "three estimates"),
+    (lambda: richardson_ladder([1.0, 2.0, 3.0, 4.0]), "three estimates"),
+], ids=["delta_zero", "delta_negative", "delta_nan", "delta_inf", "omega_zero",
+        "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
+        "four_estimates"])
+def test_bad_scalars_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

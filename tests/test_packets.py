@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import oracles
 from diagnostics import channel_mean_k, cm_trajectory, second_central_moment
@@ -18,6 +19,7 @@ from tunneltimes.packets import (
     gaussian_spectrum,
     slow_tail_allowance,
     starting_point_packet,
+    _fast_len,
     _synthesize,
 )
 from tunneltimes.scattering import interior_table
@@ -134,6 +136,20 @@ def test_containment_error_reports_extent():
     x = np.linspace(-215.0, -185.0, 512)
     with pytest.raises(NumericInvariantError, match="grid holds only"):
         evolve(FREE_SPEC, FREE, 0.0, x=x)
+
+
+def test_undersampled_grid_raises_with_n_x_hint():
+    # 16 points alias the carrier, so the trapezoid sum overshoots the norm
+    barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=2048, k_span=5.0)
+    with pytest.raises(NumericInvariantError, match="raise n_x"):
+        evolve(spec, barrier, 0.0, n_x=16)
+
+
+def test_fast_len_matches_scipy():
+    # the chirp-z transform lengths, and so every output byte, are scipy's
+    assert [_fast_len(n) for n in range(1, 2**15 + 1)] == [
+        next_fast_len(n) for n in range(1, 2**15 + 1)]
 
 
 def test_slow_tail_allowance_scales():
