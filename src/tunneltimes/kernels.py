@@ -32,13 +32,15 @@ def _piecewise(v, series, direct):
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
-    out = np.empty_like(v)
     small = np.abs(v) <= SERIES_WINDOW
-    if small.any():
+    if small.all():
+        out = series(v)
+    elif not small.any():
+        out = direct(v)
+    else:
+        out = np.empty_like(v)
         out[small] = series(v[small])
-    big = ~small
-    if big.any():
-        out[big] = direct(v[big])
+        out[~small] = direct(v[~small])
     return float(out[0]) if scalar else out
 
 

@@ -11,10 +11,13 @@ of the potential.
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
 sums there are Bluestein chirp-z transforms, run on numpy.fft in
-O((N_x + N_k) log(N_x + N_k)) instead of O(N_x N_k).  Only grid points
-inside the support are summed against the interior states directly, at
-O(N_k) each.  A caller-supplied grid x must therefore be uniform and
-ascending; evolve raises ValueError otherwise.
+O((N_x + N_k) log(N_x + N_k)) instead of O(N_x N_k).  Inside the support, a
+region where every node oscillates with z >= k^2/100 (the Larmor clock's
+field-free pads) is summed as factorised plane waves: O(sqrt(m) N_k)
+exponentials and one complex matrix product for its m points.  Only the
+remaining regions (evanescent barriers, near-threshold nodes) evaluate the
+interior kernels directly, at O(N_k) per point.  A caller-supplied grid x
+must therefore be uniform and ascending; evolve raises ValueError otherwise.
 
 Conventions: l0 is the position-space standard deviation of |psi|^2 at t = 0,
 so the momentum density has sigma_k = 1/(2 l0).  All norms and centers of
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import channel_amplitudes
+from .decomposition import channel_weight
 from .model import (
     HBAR,
     BarrierSpec,
@@ -41,10 +44,10 @@ from .timescales import evaluate_widths
 
 # spatial grid size; 8192 points resolve the carrier wave at ~10 points per
 # wavelength even on the widest late-time grids used by the deep-well
-# scenario.  Points inside the support are summed in chunks of _X_CHUNK rows
-# so the (points x k) kernel matrices stay a few MB each: evaluating the
-# kernels holds about six of them at once, and the clock's pads hold
-# hundreds of grid points.
+# scenario.  Points of a region summed through the interior kernels (the
+# regions that are not plane-wave sums, such as barriers) go in chunks of
+# _X_CHUNK rows so the (points x k) kernel matrices stay a few MB each:
+# evaluating the kernels holds about six of them at once.
 N_X_DEFAULT = 8192
 _X_CHUNK = 128
 # largest norm a synthesis grid may lose or gain before the snapshot is
@@ -189,7 +192,11 @@ def slow_tail_allowance(spec: PacketSpec, barrier: BarrierSpec) -> float:
     exceeds 1e-13; elsewhere the allowance is negligible.
     """
     spectrum = gaussian_spectrum(spec)
-    rec = evaluate_widths(barrier, spectrum.k)
+    return _slow_tail(spectrum, evaluate_widths(barrier, spectrum.k))
+
+
+def _slow_tail(spectrum, rec):
+    """slow_tail_allowance from the spectrum and its evaluate_widths record."""
     node_mass = np.abs(spectrum.amplitude) ** 2 * spectrum.weights
     keep = node_mass * np.asarray(rec.reflection, dtype=float) > 1e-13
     if not keep.any():
@@ -199,10 +206,8 @@ def slow_tail_allowance(spec: PacketSpec, barrier: BarrierSpec) -> float:
     return shift + 1.5 * 2.0 * math.pi / slowest
 
 
-def _reflected_mass(spec: PacketSpec, barrier: BarrierSpec) -> float:
+def _reflected_mass(spectrum, rec) -> float:
     """Reflection-weighted spectral mass, Integral |A|^2 R dk."""
-    spectrum = gaussian_spectrum(spec)
-    rec = evaluate_widths(barrier, spectrum.k)
     density = np.abs(spectrum.amplitude) ** 2
     return float(np.trapezoid(density * np.asarray(rec.reflection, dtype=float), spectrum.k))
 
@@ -218,11 +223,17 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite, got %r" % t)
+    spectrum = gaussian_spectrum(spec)
+    return _grid(spec, barrier, t, n_x, spectrum, evaluate_widths(barrier, spectrum.k))
+
+
+def _grid(spec, barrier, t, n_x, spectrum, rec):
+    """default_grid from the packet's spectrum and its evaluate_widths record."""
     t_disp = dispersion_time(spec, barrier.kinetic_coeff)
-    margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + slow_tail_allowance(spec, barrier)
+    margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + _slow_tail(spectrum, rec)
     v = group_velocity(spec.k0, barrier.kinetic_coeff)
     lo = spec.x0
-    if t > 0.0 and _reflected_mass(spec, barrier) > 0.1 * CONTAINMENT_TOL:
+    if t > 0.0 and _reflected_mass(spectrum, rec) > 0.1 * CONTAINMENT_TOL:
         lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
     lo -= margin
     hi = barrier.right_edge + v * t + margin
@@ -276,8 +287,9 @@ def _synthesize(x, ks, u_full, u_tr, amps, tables, support):
     sqrt(2 pi)); returns (psi_full, psi_tr).  psi_tr uses the channel
     weight on the incidence side and the full state elsewhere, so the
     remainder psi_full - psi_tr vanishes identically right of the support.
-    Outside the support the sums are chirp-z transforms; only the points
-    inside it are summed against the interior basis directly.
+    Outside the support the sums are chirp-z transforms; inside it each
+    region is a factorised plane-wave sum where its split is well
+    conditioned, and is summed against the interior kernels otherwise.
     """
     a, b = support
     lo, hi = np.searchsorted(x, (a, b))
@@ -294,6 +306,9 @@ def _synthesize(x, ks, u_full, u_tr, amps, tables, support):
         psi_full[hi:] = _chirp_sums(x[hi:], dx, ks, (amps.t * u_full)[None])[0]
     for reg in tables:
         first, stop = np.searchsorted(x, (reg.x_left, reg.x_right))
+        if stop > first and reg.splits_into_plane_waves(ks):
+            psi_full[first:stop] = reg.plane_wave_sums(x[first:stop], u_full)
+            continue
         for start in range(first, stop, _X_CHUNK):
             end = min(start + _X_CHUNK, stop)
             psi_full[start:end] = reg.superpose(x[start:end], u_full)
@@ -318,21 +333,26 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
     x, when given, must be a uniform ascending grid (ValueError otherwise);
     the default is default_grid(spec, barrier, t, n_x).  Synthesizes
     psi_full, psi_tr and their remainder on the grid, then checks that the
-    grid norm is 1 to 1e-6.  Too little norm raises with the extent that
-    would have sufficed; too much means the grid undersamples the packet and
-    raises with a hint to raise n_x.
+    grid norm is 1 to 1e-6.  Too much norm, or too little on a grid whose
+    step aliases the spectrum's largest k (k_max dx >= pi), means the grid
+    undersamples the packet and raises with a hint to raise n_x; too little
+    on a finer grid raises with the extent that would have sufficed.
     """
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("t must be finite, got %r" % t)
     spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
+    rec = evaluate_widths(barrier, ks)
     if x is None:
-        x = default_grid(spec, barrier, t, n_x=n_x)
+        x = _grid(spec, barrier, t, n_x, spectrum, rec)
     else:
         x = np.asarray(x, dtype=float)
         _check_grid(x)
-    c_tr = channel_amplitudes(barrier, ks).c_tr
+    c_tr = channel_weight(barrier, ks, rec.transmission, rec.reflection)
+    # the record's eleven k arrays would otherwise stay live through the
+    # synthesis and raise its memory peak
+    del rec
     amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
     phase_t = np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
     u_full = spectrum.amplitude * spectrum.weights * phase_t / math.sqrt(2.0 * math.pi)
@@ -352,6 +372,13 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
         )
     if n_full < 1.0 - CONTAINMENT_TOL:
         extent = float(x[-1] - x[0])
+        step = extent / (x.size - 1)
+        if ks[-1] * step >= math.pi:
+            raise NumericInvariantError(
+                "grid holds only %.9f of the norm at t=%g ps; raise n_x (step "
+                "%.4g nm aliases the spectrum's k_max %.4g 1/nm, which needs a "
+                "step below %.4g nm)" % (n_full, t, step, ks[-1], math.pi / ks[-1])
+            )
         raise NumericInvariantError(
             "grid holds only %.9f of the norm at t=%g ps; widen the grid "
             "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent)

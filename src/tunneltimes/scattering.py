@@ -14,6 +14,7 @@ determinant; thick evanescent regions are rescaled by exp(-kappa L) on
 the fly so products stay representable for kappa L up to ~700.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,40 @@ class RegionTable:
         scale = np.exp(self.sigma) * weights
         return (_real_matmul(kernels.cos_sqrt(v), self.psi * scale)
                 + dx * _real_matmul(kernels.sinc_sqrt(v), self.dpsi * scale))
+
+    def splits_into_plane_waves(self, ks):
+        """True when every node is oscillatory with z >= k^2/100.
+
+        The Cauchy data are normalised to max(|psi|, |dpsi|/k) = 1, so with
+        q = sqrt(z) >= k/10 the plane-wave amplitudes of plane_wave_sums
+        lose at most one digit to cancellation.
+        """
+        return bool(np.all(self.z >= 0.01 * ks * ks))
+
+    def plane_wave_sums(self, x, weights):
+        """superpose on uniform ascending points x, by factorised plane waves.
+
+        Needs splits_into_plane_waves.  Each state is exp(sigma) (A e^{iq dx}
+        + B e^{-iq dx}) with q = sqrt(z), A, B = (psi +- dpsi/(iq))/2 and
+        dx = x - x_right.  Writing point j as b P + j' with P = ceil(sqrt(m))
+        factors e^{iq dx_j} = e^{iq dx_{bP}} e^{iq j' h}, so both signs of
+        the wave cost two tables of about sqrt(m) x N_k exponentials and one
+        complex matrix product; the e^{-iq dx} sums are conjugates of e^{iq dx}
+        sums on conjugate weights.  Exact: there is no truncation.
+        """
+        m = x.size
+        p = math.isqrt(m - 1) + 1
+        h = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
+        q = np.sqrt(self.z)
+        scale = np.exp(self.sigma) * weights
+        ratio = self.dpsi / (1j * q)
+        fwd = 0.5 * (self.psi + ratio) * scale
+        back = 0.5 * (self.psi - ratio) * scale
+        coarse = np.exp(1j * np.outer(x[::p] - self.x_right, q))
+        fine = np.exp(1j * np.outer(h * np.arange(p), q))
+        sums = np.concatenate([coarse * fwd, coarse * np.conj(back)]) @ fine.T
+        blocks = coarse.shape[0]
+        return (sums[:blocks] + np.conj(sums[blocks:])).ravel()[:m]
 
 
 def _real_matmul(mat, vec):

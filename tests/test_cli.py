@@ -432,6 +432,17 @@ def test_packet_undersampled_grid_exits_3(tmp_path, capsys):
     assert not (tmp_path / "packet_summary.json").exists()
 
 
+def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
+    # 24 points alias the spectrum (k_max dx >= pi) and read too little
+    # norm; a wider grid would alias worse, so the hint is n_x, not extent
+    cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=24, snapshot_times=[0.0]))
+    assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "grid holds only" in err and "raise n_x" in err
+    assert "widen" not in err
+    assert not (tmp_path / "packet_summary.json").exists()
+
+
 def test_packet_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, dict(PACKET_CFG, snapshot_times=[0.0]))
     for sub in ("a", "b"):

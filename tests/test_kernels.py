@@ -131,3 +131,39 @@ def test_oscillatory_side_raises_no_overflow_warning():
         assert np.isfinite(kernels.sinc_sqrt(v)).all()
         assert np.isfinite(kernels.cos_sqrt(v)).all()
     assert np.isfinite(rec.transmission).all()
+
+
+_RNG = np.random.default_rng(7)
+ONE_SIDED = {
+    "series": _RNG.uniform(-kernels.SERIES_WINDOW, kernels.SERIES_WINDOW, 257),
+    "oscillating": _RNG.uniform(0.31, 4e4, 257),
+    "direct-both-signs": np.concatenate([_RNG.uniform(0.31, 900.0, 128),
+                                         -_RNG.uniform(0.31, 900.0, 129)]),
+    "direct-2d": np.outer(np.linspace(1.0, 30.0, 40) ** 2, [0.35, 0.8, 2.0]),
+}
+
+
+@pytest.mark.parametrize("fn", list(ORACLES), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("side", list(ONE_SIDED))
+def test_one_sided_input_matches_masked_path(fn, side):
+    # an input on one side of the series window is evaluated in place; one
+    # element from the other side forces the masked-copy path on the same
+    # values, and the two must agree bit for bit
+    v = ONE_SIDED[side]
+    flat = v.ravel()
+    other = 10.0 if abs(flat[0]) <= kernels.SERIES_WINDOW else 0.1
+    masked = fn(np.append(flat, other))[:-1]
+    got = fn(v)
+    assert got.shape == v.shape
+    assert np.array_equal(got.ravel(), masked)
+
+
+@pytest.mark.parametrize("fn", list(ORACLES), ids=lambda f: f.__name__)
+def test_mixed_input_matches_one_sided_calls(fn):
+    v = np.random.default_rng(11).permutation(
+        np.concatenate([ONE_SIDED["series"], ONE_SIDED["direct-both-signs"]]))
+    small = np.abs(v) <= kernels.SERIES_WINDOW
+    want = np.empty_like(v)
+    want[small] = fn(v[small])
+    want[~small] = fn(v[~small])
+    assert np.array_equal(fn(v), want)

@@ -1,6 +1,7 @@
 """Spin-clock tests: field potentials, inversion algebra, full readout."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from tunneltimes import (
     spin_potentials,
     synthetic_precession,
 )
-from tunneltimes import larmor
+from tunneltimes import kernels, larmor
 from tunneltimes.packets import _synthesize
 from tunneltimes.scattering import interior_table
 
@@ -166,6 +167,26 @@ def test_detection_time_puts_grid_cm_on_detector(monkeypatch, barrier, omega):
 def test_clock_synthesizes_once_per_spin_component(monkeypatch):
     calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
     assert len(calls) == 2
+
+
+def test_clock_kernel_work_stays_off_the_pad_grid(monkeypatch):
+    # the pads are factorised plane-wave sums, so the interior kernels see
+    # the region tables and the barrier's few grid points, not every pad
+    # point times every k node (about 4.4 M elements before)
+    elements = []
+    for name in ("cos_sqrt", "sinc_sqrt"):
+        original = getattr(kernels, name)
+
+        def counting(v, original=original):
+            elements.append(np.size(v))
+            return original(v)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("tunneltimes")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    run_clock(SPEC, BARRIER, LAYOUT)
+    assert 0 < sum(elements) < 10**5
 
 
 def test_clock_recovers_starting_point(readout):

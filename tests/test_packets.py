@@ -22,7 +22,7 @@ from tunneltimes.packets import (
     _fast_len,
     _synthesize,
 )
-from tunneltimes.scattering import interior_table
+from tunneltimes.scattering import RegionTable, interior_table
 from tunneltimes.timescales import evaluate_widths
 
 FREE = BarrierSpec(height=0.0, width=0.5)
@@ -236,13 +236,18 @@ def test_second_central_moment_gaussian():
     assert second_central_moment(x, density) == pytest.approx(sigma**2, rel=1e-6)
 
 
+def _spectral_weights(spectrum, kinetic_coeff, t):
+    ks = spectrum.k
+    return (spectrum.amplitude * spectrum.weights
+            * np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
+            / math.sqrt(2.0 * math.pi))
+
+
 def _synthesis_pair(spec, barrier, potential, t, x, c_tr):
     """(chirp-z, dense) (psi_full, psi_tr) for one snapshot on grid x."""
     spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
-    u_full = (spectrum.amplitude * spectrum.weights
-              * np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
-              / math.sqrt(2.0 * math.pi))
+    u_full = _spectral_weights(spectrum, barrier.kinetic_coeff, t)
     amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
     args = (x, ks, u_full, u_full * c_tr, amps, tables, potential.support)
     return _synthesize(*args), oracles.dense_synthesis(*args)
@@ -274,6 +279,59 @@ def test_clock_synthesis_matches_dense_sum(t):
     for potential in spin_potentials(barrier, layout):
         fast, dense = _synthesis_pair(spec, barrier, potential, t, x, c_tr)
         _assert_same_waves(fast, dense)
+
+
+CLOCK_BARRIER = BarrierSpec(0.25, 0.5, left_edge=1100.0)
+CLOCK_SPEC = PacketSpec(l0=100.0, x0=0.0, k0=0.4688469119692836, n_k=2048)
+
+
+@pytest.mark.parametrize("margin", [200.0, 500.0])
+@pytest.mark.parametrize("omega", [0.05, 0.2])
+def test_pad_plane_wave_sums_match_superpose(margin, omega):
+    # the criterion-11 clock, read while the packet's CM crosses the middle
+    # of each field-free pad
+    layout = FieldLayout(margin=margin, detector_offset=1100.0, omega_larmor=omega)
+    spectrum = gaussian_spectrum(CLOCK_SPEC)
+    ks = spectrum.k
+    x = np.linspace(-1000.0, 3500.0, 4501)
+    v = group_velocity(CLOCK_SPEC.k0, CLOCK_BARRIER.kinetic_coeff)
+    times = ((CLOCK_BARRIER.left_edge - 0.5 * margin) / v,
+             (CLOCK_BARRIER.right_edge + 0.5 * margin) / v)
+    for potential in spin_potentials(CLOCK_BARRIER, layout):
+        _, tables = interior_table(ks, potential, CLOCK_BARRIER.kinetic_coeff)
+        for reg in (tables[0], tables[-1]):
+            assert reg.splits_into_plane_waves(ks)
+            first, stop = np.searchsorted(x, (reg.x_left, reg.x_right))
+            assert stop - first >= margin - 1
+            for t in times:
+                u = _spectral_weights(spectrum, CLOCK_BARRIER.kinetic_coeff, t)
+                want = reg.superpose(x[first:stop], u)
+                got = reg.plane_wave_sums(x[first:stop], u)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("level", ["evanescent", "threshold"])
+def test_ill_conditioned_regions_fall_back_and_match_dense_sum(monkeypatch, level):
+    # a 20 nm region under BAR_SPEC: a barrier at 0.25 eV is evanescent for
+    # most of the spectrum; a level a hair below the lowest node's
+    # energy leaves every z >= 0 but z ~ 0 at that node, where the
+    # plane-wave split would divide by q ~ 0
+    def refuse(*args):
+        raise AssertionError("ill-conditioned region sent to plane_wave_sums")
+
+    monkeypatch.setattr(RegionTable, "plane_wave_sums", refuse)
+    ks = gaussian_spectrum(BAR_SPEC).k
+    kinetic = BARRIER.kinetic_coeff
+    height = 0.25 if level == "evanescent" else kinetic * ks[0] ** 2 * (1.0 - 1e-12)
+    potential = BarrierSpec(height, 20.0).potential()
+    (reg,) = interior_table(ks, potential, kinetic)[1]
+    assert not reg.splits_into_plane_waves(ks)
+    assert (np.min(reg.z) < 0.0) == (level == "evanescent")
+    x = np.linspace(-300.0, 300.0, 4096)
+    assert np.count_nonzero((x >= 0.0) & (x < 20.0)) > 128
+    fast, dense = _synthesis_pair(BAR_SPEC, BARRIER, potential, 0.12, x,
+                                  np.ones(ks.shape))
+    _assert_same_waves(fast, dense)
 
 
 @pytest.mark.parametrize("x", [
