@@ -7,12 +7,17 @@ terms of kernels of v = q**2 * L**2 that stay analytic across q**2 = 0
 quotient like (sin(x)/x - 1)/x**2 loses all significant digits as x -> 0,
 so each kernel switches to its Taylor series inside |v| <= SERIES_WINDOW,
 where the truncated series is accurate to full double precision.
+
+Numerics: the series run as a Horner loop in ``polyval``'s operation order.
+:func:`width_kernels` takes the five width kernels in one pass: one ``|v|``,
+one mask per window and, off the series, one ``s = sqrt|v|`` with one
+sin/sinh of s, 2s and s/2 and one cos/cosh of s.  ``sqrt(4|v|) == 2*sqrt|v|``
+and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
 """
 
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 # direct evaluation of the gap quotients amplifies rounding like eps/|v|;
 # at |v| = 0.3 that is ~4e-15, and the truncated series at the window edge
@@ -22,46 +27,50 @@ SERIES_WINDOW = 0.3
 _SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
 _COS_COEF = np.array([(-1.0) ** n / factorial(2 * n) for n in range(10)])
 _GAP4_COEF = np.array([(-4.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
-_GAP1_COEF = np.array([(-1.0) ** (m + 1) / factorial(2 * m + 3) for m in range(8)])
+_GAP1_COEF = _SINC_COEF[1:]  # (sinc_sqrt(v) - 1)/v: the sinc chain but its last step
 _GAPD_COEF = np.array(
     [(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)]
 )
 
 
+def _horner(u, coef):
+    # polyval's operation order, so its bits: c[-1] + u*0 == c[-1] for finite u
+    out = coef[-2] + coef[-1] * u
+    for c in coef[-3::-1]:
+        out = c + out * u
+    return out
+
+
 def _piecewise(v, series, direct):
+    """Tuple of kernels: series(u, |u|) inside the window, direct(u, |u|) outside."""
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
-    small = np.abs(v) <= SERIES_WINDOW
+    a = np.abs(v)
+    small = a <= SERIES_WINDOW
     if small.all():
-        out = series(v)
+        outs = series(v, a)
     elif not small.any():
-        out = direct(v)
+        outs = direct(v, a)
     else:
-        out = np.empty_like(v)
-        out[small] = series(v[small])
-        out[~small] = direct(v[~small])
-    return float(out[0]) if scalar else out
+        low, high = series(v[small], a[small]), direct(v[~small], a[~small])
+        outs = tuple(np.empty_like(v) for _ in low)
+        for out, lo, hi in zip(outs, low, high):
+            out[small], out[~small] = lo, hi
+    return tuple(float(out[0]) for out in outs) if scalar else outs
 
 
-def _branches(v, oscillating, evanescent):
+def _branches(s, up, oscillating, evanescent):
     # each branch runs only on its own side of v = 0: sinh/cosh of the
     # oscillatory side's sqrt(v) would overflow once v >~ 5e5
-    s = np.sqrt(np.abs(v))
     out = np.empty_like(s)
-    up = v > 0
     oscillating(s, out=out, where=up)
     evanescent(s, out=out, where=~up)
-    return out, s
+    return out
 
 
-def _sinc_sqrt_direct(v):
-    out, s = _branches(v, np.sin, np.sinh)
-    return out / s
-
-
-def _cos_sqrt_direct(v):
-    return _branches(v, np.cos, np.cosh)[0]
+def _sinc(s, up):
+    return _branches(s, up, np.sin, np.sinh) / s
 
 
 def sinc_sqrt(v):
@@ -69,39 +78,38 @@ def sinc_sqrt(v):
 
     Entire function of v, equal to 1 at v = 0.
     """
-    return _piecewise(v, lambda u: polyval(u, _SINC_COEF), _sinc_sqrt_direct)
+    return _piecewise(v, lambda u, a: (_horner(u, _SINC_COEF),),
+                      lambda u, a: (_sinc(np.sqrt(a), u > 0),))[0]
 
 
 def cos_sqrt(v):
     """cos(sqrt(v)) for v > 0, cosh(sqrt(-v)) for v < 0."""
-    return _piecewise(v, lambda u: polyval(u, _COS_COEF), _cos_sqrt_direct)
+    return _piecewise(v, lambda u, a: (_horner(u, _COS_COEF),),
+                      lambda u, a: (_branches(np.sqrt(a), u > 0, np.cos, np.cosh),))[0]
 
 
-def sinc4_gap(v):
-    """(sinc_sqrt(4 v) - 1)/v, with the removable singularity filled in.
+def _widths_series(v, a):
+    gap = _horner(v, _GAP1_COEF)
+    return (1.0 + gap * v, _horner(v, _GAP4_COEF), _horner(0.25 * v, _SINC_COEF),
+            gap, _horner(v, _GAPD_COEF))
 
-    Equals -2/3 at v = 0.
+
+def _widths_direct(v, a):
+    s, up = np.sqrt(a), v > 0
+    sinc, sinc4, half = (_sinc(x, up) for x in (s, 2.0 * s, 0.5 * s))
+    cos = _branches(s, up, np.cos, np.cosh)
+    # v/4 keeps its own series window, four times as wide in v
+    mid = a <= 4.0 * SERIES_WINDOW
+    if mid.any():
+        half[mid] = _horner(0.25 * v[mid], _SINC_COEF)
+    return sinc, (sinc4 - 1.0) / v, half, (sinc - 1.0) / v, (sinc - cos) / v
+
+
+def width_kernels(v):
+    """The five kernels of the closed-form widths, in one pass over v.
+
+    Returns ``(sinc_sqrt(v), (sinc_sqrt(4 v) - 1)/v, sinc_sqrt(v/4),
+    (sinc_sqrt(v) - 1)/v, (sinc_sqrt(v) - cos_sqrt(v))/v)``, the gaps with
+    their removable singularities filled in (-2/3, -1/6 and 1/3 at v = 0).
     """
-    return _piecewise(
-        v,
-        lambda u: polyval(u, _GAP4_COEF),
-        lambda u: (_sinc_sqrt_direct(4.0 * u) - 1.0) / u,
-    )
-
-
-def sinc_gap(v):
-    """(sinc_sqrt(v) - 1)/v, equal to -1/6 at v = 0."""
-    return _piecewise(
-        v,
-        lambda u: polyval(u, _GAP1_COEF),
-        lambda u: (_sinc_sqrt_direct(u) - 1.0) / u,
-    )
-
-
-def sinc_cos_gap(v):
-    """(sinc_sqrt(v) - cos_sqrt(v))/v, equal to 1/3 at v = 0."""
-    return _piecewise(
-        v,
-        lambda u: polyval(u, _GAPD_COEF),
-        lambda u: (_sinc_sqrt_direct(u) - _cos_sqrt_direct(u)) / u,
-    )
+    return _piecewise(v, _widths_series, _widths_direct)

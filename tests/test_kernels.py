@@ -1,8 +1,10 @@
 import warnings
+from math import factorial
 
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from tunneltimes import kernels
 from tunneltimes.model import BarrierSpec
@@ -48,19 +50,47 @@ def mp_sinc_cos_gap(v):
     return (mp_sinc_sqrt(v) - mp_cos_sqrt(v)) / v
 
 
+def mp_sinc_sqrt_quarter(v):
+    return mp_sinc_sqrt(mp.mpf(v) / 4)
+
+
+def _width_output(index, name):
+    def output(v):
+        return kernels.width_kernels(v)[index]
+    output.__name__ = name
+    return output
+
+
+# width_kernels' five outputs, each named after the kernel it evaluates
+WIDTH_ORACLES = {
+    _width_output(i, name): oracle
+    for i, (name, oracle) in enumerate([
+        ("width_sinc_sqrt", mp_sinc_sqrt),
+        ("sinc4_gap", mp_sinc4_gap),
+        ("width_sinc_sqrt_quarter", mp_sinc_sqrt_quarter),
+        ("sinc_gap", mp_sinc_gap),
+        ("sinc_cos_gap", mp_sinc_cos_gap),
+    ])
+}
+
 ORACLES = {
     kernels.sinc_sqrt: mp_sinc_sqrt,
     kernels.cos_sqrt: mp_cos_sqrt,
-    kernels.sinc4_gap: mp_sinc4_gap,
-    kernels.sinc_gap: mp_sinc_gap,
-    kernels.sinc_cos_gap: mp_sinc_cos_gap,
+    **WIDTH_ORACLES,
 }
 
-# spans both sides of the series window at 0.3, the branch point at 0,
-# and deep oscillating/evanescent values
+
+def _window(fn):
+    """Series window of one output: the v/4 kernel's is four times as wide."""
+    quarter = fn.__name__.endswith("_quarter")
+    return (4 if quarter else 1) * kernels.SERIES_WINDOW
+
+
+# spans both sides of the series windows at 0.3 (and 1.2 for v/4), the
+# branch point at 0, and deep oscillating/evanescent values
 V_GRID = [
     0.0, 1e-300, -1e-300, 1e-18, -1e-18, 1e-9, -1e-9, 1e-4, -1e-4,
-    0.2999, -0.2999, 0.3001, -0.3001, 1.0, -1.0,
+    0.2999, -0.2999, 0.3001, -0.3001, 1.0, -1.0, 1.1999, -1.1999, 1.2001, -1.2001,
     9.5, -9.5, 100.0, -100.0, 1234.5, -1234.5, -4e4,
 ]
 
@@ -77,8 +107,10 @@ def _np_direct(name, v):
     s = np.sqrt(abs(v))
     sinc = np.sin(s) / s if v > 0 else np.sinh(s) / s
     cosv = np.cos(s) if v > 0 else np.cosh(s)
-    if name == "sinc_sqrt":
+    if name in ("sinc_sqrt", "width_sinc_sqrt"):
         return sinc
+    if name == "width_sinc_sqrt_quarter":
+        return _np_direct("sinc_sqrt", v / 4)
     if name == "cos_sqrt":
         return cosv
     if name == "sinc4_gap":
@@ -93,7 +125,7 @@ def test_series_direct_seam(fn):
     # just inside the window the series path must agree with a direct
     # evaluation at the very same point
     for s in (1.0, -1.0):
-        v = s * kernels.SERIES_WINDOW * 0.999
+        v = s * _window(fn) * 0.999
         assert fn(v) == pytest.approx(_np_direct(fn.__name__, v), rel=1e-13)
 
 
@@ -109,9 +141,11 @@ def test_vectorized_matches_scalar(fn):
 def test_known_zero_values():
     assert kernels.sinc_sqrt(0.0) == 1.0
     assert kernels.cos_sqrt(0.0) == 1.0
-    assert kernels.sinc4_gap(0.0) == pytest.approx(-2.0 / 3.0, rel=1e-16)
-    assert kernels.sinc_gap(0.0) == pytest.approx(-1.0 / 6.0, rel=1e-16)
-    assert kernels.sinc_cos_gap(0.0) == pytest.approx(1.0 / 3.0, rel=1e-16)
+    f1, gap4, quarter, gap, cos_gap = kernels.width_kernels(0.0)
+    assert f1 == 1.0 and quarter == 1.0
+    assert gap4 == pytest.approx(-2.0 / 3.0, rel=1e-16)
+    assert gap == pytest.approx(-1.0 / 6.0, rel=1e-16)
+    assert cos_gap == pytest.approx(1.0 / 3.0, rel=1e-16)
 
 
 def test_oscillating_zeros():
@@ -130,6 +164,7 @@ def test_oscillatory_side_raises_no_overflow_warning():
         v = np.array([4e6, -4e4, 1e12, -0.5, 0.5])
         assert np.isfinite(kernels.sinc_sqrt(v)).all()
         assert np.isfinite(kernels.cos_sqrt(v)).all()
+        assert all(np.isfinite(out).all() for out in kernels.width_kernels(v))
     assert np.isfinite(rec.transmission).all()
 
 
@@ -167,3 +202,67 @@ def test_mixed_input_matches_one_sided_calls(fn):
     want[small] = fn(v[small])
     want[~small] = fn(v[~small])
     assert np.array_equal(fn(v), want)
+
+
+# ---------------------------------------------------------------------------
+# width_kernels against the kernels it fused, evaluated one at a time: the
+# series by numpy.polynomial inside each output's own window, the direct
+# quotients of sqrt|v| outside it
+
+def _series_coefficients():
+    sinc = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
+    gap4 = np.array([(-4.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
+    gap1 = np.array([(-1.0) ** (m + 1) / factorial(2 * m + 3) for m in range(8)])
+    gapd = np.array([(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)])
+    return sinc, gap4, gap1, gapd
+
+
+def _sinc_direct(u):
+    s = np.sqrt(np.abs(u))
+    return np.where(u > 0, np.sin(s), np.sinh(s)) / s
+
+
+def _cos_direct(u):
+    s = np.sqrt(np.abs(u))
+    return np.where(u > 0, np.cos(s), np.cosh(s))
+
+
+def _one_kernel(u, coef, direct):
+    small = np.abs(u) <= kernels.SERIES_WINDOW
+    out = np.empty_like(u)
+    out[small] = polyval(u[small], coef)
+    out[~small] = direct(u[~small])
+    return out
+
+
+def _prefusion_width_kernels(v):
+    sinc, gap4, gap1, gapd = _series_coefficients()
+    return (
+        _one_kernel(v, sinc, _sinc_direct),
+        _one_kernel(v, gap4, lambda u: (_sinc_direct(4.0 * u) - 1.0) / u),
+        _one_kernel(0.25 * v, sinc, _sinc_direct),
+        _one_kernel(v, gap1, lambda u: (_sinc_direct(u) - 1.0) / u),
+        _one_kernel(v, gapd, lambda u: (_sinc_direct(u) - _cos_direct(u)) / u),
+    )
+
+
+def _edges(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# dense over both windows and both signs, every window edge to the last
+# bit, and far out on both sides (|v| <= 1e4 keeps sinh of 2*sqrt|v| finite)
+DENSE_V = np.concatenate([
+    np.linspace(-1.5, 1.5, 60001),
+    *(s * np.array(_edges(x)) for s in (1.0, -1.0) for x in (0.3, 1.2)),
+    np.logspace(-300, 4, 3001),
+    -np.logspace(-300, 4, 3001),
+    np.random.default_rng(5).uniform(-1e4, 1e4, 20000),
+])
+
+
+def test_width_kernels_match_prefusion_kernels_bitwise():
+    got = kernels.width_kernels(DENSE_V)
+    want = _prefusion_width_kernels(DENSE_V)
+    for index, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), index

@@ -1,7 +1,10 @@
 """Package layout: no private imports across modules, every export documented."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tunneltimes
@@ -35,3 +38,13 @@ def test_every_export_is_in_readme():
     missing = [name for name in tunneltimes.__all__
                if not re.search(r"\b%s\b" % re.escape(name), readme)]
     assert not missing, missing
+
+
+def test_package_import_leaves_numpy_polynomial_unloaded():
+    # the kernels' series run on their own Horner loop; numpy.polynomial
+    # would add its import time to every CLI start
+    code = ("import sys, numpy; eager = 'numpy.polynomial' in sys.modules; "
+            "import tunneltimes, tunneltimes.cli; "
+            "sys.exit(0 if eager or 'numpy.polynomial' not in sys.modules else 1)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

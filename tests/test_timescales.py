@@ -1,12 +1,15 @@
 """Closed-form widths against derivative/quadrature oracles and known limits."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from oracles import ddk, dwell_norm
+from tunneltimes import timescales
 from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec
 from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import (
@@ -408,6 +411,68 @@ def test_input_validation_and_shapes():
     scalar = evaluate_widths(BARRIER, 0.2)
     assert isinstance(scalar.phase_width, float)
     assert scalar.phase_width == pytest.approx(rec.phase_width[1], rel=1e-15)
+
+
+def _seam_wavenumbers(barrier, rng):
+    """k of three kinds for a thick barrier: deep (v < -400), series (|v| <= 0.3)
+    and shallow-direct, with v = (k^2 - kappa0^2) d^2."""
+    k02, d2 = barrier.kappa0 ** 2, barrier.width ** 2
+
+    def k_at(v):
+        return np.sqrt(k02 + v / d2)
+
+    def draw(kind, n):
+        if kind == "deep":
+            return k_at(-rng.uniform(400.5, 0.99 * k02 * d2, n))
+        if kind == "series":
+            return k_at(rng.uniform(-0.3, 0.3, n))
+        sign = rng.choice([-1.0, 1.0], n)
+        return k_at(sign * np.exp(rng.uniform(np.log(0.31), np.log(399.0), n)))
+
+    return draw
+
+
+def test_chunk_seams_match_scalar_calls(monkeypatch):
+    # three chunks and a remainder: chunk 0 shallow only (series and direct),
+    # chunk 1 deep only, chunk 2 and the remainder every kind shuffled, so
+    # each branch meets every other across a chunk boundary.  A small chunk
+    # keeps the scalar reference calls few; the seams are the same code
+    size = 256
+    monkeypatch.setattr(timescales, "_CHUNK", size)
+    bar = BarrierSpec(height=0.25, width=100.0)
+    rng = np.random.default_rng(17)
+    draw = _seam_wavenumbers(bar, rng)
+    mixed = np.concatenate([draw(kind, size) for kind in ("deep", "series", "direct")])
+    ks = np.concatenate([
+        rng.permutation(np.concatenate([draw("series", size // 2), draw("direct", size // 2)])),
+        draw("deep", size),
+        rng.permutation(mixed)[: size + 123],
+    ])
+    deep = (ks * ks - bar.kappa0 ** 2) * bar.width ** 2 < -400.0
+    assert not deep[:size].any() and deep[size:2 * size].all()
+    assert 0 < deep[2 * size:].sum() < size + 123
+    rec = evaluate_widths(bar, ks)
+    singles = [evaluate_widths(bar, float(k)) for k in ks]
+    for field in dataclasses.fields(rec):
+        want = np.array([getattr(one, field.name) for one in singles])
+        assert np.array_equal(getattr(rec, field.name), want), field.name
+
+
+@pytest.mark.parametrize("bar, ks", [
+    (BARRIER, np.linspace(0.01, 1.5, 2 ** 18)),
+    (BarrierSpec(0.25, 100.0), np.linspace(0.01, 1.3, 2 ** 18)),
+], ids=["fig1", "opaque-and-shallow"])
+def test_widths_transient_memory_stays_near_record_size(bar, ks):
+    # the chunked pass keeps its temporaries chunk-sized: the peak is the
+    # record itself plus little more
+    tracemalloc.start()
+    try:
+        rec = evaluate_widths(bar, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record_bytes = sum(getattr(rec, f.name).nbytes for f in dataclasses.fields(rec))
+    assert peak <= 1.25 * record_bytes, (peak, record_bytes)
 
 
 @pytest.mark.parametrize("k", [np.inf, np.nan, -np.inf])
