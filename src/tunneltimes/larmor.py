@@ -21,8 +21,9 @@ omega times the span the channel wave spends in the field, namely the
 detection time minus the channel's own residence inside [a - l, b + l].
 All three times are CM crossings of free channel asymptotes, closed form in
 spectral moments: detection and exit on the transmitted wave (at b + L and
-b + l), entry on the incidence-side channel wave (at a - l).  A single grid
-synthesis per spin component at detection checks that the grid contains
+b + l), entry on the incidence-side channel wave (at a - l).  Each spin
+component is synthesized once, at detection, through the same checked
+synthesis and grid rule as packets.evolve, to check that the grid contains
 the packet.  The channel wave enters late by the starting-point shift yet
 crosses the interior in pad time plus effective-width time, so the shift
 survives into the readout.  This is the discriminating observable:
@@ -44,18 +45,12 @@ from .model import (
     group_velocity,
     require_finite,
 )
-# _synthesize stays bound here: the benchmark counts syntheses per clock
-# rung through this binding
-from .packets import (
-    CONTAINMENT_TOL,
-    PacketSpec,
-    _synthesize,
-    dispersion_time,
-    gaussian_spectrum,
-)
+# the one private import across modules: the benchmark counts syntheses per
+# clock rung by swapping larmor._synthesize, so the binding stays until it moves
+from .packets import PacketSpec, _synthesize, default_grid, gaussian_spectrum
 from .scattering import interior_table
 
-# spatial points for clock synthesis; both channels are smooth envelopes at
+# points of the clock's default_grid; both channels are smooth envelopes at
 # readout times, so this resolves them with tens of points per sigma
 N_X_CLOCK = 2048
 
@@ -177,16 +172,6 @@ def invert_precession(sx, sy, left_edge, detector_offset, margin, k, omega_larmo
     )
 
 
-def synthetic_precession(x_start, left_edge, detector_offset, margin, k,
-                         omega_larmor, kinetic_coeff):
-    """(sx, sy) a clock would read for a particle started at x_start."""
-    v = group_velocity(k, kinetic_coeff)
-    azimuth = 0.25 * math.pi + omega_larmor * (
-        left_edge + detector_offset - 2.0 * margin - x_start
-    ) / v
-    return 0.5 * math.cos(azimuth), 0.5 * math.sin(azimuth)
-
-
 def _asymptote_moments(qs, coeff, kinetic_coeff, label):
     """Launch CM and CM speed of the free asymptote sum_q coeff_q e^{iqx}.
 
@@ -231,9 +216,9 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     residence inside [a - l, b + l], the latter the spin-averaged gap
     between the CM crossing of the incidence-side channel asymptote at
     a - l and that of the transmitted asymptote at b + l.  Each component
-    is synthesized once, at t_det, on a grid of N_X_CLOCK points, as the
-    containment check: a grid norm off 1 by more than 1e-6 in either
-    component raises NumericInvariantError.
+    is synthesized once, at t_det, on default_grid(spec, barrier, t_det,
+    N_X_CLOCK) through evolve's checked synthesis, whose containment check
+    raises NumericInvariantError on a grid norm off 1 by more than 1e-6.
     """
     if layout.omega_larmor <= 0.0:
         raise ValueError("omega_larmor must be positive to run the clock")
@@ -248,9 +233,8 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     components, entries, exits = [], [], []
     for potential in spin_potentials(barrier, layout):
         amps, tables = interior_table(qs, potential, barrier.kinetic_coeff)
-        trans = amps.transmission
-        c_tr = channel_weight(barrier, qs, trans, amps.reflection)
-        components.append((amps, tables, c_tr, trans))
+        c_tr = channel_weight(barrier, qs, amps.transmission, amps.reflection)
+        components.append((amps, tables, c_tr))
         entries.append(_asymptote_moments(
             qs, spectrum.amplitude * c_tr, barrier.kinetic_coeff, "entry"))
         exits.append(_asymptote_moments(
@@ -262,23 +246,10 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     t_det = _crossing_time(0.5 * (start_up + start_dn), 0.5 * (speed_up + speed_dn),
                            detector, "detector")
 
-    v0 = group_velocity(spec.k0, barrier.kinetic_coeff)
-    t_disp = dispersion_time(spec, barrier.kinetic_coeff)
-    pad = 8.0 * spec.l0 * math.sqrt(1.0 + (t_det / t_disp) ** 2)
-    lo = min(spec.x0, 2.0 * barrier.left_edge - spec.x0 - v0 * t_det) - pad
-    hi = spec.x0 + v0 * t_det + pad
-    x = np.linspace(lo, hi, N_X_CLOCK)
-    base_u = spectrum.amplitude * spectrum.weights / math.sqrt(2.0 * math.pi)
-    u_full = base_u * np.exp(-1j * barrier.kinetic_coeff * qs**2 * t_det / HBAR)
-    for component, (amps, tables, c_tr, _) in enumerate(components):
-        psi_full, _ = _synthesize(x, qs, u_full, u_full * c_tr, amps, tables,
-                                  support)
-        n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
-        if abs(n_full - 1.0) > CONTAINMENT_TOL:
-            raise NumericInvariantError(
-                "grid holds %.9f of component %d at detection; widen the "
-                "grid" % (n_full, component)
-            )
+    x = default_grid(spec, barrier, t_det, N_X_CLOCK)
+    for amps, tables, c_tr in components:
+        _synthesize(x, spectrum, t_det, barrier.kinetic_coeff, c_tr, amps,
+                    tables, support)
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,
@@ -291,7 +262,7 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     sy = 0.5 * math.sin(azimuth)
 
     density = np.abs(spectrum.amplitude) ** 2
-    t_mean = 0.5 * (components[0][3] + components[1][3])
+    t_mean = 0.5 * (components[0][0].transmission + components[1][0].transmission)
     k_tr = float(np.trapezoid(density * t_mean * qs, qs)
                  / np.trapezoid(density * t_mean, qs))
     x_est = invert_precession(sx, sy, barrier.left_edge, layout.detector_offset,

@@ -8,6 +8,10 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
+evolve and the Larmor clock share one grid rule (default_grid) and one
+checked synthesis (_synthesize): spectral weights at t, the sums below, and
+a grid-norm containment check that asks to raise n_x or widen the grid.
+
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
 sums there are Bluestein chirp-z transforms, run on numpy.fft in
@@ -180,7 +184,7 @@ def dispersion_time(spec: PacketSpec, kinetic_coeff: float) -> float:
     return HBAR * spec.l0**2 / kinetic_coeff
 
 
-def slow_tail_allowance(spec: PacketSpec, barrier: BarrierSpec) -> float:
+def _slow_tail(spectrum, rec):
     """Extra grid extent needed by slow spectral components.
 
     Channel content at wavenumber k sits displaced by the starting-point
@@ -189,14 +193,9 @@ def slow_tail_allowance(spec: PacketSpec, barrier: BarrierSpec) -> float:
     standing-wave pattern.  Spectra that reach down to such components (the
     deep-well scenario) therefore carry tails thousands of nm long even at
     t = 0.  Both scales are taken over the nodes whose reflected mass
-    exceeds 1e-13; elsewhere the allowance is negligible.
+    exceeds 1e-13 (rec is the spectrum's evaluate_widths record); elsewhere
+    the allowance is negligible.
     """
-    spectrum = gaussian_spectrum(spec)
-    return _slow_tail(spectrum, evaluate_widths(barrier, spectrum.k))
-
-
-def _slow_tail(spectrum, rec):
-    """slow_tail_allowance from the spectrum and its evaluate_widths record."""
     node_mass = np.abs(spectrum.amplitude) ** 2 * spectrum.weights
     keep = node_mass * np.asarray(rec.reflection, dtype=float) > 1e-13
     if not keep.any():
@@ -279,7 +278,7 @@ def _chirp_sums(x, dx, ks, weights):
     return conv * np.exp(1j * (ks[nc] * x + 0.5 * alpha * (p * p)))
 
 
-def _synthesize(x, ks, u_full, u_tr, amps, tables, support):
+def _spectral_sums(x, ks, u_full, u_tr, amps, tables, support):
     """Sum the spectrum against the piecewise stationary states on grid x.
 
     x must be uniform and ascending, ks uniform.  u_full/u_tr are the
@@ -316,55 +315,21 @@ def _synthesize(x, ks, u_full, u_tr, amps, tables, support):
     return psi_full, psi_tr
 
 
-def _check_grid(x):
-    """Reject a caller grid that is not uniform and ascending to rounding."""
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a 1-d grid of at least two points")
-    step = (x[-1] - x[0]) / (x.size - 1)
-    slack = 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
-    if not (step > 0.0
-            and np.max(np.abs(x - (x[0] + step * np.arange(x.size)))) <= slack):
-        raise ValueError("x must be a uniform ascending grid")
+def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support):
+    """(psi_full, psi_tr, n_full) at time t on the uniform ascending grid x.
 
-
-def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -> PacketState:
-    """Packet snapshot at time t (ps) with the channel split and diagnostics.
-
-    x, when given, must be a uniform ascending grid (ValueError otherwise);
-    the default is default_grid(spec, barrier, t, n_x).  Synthesizes
-    psi_full, psi_tr and their remainder on the grid, then checks that the
-    grid norm is 1 to 1e-6.  Too much norm, or too little on a grid whose
-    step aliases the spectrum's largest k (k_max dx >= pi), means the grid
-    undersamples the packet and raises with a hint to raise n_x; too little
-    on a finer grid raises with the extent that would have sufficed.
+    The spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
+    _spectral_sums with channel weight c_tr; n_full, the grid norm, must be
+    1 to CONTAINMENT_TOL.  Too much norm, or too little on a grid whose step
+    aliases the spectrum's largest k (k_max dx >= pi), asks to raise n_x;
+    too little on a finer grid gives the extent that would have sufficed.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite, got %r" % t)
-    spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
-    rec = evaluate_widths(barrier, ks)
-    if x is None:
-        x = _grid(spec, barrier, t, n_x, spectrum, rec)
-    else:
-        x = np.asarray(x, dtype=float)
-        _check_grid(x)
-    c_tr = channel_weight(barrier, ks, rec.transmission, rec.reflection)
-    # the record's eleven k arrays would otherwise stay live through the
-    # synthesis and raise its memory peak
-    del rec
-    amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
-    phase_t = np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
+    phase_t = np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
     u_full = spectrum.amplitude * spectrum.weights * phase_t / math.sqrt(2.0 * math.pi)
-    u_tr = u_full * c_tr
-    psi_full, psi_tr = _synthesize(
-        x, ks, u_full, u_tr, amps, tables, barrier.potential().support
-    )
-    psi_ref = psi_full - psi_tr
-
-    dens_full = np.abs(psi_full) ** 2
-    dens_tr = np.abs(psi_tr) ** 2
-    n_full = float(np.trapezoid(dens_full, x))
+    psi_full, psi_tr = _spectral_sums(
+        x, ks, u_full, u_full * c_tr, amps, tables, support)
+    n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
     if n_full > 1.0 + CONTAINMENT_TOL:
         raise NumericInvariantError(
             "grid holds %.9f of the norm at t=%g ps; raise n_x (current %d "
@@ -383,9 +348,51 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -
             "grid holds only %.9f of the norm at t=%g ps; widen the grid "
             "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent)
         )
+    return psi_full, psi_tr, n_full
+
+
+def _check_grid(x):
+    """Reject a caller grid that is not uniform and ascending to rounding."""
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x must be a 1-d grid of at least two points")
+    step = (x[-1] - x[0]) / (x.size - 1)
+    slack = 8.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    if not (step > 0.0
+            and np.max(np.abs(x - (x[0] + step * np.arange(x.size)))) <= slack):
+        raise ValueError("x must be a uniform ascending grid")
+
+
+def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -> PacketState:
+    """Packet snapshot at time t (ps) with the channel split and diagnostics.
+
+    x, when given, must be a uniform ascending grid (ValueError otherwise);
+    the default is default_grid(spec, barrier, t, n_x).  psi_full and psi_tr
+    come from the checked _synthesize, which raises NumericInvariantError
+    when the grid norm is off 1 by more than 1e-6.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
+    spectrum = gaussian_spectrum(spec)
+    ks = spectrum.k
+    rec = evaluate_widths(barrier, ks)
+    if x is None:
+        x = _grid(spec, barrier, t, n_x, spectrum, rec)
+    else:
+        x = np.asarray(x, dtype=float)
+        _check_grid(x)
+    c_tr = channel_weight(barrier, ks, rec.transmission, rec.reflection)
+    # the record's eleven k arrays would otherwise stay live through the
+    # synthesis and raise its memory peak
+    del rec
+    amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
+    psi_full, psi_tr, n_full = _synthesize(x, spectrum, t, barrier.kinetic_coeff, c_tr,
+                                           amps, tables, barrier.potential().support)
+    psi_ref = psi_full - psi_tr
+    dens_tr = np.abs(psi_tr) ** 2
     n_tr = float(np.trapezoid(dens_tr, x))
     n_ref = float(np.trapezoid(np.abs(psi_ref) ** 2, x))
-    cm_full = float(np.trapezoid(x * dens_full, x) / n_full)
+    cm_full = float(np.trapezoid(x * np.abs(psi_full) ** 2, x) / n_full)
     cm_tr = float(np.trapezoid(x * dens_tr, x) / n_tr)
     return PacketState(
         t=t,

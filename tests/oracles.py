@@ -139,7 +139,7 @@ def mp_dwell(k, regions, kinetic_coeff, dps=60):
 def dense_synthesis(x, ks, u_full, u_tr, amps, tables, support):
     """(psi_full, psi_tr) on any grid x by direct summation over k.
 
-    Same contract as tunneltimes.packets._synthesize: left of the support
+    Same contract as tunneltimes.packets._spectral_sums: left of the support
     psi_full = sum u (e^{ikx} + r e^{-ikx}) and psi_tr = sum u_tr e^{ikx},
     right of it both are sum u t e^{ikx}, and inside the support both are
     the interior states continued from each region table's right edge,

@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from diagnostics import second_central_moment
+from diagnostics import second_central_moment, synthetic_precession
 from oracles import _solve, mp_dwell
 from tunneltimes import (
     BarrierSpec,
@@ -32,7 +32,6 @@ from tunneltimes import (
     lorentz_width,
     resonance_table,
     scaling_limit,
-    synthetic_precession,
 )
 
 FIG1_BARRIER = BarrierSpec(0.25, 0.5)

@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from diagnostics import synthetic_precession
 from tunneltimes import (
     HBAR,
     BarrierSpec,
     FieldLayout,
+    NumericInvariantError,
     PacketSpec,
+    default_grid,
     evaluate_widths,
     extrapolate_start,
     gaussian_spectrum,
@@ -19,10 +22,9 @@ from tunneltimes import (
     invert_precession,
     run_clock,
     spin_potentials,
-    synthetic_precession,
 )
 from tunneltimes import kernels, larmor
-from tunneltimes.packets import _synthesize
+from tunneltimes.packets import _spectral_sums, _synthesize
 from tunneltimes.scattering import interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
@@ -137,9 +139,9 @@ def _recorded_syntheses(monkeypatch, barrier, layout):
     calls = []
 
     def recording(x, *args):
-        psi_full, psi_tr = _synthesize(x, *args)
+        psi_full, psi_tr, n_full = _synthesize(x, *args)
         calls.append((x, psi_full, psi_tr))
-        return psi_full, psi_tr
+        return psi_full, psi_tr, n_full
 
     monkeypatch.setattr(larmor, "_synthesize", recording)
     run_clock(SPEC, barrier, layout)
@@ -167,6 +169,22 @@ def test_detection_time_puts_grid_cm_on_detector(monkeypatch, barrier, omega):
 def test_clock_synthesizes_once_per_spin_component(monkeypatch):
     calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
     assert len(calls) == 2
+
+
+def test_clock_grid_is_the_default_grid(monkeypatch, readout):
+    # one grid rule: the clock synthesizes on evolve's default_grid,
+    # reflected retreat included, not on a grid of its own
+    calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
+    grid = default_grid(SPEC, BARRIER, readout.t_det, larmor.N_X_CLOCK)
+    assert [np.array_equal(x, grid) for x, _, _ in calls] == [True, True]
+
+
+def test_clock_undersampled_grid_asks_for_more_points(monkeypatch):
+    # 16 points alias the spectrum and overcount the norm; the hint must be
+    # evolve's, not "widen the grid"
+    monkeypatch.setattr(larmor, "N_X_CLOCK", 16)
+    with pytest.raises(NumericInvariantError, match="raise n_x"):
+        run_clock(SPEC, BARRIER, LAYOUT)
 
 
 def test_clock_kernel_work_stays_off_the_pad_grid(monkeypatch):
@@ -241,6 +259,6 @@ def test_component_norms_conserved_at_detection(readout):
                BARRIER.right_edge + LAYOUT.margin)
     for potential in spin_potentials(BARRIER, LAYOUT):
         amps, tables = interior_table(qs, potential, BARRIER.kinetic_coeff)
-        psi_full, _ = _synthesize(x, qs, evo, evo, amps, tables, support)
+        psi_full, _ = _spectral_sums(x, qs, evo, evo, amps, tables, support)
         assert float(np.trapezoid(np.abs(psi_full) ** 2, x)) == pytest.approx(
             1.0, abs=1e-8)

@@ -12,9 +12,9 @@ import tunneltimes
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tunneltimes"
 
-# larmor keeps its own binding of the synthesis helper: the benchmark counts
-# syntheses per clock rung by swapping larmor._synthesize, so moving the
-# binding means moving that counter too
+# larmor binds packets' checked _synthesize, the one synthesis path it shares
+# with evolve: the benchmark counts syntheses per clock rung by swapping
+# larmor._synthesize, so dropping the binding means moving that counter too
 ALLOWED_PRIVATE = {("larmor", "packets", "_synthesize")}
 
 

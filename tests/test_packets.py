@@ -7,7 +7,12 @@ import pytest
 from scipy.fft import next_fast_len
 
 import oracles
-from diagnostics import channel_mean_k, cm_trajectory, second_central_moment
+from diagnostics import (
+    channel_mean_k,
+    cm_trajectory,
+    second_central_moment,
+    slow_tail_allowance,
+)
 from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
@@ -17,10 +22,9 @@ from tunneltimes.packets import (
     dispersion_time,
     evolve,
     gaussian_spectrum,
-    slow_tail_allowance,
     starting_point_packet,
     _fast_len,
-    _synthesize,
+    _spectral_sums,
 )
 from tunneltimes.scattering import RegionTable, interior_table
 from tunneltimes.timescales import evaluate_widths
@@ -250,7 +254,7 @@ def _synthesis_pair(spec, barrier, potential, t, x, c_tr):
     u_full = _spectral_weights(spectrum, barrier.kinetic_coeff, t)
     amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
     args = (x, ks, u_full, u_full * c_tr, amps, tables, potential.support)
-    return _synthesize(*args), oracles.dense_synthesis(*args)
+    return _spectral_sums(*args), oracles.dense_synthesis(*args)
 
 
 def _assert_same_waves(fast, dense):
