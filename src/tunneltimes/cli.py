@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .larmor import FieldLayout, extrapolate_start
-from .model import BarrierSpec, NumericInvariantError, ParticleSpec
+from .model import BarrierSpec, NumericInvariantError, ParticleSpec, wavenumber
 from .packets import N_X_DEFAULT, PacketSpec, evolve, starting_point_packet
 from .timescales import evaluate_widths, longwave_limits, resonance_table
 
@@ -188,8 +188,7 @@ def _packet_from(cfg, barrier: BarrierSpec) -> PacketSpec:
     e_mean = _number(section, "e_mean", "packet")
     if not 0.0 < e_mean < math.inf:
         raise ConfigError("packet.e_mean must be positive and finite")
-    return PacketSpec(k0=float(math.sqrt(e_mean / barrier.kinetic_coeff)),
-                      **common)
+    return PacketSpec(k0=wavenumber(e_mean, barrier.kinetic_coeff), **common)
 
 
 def _field_from(cfg) -> FieldLayout:
@@ -285,12 +284,15 @@ def cmd_packet(args) -> int:
         raise ConfigError("n_x must be at least 16")
     out = _resolve_out(args, cfg)
 
+    # one solve for every snapshot and the initial state, whose channel
+    # norms and t = 0 center-of-mass separation the summary reports even when
+    # 0 is not among the requested times
+    solved = times if 0.0 in times else times + [0.0]
+    states = evolve(spec, barrier, solved, n_x=n_x)
+    initial = states[solved.index(0.0)]
     written = []
     snapshots = []
-    states = {}
-    for index, t in enumerate(times):
-        state = evolve(spec, barrier, t, n_x=n_x)
-        states[t] = state
+    for index, (t, state) in enumerate(zip(times, states)):
         name = "packet_t%d.csv" % index
         path = os.path.join(out, name)
         write_atomic(path, _csv_text(SNAPSHOT_HEADER, _snapshot_columns(state)))
@@ -302,10 +304,6 @@ def cmd_packet(args) -> int:
             "cm_full": state.cm_full,
             "n_full": state.n_full,
         })
-
-    # Channel norms and the t = 0 center-of-mass separation belong to the
-    # initial state; compute it even when 0 is not among the requested times.
-    initial = states.get(0.0) or evolve(spec, barrier, 0.0, n_x=n_x)
     summary = {
         "n_tr": initial.n_tr,
         "n_ref": initial.n_ref,

@@ -64,11 +64,12 @@ def _phase_sign(barrier: BarrierSpec, k):
 def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
     """Transmission-channel weight c_tr = T + i s sqrt(T R) = sqrt(T) exp(i s gamma).
 
-    The branch s is always the bare barrier's, whatever potential T and R
-    come from: the Larmor clock's layered spin potentials deform
-    continuously into the barrier as the field goes to zero, and the
-    branch sets the channel's entry time through d(arg c_tr)/dk.  s = +1
-    where the bare kernel vanishes exactly.
+    |c_tr|^2 = T (T + R), so evolve and the Larmor clock pass the T and R of
+    the transfer-matrix solve they synthesize.  The branch s is always the
+    bare barrier's, whatever potential T and R come from: the clock's
+    layered spin potentials deform continuously into the barrier as the
+    field goes to zero, and the branch sets the channel's entry time
+    through d(arg c_tr)/dk.  s = +1 where the bare kernel vanishes exactly.
     """
     sign = _phase_sign(barrier, k)
     branch = np.where(sign == 0.0, 1.0, sign)

@@ -218,7 +218,8 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     a - l and that of the transmitted asymptote at b + l.  Each component
     is synthesized once, at t_det, on default_grid(spec, barrier, t_det,
     N_X_CLOCK) through evolve's checked synthesis, whose containment check
-    raises NumericInvariantError on a grid norm off 1 by more than 1e-6.
+    raises NumericInvariantError on a grid norm off 1 by more than 1e-6,
+    naming the spin component (and N_X_CLOCK when more points would help).
     """
     if layout.omega_larmor <= 0.0:
         raise ValueError("omega_larmor must be positive to run the clock")
@@ -247,9 +248,12 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
                            detector, "detector")
 
     x = default_grid(spec, barrier, t_det, N_X_CLOCK)
-    for amps, tables, c_tr in components:
-        _synthesize(x, spectrum, t_det, barrier.kinetic_coeff, c_tr, amps,
-                    tables, support)
+    for spin, (amps, tables, c_tr) in zip(("up", "down"), components):
+        try:
+            _synthesize(x, spectrum, t_det, barrier.kinetic_coeff, c_tr, amps,
+                        tables, support, "larmor.N_X_CLOCK")
+        except NumericInvariantError as exc:
+            raise NumericInvariantError("spin-%s component: %s" % (spin, exc)) from exc
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,

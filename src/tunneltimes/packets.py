@@ -8,9 +8,10 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
-evolve and the Larmor clock share one grid rule (default_grid) and one
-checked synthesis (_synthesize): spectral weights at t, the sums below, and
-a grid-norm containment check that asks to raise n_x or widen the grid.
+evolve and the Larmor clock share one grid rule (default_grid), one channel
+weight (channel_weight of the transfer matrix's own T and R) and one checked
+synthesis (_synthesize): spectral weights at t, the sums below, and a
+grid-norm containment check that asks for more grid points or a wider grid.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
@@ -57,7 +58,6 @@ _X_CHUNK = 128
 # largest norm a synthesis grid may lose or gain before the snapshot is
 # rejected
 CONTAINMENT_TOL = 1e-6
-_NEGATIVE_K_TOL = 1e-12
 
 # fraction of the spectral grid, per side, smoothly rolled off to zero.  A
 # hard truncation of the sampled spectrum rings in position space with 1/x^2
@@ -160,21 +160,13 @@ def gaussian_spectrum(spec: PacketSpec) -> SampledSpectrum:
     The phase -k x0 places the t = 0 center of mass at x0; C renormalizes the
     truncated Gaussian so the trapezoid sum of |A|^2 over the grid is exactly 1.
     The outer edges of the grid carry a smooth roll-off window so the sampled
-    spectrum does not ring in position space (see _taper_window).
+    spectrum does not ring in position space (see _taper_window).  Every node
+    is positive: PacketSpec requires k0 > k_span sigma_k, the grid's lower end.
     """
     half = spec.k_span * spec.sigma_k
     ks = np.linspace(spec.k0 - half, spec.k0 + half, spec.n_k)
     envelope = np.exp(-spec.l0**2 * (ks - spec.k0) ** 2) * _taper_window(spec.n_k)
-    density = envelope * envelope
-    total = np.trapezoid(density, ks)
-    negative = ks <= 0.0
-    if negative.any():
-        tail = np.trapezoid(density[negative], ks[negative])
-        if tail > _NEGATIVE_K_TOL * total:
-            raise NumericInvariantError(
-                "negative-momentum tail %.3g of the sampled spectrum exceeds "
-                "%.0e; raise k0 or shrink k_span" % (tail / total, _NEGATIVE_K_TOL)
-            )
+    total = np.trapezoid(envelope * envelope, ks)
     amp = (envelope / math.sqrt(total)) * np.exp(-1j * ks * spec.x0)
     return SampledSpectrum(k=ks, amplitude=amp)
 
@@ -205,38 +197,45 @@ def _slow_tail(spectrum, rec):
     return shift + 1.5 * 2.0 * math.pi / slowest
 
 
-def _reflected_mass(spectrum, rec) -> float:
-    """Reflection-weighted spectral mass, Integral |A|^2 R dk."""
-    density = np.abs(spectrum.amplitude) ** 2
-    return float(np.trapezoid(density * np.asarray(rec.reflection, dtype=float), spectrum.k))
+def _times(t):
+    """(times, scalar): t as a tuple of floats, and whether it was one time."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be one time or a 1-d sequence of times")
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite, got %r" % (t,))
+    return tuple(float(v) for v in times.ravel()), times.ndim == 0
 
 
 def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     """Spatial grid wide enough to hold both channels at time t.
 
-    The margin handles spreading (it grows at 8 sigma_v, which also covers the
-    carrier's spread of arrival positions) plus the slow-tail allowance; the
-    left end additionally tracks the ballistic retreat of the reflected packet
-    whenever the spectrum carries non-negligible reflected mass.
+    t is one finite time, or a 1-d sequence of them for a tuple of grids
+    from one spectrum and one evaluate_widths record.  The margin handles
+    spreading (it grows at 8 sigma_v, which also covers the carrier's spread
+    of arrival positions) plus the slow-tail allowance; the left end
+    additionally tracks the ballistic retreat of the reflected packet
+    whenever the reflected spectral mass, Integral |A|^2 R dk, is not
+    negligible.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite, got %r" % t)
+    times, scalar = _times(t)
     spectrum = gaussian_spectrum(spec)
-    return _grid(spec, barrier, t, n_x, spectrum, evaluate_widths(barrier, spectrum.k))
-
-
-def _grid(spec, barrier, t, n_x, spectrum, rec):
-    """default_grid from the packet's spectrum and its evaluate_widths record."""
+    rec = evaluate_widths(barrier, spectrum.k)
+    tail = _slow_tail(spectrum, rec)
+    density = np.abs(spectrum.amplitude) ** 2
+    retreats = np.trapezoid(density * rec.reflection, spectrum.k) > 0.1 * CONTAINMENT_TOL
     t_disp = dispersion_time(spec, barrier.kinetic_coeff)
-    margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + _slow_tail(spectrum, rec)
     v = group_velocity(spec.k0, barrier.kinetic_coeff)
-    lo = spec.x0
-    if t > 0.0 and _reflected_mass(spectrum, rec) > 0.1 * CONTAINMENT_TOL:
-        lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
-    lo -= margin
-    hi = barrier.right_edge + v * t + margin
-    return np.linspace(lo, hi, n_x)
+    grids = []
+    for t in times:
+        margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + tail
+        lo = spec.x0
+        if t > 0.0 and retreats:
+            lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
+        lo -= margin
+        hi = barrier.right_edge + v * t + margin
+        grids.append(np.linspace(lo, hi, n_x))
+    return grids[0] if scalar else tuple(grids)
 
 
 def _fast_len(n):
@@ -315,14 +314,15 @@ def _spectral_sums(x, ks, u_full, u_tr, amps, tables, support):
     return psi_full, psi_tr
 
 
-def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support):
+def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_name):
     """(psi_full, psi_tr, n_full) at time t on the uniform ascending grid x.
 
     The spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
     _spectral_sums with channel weight c_tr; n_full, the grid norm, must be
     1 to CONTAINMENT_TOL.  Too much norm, or too little on a grid whose step
-    aliases the spectrum's largest k (k_max dx >= pi), asks to raise n_x;
-    too little on a finer grid gives the extent that would have sufficed.
+    aliases the spectrum's largest k (k_max dx >= pi), asks to raise the
+    caller's grid size, named n_x_name; too little on a finer grid gives the
+    extent that would have sufficed.
     """
     ks = spectrum.k
     phase_t = np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
@@ -332,17 +332,17 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support):
     n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
     if n_full > 1.0 + CONTAINMENT_TOL:
         raise NumericInvariantError(
-            "grid holds %.9f of the norm at t=%g ps; raise n_x (current %d "
-            "points undersample the packet)" % (n_full, t, x.size)
+            "grid holds %.9f of the norm at t=%g ps; raise %s (current %d "
+            "points undersample the packet)" % (n_full, t, n_x_name, x.size)
         )
     if n_full < 1.0 - CONTAINMENT_TOL:
         extent = float(x[-1] - x[0])
         step = extent / (x.size - 1)
         if ks[-1] * step >= math.pi:
             raise NumericInvariantError(
-                "grid holds only %.9f of the norm at t=%g ps; raise n_x (step "
-                "%.4g nm aliases the spectrum's k_max %.4g 1/nm, which needs a "
-                "step below %.4g nm)" % (n_full, t, step, ks[-1], math.pi / ks[-1])
+                "grid holds only %.9f of the norm at t=%g ps; raise %s (step %.4g "
+                "nm aliases the spectrum's k_max %.4g 1/nm, which needs a step "
+                "below %.4g nm)" % (n_full, t, n_x_name, step, ks[-1], math.pi / ks[-1])
             )
         raise NumericInvariantError(
             "grid holds only %.9f of the norm at t=%g ps; widen the grid "
@@ -362,50 +362,49 @@ def _check_grid(x):
         raise ValueError("x must be a uniform ascending grid")
 
 
-def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT) -> PacketState:
+def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     """Packet snapshot at time t (ps) with the channel split and diagnostics.
 
-    x, when given, must be a uniform ascending grid (ValueError otherwise);
-    the default is default_grid(spec, barrier, t, n_x).  psi_full and psi_tr
-    come from the checked _synthesize, which raises NumericInvariantError
-    when the grid norm is off 1 by more than 1e-6.
+    t is one finite time, or a 1-d sequence of them for a tuple of
+    PacketStates from one spectrum and one interior_table solve, whose own
+    T and R give the channel weight.  x, when given, must be a uniform
+    ascending grid (ValueError otherwise) and serves every time; the default
+    is default_grid(spec, barrier, t, n_x).  psi_full and psi_tr come from
+    the checked _synthesize, which raises NumericInvariantError when the
+    grid norm is off 1 by more than 1e-6.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite, got %r" % t)
-    spectrum = gaussian_spectrum(spec)
-    ks = spectrum.k
-    rec = evaluate_widths(barrier, ks)
+    times, scalar = _times(t)
     if x is None:
-        x = _grid(spec, barrier, t, n_x, spectrum, rec)
+        grids = default_grid(spec, barrier, times, n_x)
     else:
         x = np.asarray(x, dtype=float)
         _check_grid(x)
-    c_tr = channel_weight(barrier, ks, rec.transmission, rec.reflection)
-    # the record's eleven k arrays would otherwise stay live through the
-    # synthesis and raise its memory peak
-    del rec
-    amps, tables = interior_table(ks, barrier.potential(), barrier.kinetic_coeff)
-    psi_full, psi_tr, n_full = _synthesize(x, spectrum, t, barrier.kinetic_coeff, c_tr,
-                                           amps, tables, barrier.potential().support)
-    psi_ref = psi_full - psi_tr
-    dens_tr = np.abs(psi_tr) ** 2
-    n_tr = float(np.trapezoid(dens_tr, x))
-    n_ref = float(np.trapezoid(np.abs(psi_ref) ** 2, x))
-    cm_full = float(np.trapezoid(x * np.abs(psi_full) ** 2, x) / n_full)
-    cm_tr = float(np.trapezoid(x * dens_tr, x) / n_tr)
-    return PacketState(
-        t=t,
-        grid=x,
-        psi_full=psi_full,
-        psi_tr=psi_tr,
-        psi_ref=psi_ref,
-        n_full=n_full,
-        n_tr=n_tr,
-        n_ref=n_ref,
-        cm_tr=cm_tr,
-        cm_full=cm_full,
-    )
+        grids = (x,) * len(times)
+    spectrum = gaussian_spectrum(spec)
+    ks = spectrum.k
+    potential = barrier.potential()
+    amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
+    c_tr = channel_weight(barrier, ks, amps.transmission, amps.reflection)
+    states = []
+    for t, x in zip(times, grids):
+        psi_full, psi_tr, n_full = _synthesize(x, spectrum, t, barrier.kinetic_coeff, c_tr,
+                                               amps, tables, potential.support, "n_x")
+        psi_ref = psi_full - psi_tr
+        dens_tr = np.abs(psi_tr) ** 2
+        n_tr = float(np.trapezoid(dens_tr, x))
+        states.append(PacketState(
+            t=t,
+            grid=x,
+            psi_full=psi_full,
+            psi_tr=psi_tr,
+            psi_ref=psi_ref,
+            n_full=n_full,
+            n_tr=n_tr,
+            n_ref=float(np.trapezoid(np.abs(psi_ref) ** 2, x)),
+            cm_tr=float(np.trapezoid(x * dens_tr, x) / n_tr),
+            cm_full=float(np.trapezoid(x * np.abs(psi_full) ** 2, x) / n_full),
+        ))
+    return states[0] if scalar else tuple(states)
 
 
 def starting_point_packet(spec: PacketSpec, barrier: BarrierSpec) -> float:

@@ -100,11 +100,6 @@ class Amplitudes:
     def reflection(self):
         return np.abs(self.r) ** 2
 
-    @property
-    def phase(self):
-        """arg t on the principal branch."""
-        return np.angle(self.t)
-
 
 def _amplitudes(ks, props, support):
     m00, m01, m10, m11, s = _compose(props, ks.shape)

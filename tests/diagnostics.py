@@ -109,13 +109,9 @@ def cm_trajectory(spec, barrier, t_list, n_x=N_X_DEFAULT):
     times = [float(t) for t in t_list]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("t_list must be strictly ascending")
-    points = []
-    for t in times:
-        state = evolve(spec, barrier, t, n_x=n_x)
-        points.append(
-            TrajectoryPoint(t=t, cm_tr=state.cm_tr, cm_full=state.cm_full, n_ref=state.n_ref)
-        )
-    return points
+    return [TrajectoryPoint(t=state.t, cm_tr=state.cm_tr, cm_full=state.cm_full,
+                            n_ref=state.n_ref)
+            for state in evolve(spec, barrier, times, n_x=n_x)]
 
 
 def second_central_moment(x, density):

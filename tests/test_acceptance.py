@@ -242,8 +242,8 @@ def test_criterion_08_resonances():
 @pytest.fixture(scope="module")
 def deep_states():
     t0 = time.perf_counter()
-    states = {t: evolve(DEEP_SPEC, DEEP_WELL, t, n_x=8192)
-              for t in SNAPSHOT_TIMES}
+    states = dict(zip(SNAPSHOT_TIMES,
+                      evolve(DEEP_SPEC, DEEP_WELL, SNAPSHOT_TIMES, n_x=8192)))
     return states, time.perf_counter() - t0
 
 

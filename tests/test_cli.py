@@ -432,6 +432,15 @@ def test_packet_undersampled_grid_exits_3(tmp_path, capsys):
     assert not (tmp_path / "packet_summary.json").exists()
 
 
+def test_packet_failing_later_snapshot_writes_no_file(tmp_path):
+    # t = 0 is contained on 2048 points; t = 20 ps spreads the grid until
+    # its step aliases the carrier, so no snapshot CSV may be left behind
+    cfg = write_config(tmp_path, dict(PACKET_CFG, snapshot_times=[0.0, 20.0]))
+    out = tmp_path / "out"
+    assert cli.main(["packet", "--config", cfg, "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
     # 24 points alias the spectrum (k_max dx >= pi) and read too little
     # norm; a wider grid would alias worse, so the hint is n_x, not extent

@@ -180,10 +180,12 @@ def test_clock_grid_is_the_default_grid(monkeypatch, readout):
 
 
 def test_clock_undersampled_grid_asks_for_more_points(monkeypatch):
-    # 16 points alias the spectrum and overcount the norm; the hint must be
-    # evolve's, not "widen the grid"
+    # 16 points alias the spectrum and overcount the norm; the hint names
+    # the failing spin component and the clock's own grid size, not "widen
+    # the grid"
     monkeypatch.setattr(larmor, "N_X_CLOCK", 16)
-    with pytest.raises(NumericInvariantError, match="raise n_x"):
+    with pytest.raises(NumericInvariantError,
+                       match=r"^spin-up component: .*raise larmor\.N_X_CLOCK \(current 16 "):
         run_clock(SPEC, BARRIER, LAYOUT)
 
 

@@ -1,5 +1,6 @@
 """Packet engine: spectra, free propagation, channel split, grid policy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from diagnostics import (
     second_central_moment,
     slow_tail_allowance,
 )
+from tunneltimes import packets
 from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
@@ -47,7 +49,8 @@ def deep_state():
 
 @pytest.fixture(scope="module")
 def barrier_states():
-    return {t: evolve(BAR_SPEC, BARRIER, t) for t in (1.5, 2.0, 2.5)}
+    times = (1.5, 2.0, 2.5)
+    return dict(zip(times, evolve(BAR_SPEC, BARRIER, times)))
 
 
 def test_spectrum_unit_norm_and_mean():
@@ -79,6 +82,19 @@ def test_spectrum_unit_norm_and_mean():
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         PacketSpec(**kwargs)
+
+
+@pytest.mark.parametrize("l0", [0.5, 15.0, 200.0])
+@pytest.mark.parametrize("k_span", [1.0, 3.0, 6.0])
+def test_lowest_spectral_node_is_positive_at_the_spec_boundary(l0, k_span):
+    # PacketSpec's carrier bound is the spectrum's lower end, so the
+    # smallest accepted carrier still samples no k <= 0
+    edge = k_span * (0.5 / l0)  # k_span * sigma_k, rounded as PacketSpec does
+    with pytest.raises(ValueError, match="k_span"):
+        PacketSpec(l0=l0, x0=0.0, k0=edge, n_k=64, k_span=k_span)
+    spec = PacketSpec(l0=l0, x0=0.0, k0=math.nextafter(edge, math.inf), n_k=64,
+                      k_span=k_span)
+    assert gaussian_spectrum(spec).k.min() > 0.0
 
 
 def test_for_energy_sets_carrier():
@@ -225,6 +241,54 @@ def test_deep_well_scenario(deep_state):
     assert state.cm_tr == pytest.approx(predicted, rel=5e-3)
 
 
+def test_evolve_splits_with_the_transmission_it_synthesizes(monkeypatch):
+    # the deep well's segment is fl(70 + d) - 70 wide, not d, so the
+    # closed-form T of width d and the transfer matrix's |t|^2 differ
+    weights = []
+    synthesize = packets._synthesize
+
+    def recording(x, spectrum, t, kinetic_coeff, c_tr, *args):
+        weights.append(c_tr)
+        return synthesize(x, spectrum, t, kinetic_coeff, c_tr, *args)
+
+    monkeypatch.setattr(packets, "_synthesize", recording)
+    evolve(DEEP_SPEC, DEEP_WELL, 0.0)
+    ks = gaussian_spectrum(DEEP_SPEC).k
+    amps, _ = interior_table(ks, DEEP_WELL.potential(), DEEP_WELL.kinetic_coeff)
+    (c_tr,) = weights
+    # |c_tr|^2 = T (T + R): off T by the solve's own unitarity defect, which
+    # reaches 8.9e-16 here; the closed-form T of width d is 7.8e-11 off
+    abs2 = c_tr.real ** 2 + c_tr.imag ** 2
+    assert np.max(np.abs(abs2 - amps.transmission)) <= 2e-15
+
+
+def test_evolve_over_times_solves_once_and_matches_scalar_calls(monkeypatch):
+    times = (0.0, 1.5, 2.5)
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return interior_table(*args)
+
+    monkeypatch.setattr(packets, "interior_table", counting)
+    states = evolve(BAR_SPEC, BARRIER, times, n_x=4096)
+    assert len(solves) == 1
+    assert isinstance(states, tuple) and len(states) == len(times)
+    for t, state in zip(times, states):
+        single = evolve(BAR_SPEC, BARRIER, t, n_x=4096)
+        for field in dataclasses.fields(single):
+            assert np.array_equal(getattr(state, field.name),
+                                  getattr(single, field.name)), field.name
+
+
+def test_default_grid_over_times_matches_scalar_calls():
+    times = [0.0, 1.5, 2.5]
+    grids = default_grid(BAR_SPEC, BARRIER, np.array(times), n_x=512)
+    assert isinstance(grids, tuple) and len(grids) == len(times)
+    for t, grid in zip(times, grids):
+        assert np.array_equal(grid, default_grid(BAR_SPEC, BARRIER, t, n_x=512))
+
+
 def test_cm_trajectory_structure():
     points = cm_trajectory(BAR_SPEC, BARRIER, [1.5, 2.0], n_x=4096)
     assert [p.t for p in points] == [1.5, 2.0]
@@ -352,4 +416,11 @@ def test_evolve_rejects_non_uniform_grid(x):
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_evolve_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):
+        evolve(FREE_SPEC, FREE, t)
+
+
+@pytest.mark.parametrize("t,match", [([0.0, math.nan], "finite"),
+                                     ([[0.0, 1.0]], "1-d sequence")])
+def test_evolve_rejects_bad_time_sequence(t, match):
+    with pytest.raises(ValueError, match=match):
         evolve(FREE_SPEC, FREE, t)
