@@ -22,6 +22,9 @@ the right edge, which by uniqueness of the Cauchy problem coincides with the
 full state everywhere right of the left edge.  The reflection channel is the
 pointwise remainder psi_full - psi_tr, identically zero past the left edge and
 equal to c_ref exp(ikx) + r exp(-ikx) on the incidence side.
+
+channel_amplitudes weights with the closed-form T and R; every split of a
+state (here, in packets and in larmor) uses the T and R of its own solve.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ import numpy as np
 
 from .kernels import sinc_sqrt
 from .model import BarrierSpec
-from .scattering import stationary_value
+from .scattering import interior_table
 from .timescales import evaluate_widths
 
 
@@ -64,12 +67,13 @@ def _phase_sign(barrier: BarrierSpec, k):
 def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
     """Transmission-channel weight c_tr = T + i s sqrt(T R) = sqrt(T) exp(i s gamma).
 
-    |c_tr|^2 = T (T + R), so evolve and the Larmor clock pass the T and R of
-    the transfer-matrix solve they synthesize.  The branch s is always the
-    bare barrier's, whatever potential T and R come from: the clock's
-    layered spin potentials deform continuously into the barrier as the
-    field goes to zero, and the branch sets the channel's entry time
-    through d(arg c_tr)/dk.  s = +1 where the bare kernel vanishes exactly.
+    |c_tr|^2 = T (T + R), so stationary_channels, evolve and the Larmor
+    clock each pass the T and R of the transfer-matrix solve whose state
+    they split.  The branch s is always the bare barrier's, whatever
+    potential T and R come from: the clock's layered spin potentials deform
+    continuously into the barrier as the field goes to zero, and the branch
+    sets the channel's entry time through d(arg c_tr)/dk.  s = +1 where the
+    bare kernel vanishes exactly.
     """
     sign = _phase_sign(barrier, k)
     branch = np.where(sign == 0.0, 1.0, sign)
@@ -97,22 +101,39 @@ def channel_amplitudes(barrier: BarrierSpec, k) -> ChannelAmplitudes:
 def stationary_channels(barrier: BarrierSpec, k, x):
     """Channel wave functions (psi_tr, psi_ref) of the stationary state at x.
 
-    psi_tr equals c_tr exp(ikx) on the incidence side and the full stationary
-    state from the left edge onward (the backward continuation of the
-    transmitted wave agrees with the full state there by Cauchy uniqueness).
-    psi_ref is the remainder psi_full - psi_tr, so the pointwise sum is exact
-    and psi_ref vanishes identically past the left edge.
+    One interior_table solve gives both the full state and, through
+    channel_weight on its own T and R, the weight c_tr.  psi_tr equals
+    c_tr exp(ikx) on the incidence side and the full state from the left
+    edge onward (the backward continuation of the transmitted wave agrees
+    with the full state there by Cauchy uniqueness).  psi_ref is the
+    remainder psi_full - psi_tr, so the pointwise sum is exact and psi_ref
+    vanishes identically past the left edge.  Every x must be finite and k
+    positive and finite (ValueError otherwise).
     """
-    k = float(k)
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("position x must be finite")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     potential = barrier.potential()
-    psi_full = stationary_value(x, k, potential, barrier.kinetic_coeff)
-    chan = channel_amplitudes(barrier, k)
+    amps, tables = interior_table(np.array([k], dtype=float), potential,
+                                  barrier.kinetic_coeff)
+    k = float(k)
+    a, b = potential.support
+    left = x <= a
+    right = x >= b
+    psi_full = np.empty(x.shape, dtype=complex)
+    psi_full[left] = np.exp(1j * k * x[left]) + amps.r[0] * np.exp(-1j * k * x[left])
+    psi_full[right] = amps.t[0] * np.exp(1j * k * x[right])
+    mid = ~(left | right)
+    for reg in tables:
+        inside = mid & (x >= reg.x_left) & (x < reg.x_right)
+        if inside.any():
+            psi_full[inside] = reg.superpose(x[inside], np.ones(1))
+    c_tr = channel_weight(barrier, k, amps.transmission[0], amps.reflection[0])
     psi_tr = np.array(psi_full, copy=True)
-    left = x < barrier.left_edge
-    psi_tr[left] = chan.c_tr * np.exp(1j * k * x[left])
+    incidence = x < barrier.left_edge
+    psi_tr[incidence] = c_tr * np.exp(1j * k * x[incidence])
     psi_ref = psi_full - psi_tr
     if scalar:
         return complex(psi_tr[0]), complex(psi_ref[0])

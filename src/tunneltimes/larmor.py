@@ -187,7 +187,10 @@ def _asymptote_moments(qs, coeff, kinetic_coeff, label):
         raise NumericInvariantError(
             "channel spectrum carries no weight at the %s boundary" % label
         )
+    # fourth order inside, np.gradient's second order at two points per end
     grad = np.gradient(coeff, qs)
+    h = (qs[-1] - qs[0]) / (qs.size - 1)
+    grad[2:-2] = (coeff[:-4] - 8.0 * coeff[1:-3] + 8.0 * coeff[3:-1] - coeff[4:]) / (12.0 * h)
     start = -float(np.trapezoid(np.imag(np.conj(coeff) * grad), qs)) / norm
     speed = group_velocity(float(np.trapezoid(dens * qs, qs)) / norm,
                            kinetic_coeff)

@@ -12,6 +12,9 @@ kinetic_coeff; z < 0 marks a classically forbidden (evanescent) region.
 Region propagators act on real (psi, psi') Cauchy data and have unit
 determinant; thick evanescent regions are rescaled by exp(-kappa L) on
 the fly so products stay representable for kappa L up to ~700.
+
+interior_table adds each region's Cauchy data, from which decomposition
+evaluates stationary states and packets synthesizes packets.
 """
 
 import math
@@ -89,8 +92,8 @@ class Amplitudes:
     k: float
     t: complex
     r: complex
-    log_scale: float = 0.0
-    det_defect: float = 0.0
+    log_scale: float
+    det_defect: float
 
     @property
     def transmission(self):
@@ -230,30 +233,3 @@ def interior_table(ks, potential, kinetic_coeff):
         psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
         sigma = sigma + u
     return amps, tables[::-1]
-
-
-def stationary_value(x, k, potential, kinetic_coeff):
-    """Stationary scattering state psi_k(x) for unit incidence, any x.
-
-    Vectorized over x; exact piecewise evaluation, no spatial grid.  Every
-    x must be finite and k positive and finite (ValueError otherwise).
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("position x must be finite")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    amps, tables = interior_table(np.array([k], dtype=float), potential, kinetic_coeff)
-    t, r = amps.t[0], amps.r[0]
-    out = np.empty(x.shape, dtype=complex)
-    a, b = potential.support
-    left = x <= a
-    right = x >= b
-    out[left] = np.exp(1j * k * x[left]) + r * np.exp(-1j * k * x[left])
-    out[right] = t * np.exp(1j * k * x[right])
-    mid = ~(left | right)
-    for reg in tables:
-        m = mid & (x >= reg.x_left) & (x < reg.x_right)
-        if m.any():
-            out[m] = reg.superpose(x[m], np.ones(1))
-    return complex(out[0]) if scalar else out

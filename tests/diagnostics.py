@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oracles import stationary_value
 from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.model import group_velocity
 from tunneltimes.packets import N_X_DEFAULT, _slow_tail, evolve, gaussian_spectrum
-from tunneltimes.scattering import stationary_value
 from tunneltimes.timescales import evaluate_widths
 
 

@@ -5,6 +5,8 @@ mpmath linear algebra; nothing is shared with the production code paths.
 dense_synthesis is the direct O(N_x N_k) double-precision spectral sum that
 the package replaces with chirp-z transforms.
 
+stationary_value is the general-potential reference evaluator of one
+stationary state at any x, built on the package's interior_table.
 dwell_norm and x_start_from_gamma are not independent solvers: they are
 cross-checks built on the package's own states (stationary_value and
 amplitudes), integrated by adaptive quadrature or differentiated by ddk,
@@ -21,7 +23,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from tunneltimes.scattering import amplitudes, stationary_value
+from tunneltimes.scattering import amplitudes, interior_table
 from tunneltimes.timescales import evaluate_widths
 
 
@@ -185,6 +187,33 @@ def ddk(fn, k, h=None):
     d1 = (fn(k + h) - fn(k - h)) / (2.0 * h)
     d2 = (fn(k + 2.0 * h) - fn(k - 2.0 * h)) / (4.0 * h)
     return (4.0 * d1 - d2) / 3.0
+
+
+def stationary_value(x, k, potential, kinetic_coeff):
+    """Stationary scattering state psi_k(x) for unit incidence, any x.
+
+    Vectorized over x; exact piecewise evaluation, no spatial grid.  Every
+    x must be finite and k positive and finite (ValueError otherwise).
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("position x must be finite")
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    amps, tables = interior_table(np.array([k], dtype=float), potential, kinetic_coeff)
+    t, r = amps.t[0], amps.r[0]
+    out = np.empty(x.shape, dtype=complex)
+    a, b = potential.support
+    left = x <= a
+    right = x >= b
+    out[left] = np.exp(1j * k * x[left]) + r * np.exp(-1j * k * x[left])
+    out[right] = t * np.exp(1j * k * x[right])
+    mid = ~(left | right)
+    for reg in tables:
+        m = mid & (x >= reg.x_left) & (x < reg.x_right)
+        if m.any():
+            out[m] = reg.superpose(x[m], np.ones(1))
+    return complex(out[0]) if scalar else out
 
 
 def dwell_norm(k, potential, kinetic_coeff, x_min=None, x_max=None):

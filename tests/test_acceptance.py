@@ -32,6 +32,7 @@ from tunneltimes import (
     lorentz_width,
     resonance_table,
     scaling_limit,
+    starting_point_packet,
 )
 
 FIG1_BARRIER = BarrierSpec(0.25, 0.5)
@@ -300,6 +301,12 @@ def test_criterion_10_larmor_clock():
     recovery = abs(ladder.extrapolated - closed) / abs(closed)
     ok &= recovery <= 0.05
     detail.append("recovery err %.3g" % recovery)
+
+    # the clock's real target is the packet's transmission-weighted shift
+    packet_shift = starting_point_packet(CLOCK_SPEC, CLOCK_BARRIER) - CLOCK_SPEC.x0
+    gap = abs(ladder.extrapolated - packet_shift) / abs(closed)
+    ok &= gap <= 1e-6
+    detail.append("packet-shift gap %.2g" % gap)
 
     a, l, length = (CLOCK_BARRIER.left_edge, CLOCK_LAYOUT.margin,
                     CLOCK_LAYOUT.detector_offset)

@@ -1,18 +1,22 @@
 """Channel split: weight invariants, angle derivative, channel wave functions."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from diagnostics import interface_mismatch
-from oracles import ddk, x_start_from_gamma
+from oracles import ddk, stationary_value, x_start_from_gamma
+from tunneltimes import decomposition
 from tunneltimes.decomposition import (
     channel_amplitudes,
     channel_weight,
     stationary_channels,
 )
 from tunneltimes.model import BarrierSpec
-from tunneltimes.scattering import amplitudes, stationary_value
+from tunneltimes.packets import PacketSpec, gaussian_spectrum
+from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import evaluate_widths, resonance_table
 
 BARRIER = BarrierSpec(height=0.25, width=0.5)
@@ -174,6 +178,49 @@ def test_channel_waves_scalar_and_free():
     psi_tr, psi_ref = stationary_channels(free, k, x)
     assert np.allclose(psi_tr, np.exp(1j * k * x), rtol=0, atol=1e-12)
     assert np.max(np.abs(psi_ref)) <= 1e-12
+
+
+def test_stationary_channels_solves_once(monkeypatch):
+    calls = {"interior_table": 0, "evaluate_widths": 0}
+
+    def counted(name):
+        fn = getattr(decomposition, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decomposition, name, counted(name))
+    stationary_channels(BARRIER, 0.4, np.linspace(-2.0, 2.0, 64))
+    assert calls == {"interior_table": 1, "evaluate_widths": 0}
+
+
+def test_stationary_channels_split_with_their_own_transmission():
+    # the criterion-9 well: its segment is fl(70 + d) - 70 wide, not d, so
+    # the closed-form T of width d is 7.8e-11 off the transfer matrix's |t|^2
+    well = BarrierSpec(height=-712.0, width=1.08e-5, left_edge=70.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.00641, n_k=4096,
+                                 k_span=3.0)
+    potential = well.potential()
+    x = np.array([0.0, 69.0])
+    worst = 0.0
+    for k in gaussian_spectrum(spec).k[::8]:
+        psi_tr, _ = stationary_channels(well, k, x)
+        transmission = amplitudes(k, potential, well.kinetic_coeff).transmission
+        worst = max(worst, np.max(np.abs(np.abs(psi_tr) ** 2 - transmission)))
+    # |c_tr|^2 = T (T + R): off T only by the solve's own unitarity defect
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_stationary_channels_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        stationary_channels(BARRIER, 0.4, x)
+    with pytest.raises(ValueError, match="x must be finite"):
+        stationary_channels(BARRIER, 0.4, [0.1, x, 0.3])
 
 
 def test_interface_mismatch_matches_boundary_value():

