@@ -58,10 +58,10 @@ class ChannelAmplitudes:
 
 
 def _phase_sign(barrier: BarrierSpec, k):
-    # s = -beta * sign(F1(v)); flips only across resonances where F1 = 0
+    # s = -beta * sign(F1(v)); F1 > 0 below the band edge, so v < 0 is clipped, not evaluated
     k2 = np.asarray(k, dtype=float) ** 2
     v = (k2 - barrier.beta * barrier.kappa0**2) * barrier.width**2
-    return -barrier.beta * np.sign(sinc_sqrt(v))
+    return -barrier.beta * np.sign(sinc_sqrt(np.maximum(v, 0.0)))
 
 
 def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
@@ -108,17 +108,18 @@ def stationary_channels(barrier: BarrierSpec, k, x):
     with the full state there by Cauchy uniqueness).  psi_ref is the
     remainder psi_full - psi_tr, so the pointwise sum is exact and psi_ref
     vanishes identically past the left edge.  Every x must be finite and k
-    positive and finite (ValueError otherwise).
+    one positive, finite number (ValueError otherwise).
     """
+    if np.ndim(k):
+        raise ValueError("stationary_channels takes one wavenumber k, not an array")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("position x must be finite")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     potential = barrier.potential()
-    amps, tables = interior_table(np.array([k], dtype=float), potential,
-                                  barrier.kinetic_coeff)
     k = float(k)
+    amps, tables = interior_table(np.array([k]), potential, barrier.kinetic_coeff)
     a, b = potential.support
     left = x <= a
     right = x >= b

@@ -97,8 +97,9 @@ class PacketSpec:
             raise ValueError("l0 must be positive")
         if self.k0 <= 0.0:
             raise ValueError("k0 must be positive")
-        if self.n_k < 2 or self.n_k & (self.n_k - 1):
-            raise ValueError("n_k must be a power of two")
+        if (not isinstance(self.n_k, (int, np.integer)) or self.n_k < 2
+                or self.n_k & (self.n_k - 1)):
+            raise ValueError("n_k must be an integer power of two, got %r" % (self.n_k,))
         if self.k_span <= 0.0:
             raise ValueError("k_span must be positive")
         if self.k0 <= self.k_span * self.sigma_k:
@@ -200,8 +201,8 @@ def _slow_tail(spectrum, rec):
 def _times(t):
     """(times, scalar): t as a tuple of floats, and whether it was one time."""
     times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be one time or a 1-d sequence of times")
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError("t must be one time or a non-empty 1-d sequence of times")
     if not np.isfinite(times).all():
         raise ValueError("t must be finite, got %r" % (t,))
     return tuple(float(v) for v in times.ravel()), times.ndim == 0

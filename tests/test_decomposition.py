@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from diagnostics import interface_mismatch
-from oracles import ddk, stationary_value, x_start_from_gamma
+from oracles import ddk, mp_stationary, stationary_value, x_start_from_gamma
 from tunneltimes import decomposition
 from tunneltimes.decomposition import (
     channel_amplitudes,
@@ -213,6 +213,23 @@ def test_stationary_channels_split_with_their_own_transmission():
         worst = max(worst, np.max(np.abs(np.abs(psi_tr) ** 2 - transmission)))
     # |c_tr|^2 = T (T + R): off T only by the solve's own unitarity defect
     assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("width", [1300.0, 2000.0])
+def test_opaque_barrier_states_match_matching_solver(width):
+    # kappa d = 769 and 1183 at k = 0.3: one region's cosh overflows past
+    # kappa d ~ 710 and t itself underflows past ~745, so the state is
+    # continued across pieces and scaled to unit incidence in logs
+    barrier, k = BarrierSpec(0.25, width), 0.3
+    x = np.concatenate([np.linspace(-20.0, 0.0, 5), np.linspace(0.0, width, 41),
+                        [width + 1.0]])
+    psi_tr, psi_ref = stationary_channels(barrier, k, x)
+    regions = barrier.potential().filled_regions()
+    want = np.array([mp_stationary(xx, k, regions, barrier.kinetic_coeff) for xx in x])
+    assert np.max(np.abs(psi_tr + psi_ref - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(psi_ref[x >= 0.0] == 0.0)
+    chan = channel_amplitudes(barrier, k)
+    assert (chan.c_tr, chan.c_ref) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tunneltimes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,6 +40,19 @@ def test_every_export_is_in_readme():
     missing = [name for name in tunneltimes.__all__
                if not re.search(r"\b%s\b" % re.escape(name), readme)]
     assert not missing, missing
+
+
+def test_readme_quick_start_runs():
+    # the three quick-start blocks build on each other's names, so they run
+    # in one namespace, in order
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.0 < namespace["state"].n_tr < 1.0
+    assert namespace["ladder"].extrapolated == pytest.approx(
+        namespace["rec"].starting_point, rel=0.05)
 
 
 def test_package_import_leaves_numpy_polynomial_unloaded():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diagnostics import local_wavenumbers
+from tunneltimes.decomposition import stationary_channels
 from tunneltimes.larmor import FieldLayout, invert_precession, richardson_ladder
 from tunneltimes.model import (
     HBAR,
@@ -157,9 +158,13 @@ def test_records_reject_non_finite_values(make, bad):
     (lambda: default_grid(SPEC, BAR, math.inf), "t must be finite"),
     (lambda: richardson_ladder([1.0, 2.0]), "three estimates"),
     (lambda: richardson_ladder([1.0, 2.0, 3.0, 4.0]), "three estimates"),
+    (lambda: default_grid(SPEC, BAR, []), "non-empty"),
+    (lambda: PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=4096.0), "power of two"),
+    (lambda: stationary_channels(BAR, np.array([0.3]), 60.2), "one wavenumber"),
+    (lambda: stationary_channels(BAR, [0.3], 60.2), "one wavenumber"),
 ], ids=["delta_zero", "delta_negative", "delta_nan", "delta_inf", "omega_zero",
         "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
-        "four_estimates"])
+        "four_estimates", "t_empty", "n_k_float", "k_array", "k_list"])
 def test_bad_scalars_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()

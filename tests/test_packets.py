@@ -413,6 +413,16 @@ def test_evolve_rejects_non_uniform_grid(x):
         evolve(FREE_SPEC, FREE, 0.0, x=x)
 
 
+def test_evolve_through_opaque_barrier_stays_finite():
+    # kappa d = 769 at k0: the interior tables are continued across pieces
+    # of kappa L <= 300, so no kernel overflows inside the barrier
+    barrier = BarrierSpec(0.25, 1300.0)
+    spec = PacketSpec(l0=15.0, x0=-100.0, k0=0.3, n_k=256)
+    for state in evolve(spec, barrier, [0.0, 0.5], n_x=2048):
+        assert np.all(np.isfinite(state.psi_full)) and np.all(np.isfinite(state.psi_tr))
+        assert abs(state.n_tr + state.n_ref - state.n_full) < 1e-8
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_evolve_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):
@@ -420,7 +430,8 @@ def test_evolve_rejects_non_finite_time(t):
 
 
 @pytest.mark.parametrize("t,match", [([0.0, math.nan], "finite"),
-                                     ([[0.0, 1.0]], "1-d sequence")])
+                                     ([[0.0, 1.0]], "1-d sequence"),
+                                     ([], "non-empty")])
 def test_evolve_rejects_bad_time_sequence(t, match):
     with pytest.raises(ValueError, match=match):
         evolve(FREE_SPEC, FREE, t)

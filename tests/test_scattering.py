@@ -122,6 +122,22 @@ def test_unitarity_and_determinant_over_sweep(height):
                                                    sweep.det_defect[i])
 
 
+def test_det_defect_detects_propagator_drift(monkeypatch):
+    # det_defect follows the Wronskian of the pulled-back wave, which each
+    # propagator's determinant scales: a 1e-9 drift must show
+    exact = scattering._region_propagator
+
+    def drifted(z, length):
+        c, f, g, u = exact(z, length)
+        s = math.sqrt(1.0 + 1e-9)
+        return c * s, f * s, g * s, u
+
+    k, pot = wavenumber(0.125, K), BarrierSpec(0.25, 0.5).potential()
+    assert abs(scattering.amplitudes(k, pot, K).det_defect) < 1e-12
+    monkeypatch.setattr(scattering, "_region_propagator", drifted)
+    assert abs(scattering.amplitudes(k, pot, K).det_defect) > 1e-10
+
+
 STATE_CASES = [
     (BarrierSpec(0.25, 0.5).potential(), 0.125,
      [-3.1, 0.0, 0.123, 0.25, 0.49, 0.5, 1.7], 60),
