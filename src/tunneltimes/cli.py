@@ -12,7 +12,15 @@ Configuration comes from a JSON file (--config); command-line flags override
 config values; unknown keys are rejected.  Output files are written atomically
 (temp file + rename) with 17-significant-digit floats, '.' decimal separators,
 '\\n' line endings and no timestamps, so a rerun with the same inputs is
-byte-identical.  CSV cells print infinities as inf/-inf.  Exit codes: 0
+byte-identical.  CSV cells print infinities as inf/-inf.
+
+A float cell prints exactly as '%.17g' % x.  Tables are rendered by numpy in
+blocks of _ROW_BLOCK rows and streamed to the temp file block by block: the
+17-digit mantissa comes from a double-double product with a table of powers
+of ten, its digits from a 4-digit ASCII table, and each cell's bytes go into a
+fixed NUL-filled field that one translate per block squeezes out.  Only
+infinities, |x| <= 1e-290 or >= 1e290 and possible exact rounding ties still
+go through '%.17g' % x one cell at a time.  Exit codes: 0
 success, 2 configuration error (NaN and infinite inputs too), 3 numeric
 invariant violation (a NaN in any output, or an infinity in JSON, too).
 """
@@ -20,6 +28,7 @@ invariant violation (a NaN in any output, or an infinity in JSON, too).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,39 +67,239 @@ class ConfigError(ValueError):
 # deterministic formatting and atomic output
 
 
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}  # by numpy dtype kind
-_ROW_BLOCK = 1024
+_ROW_BLOCK = 4096          # rows formatted and written per block
+_FAST_MAX = 1e290          # |x| strictly between 1/_FAST_MAX and this is vectorised
+_TIE_WINDOW = 1e-9         # scaled fractions this close to 1/2 may be exact ties
+_E_MIN, _E_MAX = -292, 292          # decimal exponents the vectorised path meets
+_M_LOW, _M_HIGH = 10**16, 10**17    # the range of a 17-digit mantissa
+_WORD = np.dtype("<u8")
+_FIELD = 32                # bytes per float cell, four little-endian words
+
+
+def _word_rows(texts, offset):
+    """One uint64 word per text, holding it from byte offset on, NUL-filled."""
+    rows = np.zeros((len(texts), 8), np.uint8)
+    for row, text in enumerate(texts):
+        rows[row, offset:offset + len(text)] = np.frombuffer(text, np.uint8)
+    return rows.view(_WORD)[:, 0]
+
+
+@functools.cache
+def _float_tables():
+    """Lookup tables of the vectorised %.17g renderer, built on first use."""
+    # 10**s = hi + lo for s = 16 - E, both correctly rounded from exact
+    # integer ratios (int / int is correctly rounded); hi is also split into
+    # 26 + 27 bits for Dekker's exact product
+    hi, lo = [], []
+    for s in range(16 - _E_MAX, 16 - _E_MIN + 1):
+        power = 10 ** abs(s)
+        if s >= 0:
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:
+            hi.append(1 / power)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * power) / (den * power))
+    hi = np.array(hi)
+    frac, exp2 = np.frexp(hi)
+    hi_top = np.ldexp(np.floor(np.ldexp(frac, 26)), exp2 - 26)
+    powers = np.stack([hi, np.array(lo), hi_top, hi - hi_top])
+
+    groups = [b"%04d" % g for g in range(10000)]
+    ascii4 = np.frombuffer(b"".join(groups), "<u4")
+    # digits up to and including the last nonzero one of the k-th group of
+    # four after the leading digit (at least 1, the leading digit itself)
+    sig4 = np.array([len(g.rstrip(b"0")) for g in groups])
+    sig = np.array([np.where(sig4 > 0, 1 + 4 * k + sig4, 1) for k in range(4)],
+                   np.uint8)
+
+    # By exponent E: the layout class (0 for d.ddde+XX, 1 for 0.000ddd, 2 + E
+    # for ddd.ddd), the sign-and-prefix word (even rows +, odd rows -) and
+    # the exponent, which sits after the 18-byte digit stream in its last word
+    es = range(_E_MIN, _E_MAX + 1)
+    layout = np.array([2 + e if 0 <= e < 17 else int(-4 <= e < 0) for e in es])
+    lead = _word_rows([sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                       for e in es for sign in (b"", b"-")], 0)
+    tail = _word_rows([b"" if -4 <= e < 17 else b"e%+03d" % e for e in es], 2)
+
+    # By layout class and digit count: three word masks that take stream
+    # byte j from the digits (left of the point), from the digits one byte
+    # later (right of it) or as the point itself, printing only the digits
+    # kept and the point only when a digit follows it
+    masks = np.zeros((19, 18, 3, 24), np.uint8)
+    for cls in range(19):
+        point = 1 if cls == 0 else 17 if cls == 1 else cls - 1
+        for nsig in range(18):
+            kept = max(nsig, cls - 1) if cls >= 2 else nsig
+            for j in range(kept + (kept > point)):
+                source = 0 if j < point else 2 if j == point else 1
+                masks[cls, nsig, source, j] = ord(".") if source == 2 else 0xFF
+    # masks[source, word] is indexed by 18 * class + digit count
+    masks = masks.reshape(19 * 18, 72).view(_WORD).reshape(-1, 3, 3).transpose(1, 2, 0)
+    return powers, ascii4, sig, layout, lead, tail, np.ascontiguousarray(masks)
+
+
+def _scaled(a, exp10, powers):
+    """floor(a 10**(16 - exp10)) as int64 and the fraction it drops, from a
+    double-double product; the fraction is good to about 1e-14."""
+    hi, lo, hi_top, hi_low = powers.take(_E_MAX - exp10, axis=1)
+    c = a * 134217729.0                 # Veltkamp split of a into 26 + 26 bits
+    a_top = c - (c - a)
+    a_low = a - a_top
+    p = a * hi
+    err = ((a_top * hi_top - p) + a_top * hi_low + a_low * hi_top) + a_low * hi_low
+    whole = np.floor(p)
+    rest = (p - whole) + (err + a * lo)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _float_fields(x):
+    """One 32-byte NUL-filled field per float, holding exactly '%.17g' % x.
+
+    Word 0 holds the sign and the 0.000 prefix, words 1-3 the 17 digits
+    with the point inserted, then the exponent; byte 31 is left for the
+    separator.  The exponent E is floor(log10|x|), corrected once when the
+    17-digit mantissa round(|x| 10**(16-E)) falls outside [1e16, 1e17).
+    Infinities, |x| <= 1e-290 or >= 1e290 and possible exact ties go
+    through '%.17g' % x one at a time.
+    """
+    powers, ascii4, sig, layout, lead, tail, masks = _float_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a > 1.0 / _FAST_MAX) & (a < _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    m, frac = _scaled(a, exp10, powers)
+    off = np.flatnonzero((m < _M_LOW) | (m >= _M_HIGH))
+    if off.size:
+        exp10[off] += np.where(m[off] >= _M_HIGH, 1, -1)
+        m[off], frac[off] = _scaled(a[off], exp10[off], powers)
+    slow = ~zero & ~(fast & (np.abs(frac - 0.5) > _TIE_WINDOW)
+                     & (m >= _M_LOW) & (m < _M_HIGH))
+    m += frac > 0.5
+    carry = m == _M_HIGH       # 99...9.5 rounds up to the next decade
+    m[carry] = _M_LOW
+    exp10 += carry
+    m[slow] = _M_LOW           # a placeholder: these fields are rewritten below
+    m[zero] = 0
+    exp10[zero | slow] = 0
+
+    # the 17 digits as three little-endian words, and the same one byte later
+    top = m // 10**16
+    rest = m - top * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    g0, g2 = high // 10**4, low // 10**4
+    g1, g3 = high - g0 * 10**4, low - g2 * 10**4
+    a0, a1, a2, a3 = (ascii4.take(g).astype(np.uint64) for g in (g0, g1, g2, g3))
+    d0 = top.astype(np.uint64) + 48
+    left = (d0 | (a0 << 8) | (a1 << 40), (a1 >> 24) | (a2 << 8) | (a3 << 40), a3 >> 24)
+    right = ((d0 << 8) | (a0 << 16) | (a1 << 48), (a1 >> 16) | (a2 << 16) | (a3 << 48),
+             a3 >> 16)
+    nsig = np.maximum(np.maximum(sig[0].take(g0), sig[1].take(g1)),
+                      np.maximum(sig[2].take(g2), sig[3].take(g3)))
+    nsig[zero] = 0
+
+    row = exp10 - _E_MIN
+    cls = layout.take(row) * 18 + nsig
+    fields = np.empty((x.size, 4), _WORD)
+    fields[:, 0] = lead.take(2 * row + np.signbit(x))
+    for k in range(3):
+        fields[:, k + 1] = ((left[k] & masks[0, k].take(cls))
+                            | (right[k] & masks[1, k].take(cls)) | masks[2, k].take(cls))
+    fields[:, 3] |= tail.take(row)
+    fields = fields.view(np.uint8)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = np.array([b"%.17g" % v for v in x[slow].tolist()], "S%d" % _FIELD)
+        fields[slow] = text.view(np.uint8).reshape(slow.size, _FIELD)
+    return fields
+
+
+def _text_fields(column):
+    """NUL-padded bytes of each %d or %s cell, one spare byte at the end."""
+    cells = column.astype("S") if column.dtype.kind == "i" else np.char.encode(column, "utf-8")
+    fields = np.zeros((column.size, cells.itemsize + 1), np.uint8)
+    fields[:, :-1] = cells.view(np.uint8).reshape(column.size, cells.itemsize)
+    return fields
+
+
+class _CsvTable:
+    """CSV text of equal-length float, int or str columns, as byte blocks.
+
+    Iterating yields the header line, then one block per _ROW_BLOCK rows,
+    each formatted when it is reached: floats print as %.17g (inf/-inf),
+    ints as %d and strings as %s.  NaN raises NumericInvariantError, and a
+    NUL in a string cell ValueError, before any block exists.  len() is the
+    size in bytes, counted by formatting every block.
+    """
+
+    def __init__(self, header, columns):
+        arrays = [np.asarray(column) for column in columns]
+        arrays = [array.astype(np.float64, copy=False) if array.dtype.kind == "f" else array
+                  for array in arrays]
+        for array in arrays:
+            if array.dtype.kind == "f" and np.isnan(array).any():
+                raise NumericInvariantError("output table contains NaN",
+                                            quantity="table cell", value=math.nan)
+        for column, array in zip(columns, arrays):
+            if array.dtype.kind == "U" and any("\0" in str(cell) for cell in column):
+                raise ValueError("output table cell contains NUL")
+        self.header = header
+        self.columns = arrays
+
+    def __iter__(self):
+        yield (self.header + "\n").encode()
+        for start in range(0, self.columns[0].size, _ROW_BLOCK):
+            yield self._block([column[start:start + _ROW_BLOCK] for column in self.columns])
+
+    def __len__(self):
+        return sum(map(len, self))
+
+    @staticmethod
+    def _block(columns):
+        """The block's rows: each cell's field in one row buffer, closed by
+        its separator, then one translate drops the NUL filler."""
+        texts = [None if column.dtype.kind == "f" else _text_fields(column)
+                 for column in columns]
+        widths = [_FIELD if text is None else text.shape[1] for text in texts]
+        buffer = bytearray(columns[0].size * sum(widths))
+        rows = np.frombuffer(buffer, np.uint8).reshape(columns[0].size, sum(widths))
+        end = 0
+        for column, text, width in zip(columns, texts, widths):
+            end += width
+            rows[:, end - width:end] = _float_fields(column) if text is None else text
+            rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        return buffer.translate(None, b"\0")
 
 
 def _csv_text(header, columns) -> str:
-    """CSV text of equal-length float, int or str columns, formatted with one
-    C-level % per block of rows; floats print as %.17g (inf/-inf), NaN raises."""
-    columns = [np.asarray(column) for column in columns]
-    if any(column.dtype.kind == "f" and np.isnan(column).any() for column in columns):
-        raise NumericInvariantError("output table contains NaN")
-    line = ",".join(_CELL_FORMATS[column.dtype.kind] for column in columns) + "\n"
-    parts = [header + "\n"]
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        block = np.array([column[start:start + _ROW_BLOCK] for column in columns],
-                         dtype=object).T
-        parts.append(line * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    """The whole CSV text of a table as one string."""
+    return b"".join(_CsvTable(header, columns)).decode()
 
 
 def _json_text(payload) -> str:
     try:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        raise NumericInvariantError("output JSON contains NaN or infinity")
+        raise NumericInvariantError("output JSON contains NaN or infinity",
+                                    quantity="JSON value")
 
 
 def write_atomic(path, text):
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    text is a str or an iterable of byte blocks (a _CsvTable), written one
+    block at a time as it is produced."""
+    blocks = [text.encode()] if isinstance(text, str) else text
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tunneltimes-")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            for block in blocks:
+                handle.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,7 +462,7 @@ def cmd_sweep(args) -> int:
     columns = (ratios, ks, record.phase_width / d, record.dwell_width / d,
                record.effective_width / d, record.starting_point / d)
     path = os.path.join(out, "sweep.csv")
-    write_atomic(path, _csv_text(SWEEP_HEADER, columns))
+    write_atomic(path, _CsvTable(SWEEP_HEADER, columns))
     print(path)
     return 0
 
@@ -295,7 +504,7 @@ def cmd_packet(args) -> int:
     for index, (t, state) in enumerate(zip(times, states)):
         name = "packet_t%d.csv" % index
         path = os.path.join(out, name)
-        write_atomic(path, _csv_text(SNAPSHOT_HEADER, _snapshot_columns(state)))
+        write_atomic(path, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state)))
         written.append(path)
         snapshots.append({
             "t": t,
@@ -382,7 +591,7 @@ def cmd_resonance(args) -> int:
                for field in ("n", "k_res", "phase_ratio", "dwell_ratio",
                              "effective_ratio", "starting_ratio")]
     path = os.path.join(out, "resonance.csv")
-    write_atomic(path, _csv_text(RESONANCE_HEADER, columns))
+    write_atomic(path, _CsvTable(RESONANCE_HEADER, columns))
     for n, reason in table.omitted:
         print("resonance n=%d omitted: %s" % (n, reason), file=sys.stderr)
     print(path)
@@ -407,7 +616,7 @@ def cmd_limits(args) -> int:
               limits.starting_ratio)
     columns = (RATIO_COLUMNS, [branch] * len(values), values)
     path = os.path.join(out, "limits.csv")
-    write_atomic(path, _csv_text(LIMITS_HEADER, columns))
+    write_atomic(path, _CsvTable(LIMITS_HEADER, columns))
     print(path)
     return 0
 

@@ -185,7 +185,8 @@ def _asymptote_moments(qs, coeff, kinetic_coeff, label):
     norm = float(np.trapezoid(dens, qs))
     if norm <= 0.0:
         raise NumericInvariantError(
-            "channel spectrum carries no weight at the %s boundary" % label
+            "channel spectrum carries no weight at the %s boundary" % label,
+            quantity="channel spectrum norm", value=norm, bound=0.0,
         )
     # fourth order inside, np.gradient's second order at two points per end
     grad = np.gradient(coeff, qs)
@@ -202,7 +203,8 @@ def _crossing_time(start, speed, x_pos, label):
     t_cross = (x_pos - start) / speed
     if t_cross <= 0.0:
         raise NumericInvariantError(
-            "channel asymptote already past the %s boundary at launch" % label
+            "channel asymptote already past the %s boundary at launch" % label,
+            quantity="crossing time", value=t_cross, bound=0.0,
         )
     return t_cross
 
@@ -256,7 +258,9 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
             _synthesize(x, spectrum, t_det, barrier.kinetic_coeff, c_tr, amps,
                         tables, support, "larmor.N_X_CLOCK")
         except NumericInvariantError as exc:
-            raise NumericInvariantError("spin-%s component: %s" % (spin, exc)) from exc
+            raise NumericInvariantError(
+                "spin-%s component: %s" % (spin, exc), quantity=exc.quantity,
+                value=exc.value, bound=exc.bound) from exc
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,

@@ -16,7 +16,17 @@ DEFAULT_MASS_RATIO = 0.067  # GaAs conduction band effective mass
 
 
 class NumericInvariantError(RuntimeError):
-    """A numerical sanity check (norm, containment, unitarity) failed."""
+    """A numerical sanity check (norm, containment, unitarity) failed.
+
+    quantity names what was checked, value is what it came to and bound the
+    limit it crossed; a raise site leaves None where it has no such number.
+    """
+
+    def __init__(self, message, *, quantity=None, value=None, bound=None):
+        super().__init__(message)
+        self.quantity = quantity
+        self.value = value
+        self.bound = bound
 
 
 def require_finite(record, *names):

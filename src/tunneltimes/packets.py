@@ -24,9 +24,12 @@ remaining regions (evanescent barriers, near-threshold nodes) evaluate the
 interior kernels directly, at O(N_k) per point.  A caller-supplied grid x
 must therefore be uniform and ascending; evolve raises ValueError otherwise.
 
-Conventions: l0 is the position-space standard deviation of |psi|^2 at t = 0,
-so the momentum density has sigma_k = 1/(2 l0).  All norms and centers of
-mass are trapezoid sums on the spatial grid.
+Conventions: l0 sets the Gaussian before the _EDGE_TAPER window: untapered
+and untruncated, |psi|^2 at t = 0 would have standard deviation l0 and the
+momentum density sigma_k = 1/(2 l0).  The window reshapes the spectrum's
+outer edges, so the sampled packet is wider when the grid is narrow: at
+k_span 3 its t = 0 standard deviation is 17.15 nm for l0 = 15 nm.  All norms
+and centers of mass are trapezoid sums on the spatial grid.
 """
 
 import math
@@ -85,7 +88,7 @@ def _taper_window(n):
 class PacketSpec:
     """Gaussian packet: real-space width l0, initial CM x0, carrier k0."""
 
-    l0: float           # nm, standard deviation of |psi|^2 at t = 0
+    l0: float           # nm, the Gaussian's t = 0 width before the edge window
     x0: float           # nm
     k0: float           # 1/nm
     n_k: int = 4096
@@ -161,7 +164,10 @@ def gaussian_spectrum(spec: PacketSpec) -> SampledSpectrum:
     The phase -k x0 places the t = 0 center of mass at x0; C renormalizes the
     truncated Gaussian so the trapezoid sum of |A|^2 over the grid is exactly 1.
     The outer edges of the grid carry a smooth roll-off window so the sampled
-    spectrum does not ring in position space (see _taper_window).  Every node
+    spectrum does not ring in position space (see _taper_window).  l0 is the
+    width of the Gaussian before that window, not of the sampled packet: at
+    k_span 3 the roll-off starts at 2.28 sigma_k and the t = 0 standard
+    deviation of |psi|^2 is 17.15 nm for l0 = 15 nm.  Every node
     is positive: PacketSpec requires k0 > k_span sigma_k, the grid's lower end.
     """
     half = spec.k_span * spec.sigma_k
@@ -334,7 +340,8 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
     if n_full > 1.0 + CONTAINMENT_TOL:
         raise NumericInvariantError(
             "grid holds %.9f of the norm at t=%g ps; raise %s (current %d "
-            "points undersample the packet)" % (n_full, t, n_x_name, x.size)
+            "points undersample the packet)" % (n_full, t, n_x_name, x.size),
+            quantity="n_full", value=n_full, bound=1.0 + CONTAINMENT_TOL,
         )
     if n_full < 1.0 - CONTAINMENT_TOL:
         extent = float(x[-1] - x[0])
@@ -343,11 +350,13 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
             raise NumericInvariantError(
                 "grid holds only %.9f of the norm at t=%g ps; raise %s (step %.4g "
                 "nm aliases the spectrum's k_max %.4g 1/nm, which needs a step "
-                "below %.4g nm)" % (n_full, t, n_x_name, step, ks[-1], math.pi / ks[-1])
+                "below %.4g nm)" % (n_full, t, n_x_name, step, ks[-1], math.pi / ks[-1]),
+                quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
             )
         raise NumericInvariantError(
             "grid holds only %.9f of the norm at t=%g ps; widen the grid "
-            "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent)
+            "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent),
+            quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
         )
     return psi_full, psi_tr, n_full
 

@@ -378,6 +378,8 @@ def lorentz_width(barrier: BarrierSpec, n: int, delta: float | None = None) -> f
         raise NumericInvariantError(
             "Lorentzian fit did not converge: a0 estimates "
             f"{coarse:.9g} (delta) and {fine:.9g} (delta/2) disagree beyond "
-            f"{_LORENTZ_CONSISTENCY_TOL:g} relative; reduce delta={delta:g}"
+            f"{_LORENTZ_CONSISTENCY_TOL:g} relative; reduce delta={delta:g}",
+            quantity="a0 estimate spread", value=abs(coarse - fine),
+            bound=_LORENTZ_CONSISTENCY_TOL * abs(fine),
         )
     return fine

@@ -245,29 +245,34 @@ def dwell_norm(k, potential, kinetic_coeff, x_min=None, x_max=None):
 
 
 def x_start_from_gamma(barrier, k, h=None):
-    """Starting-point shift recovered from the channel phase, -d(arg c_tr)/dk.
+    """Starting-point shift recovered from the channel phase, -s d(gamma)/dk.
 
-    The magnitude is the numerical derivative of the channel angle built from
-    the matched amplitudes (independent of the closed forms); the overall sign
-    follows the branch of the channel phase and is taken from the closed-form
-    starting point, which defines that branch.  Requires 0 < T < 1: at exact
-    resonances (T = 1) and in the opaque limit (T = 0) the channel angle has a
-    kink or is degenerate and the derivative is undefined.
+    gamma = arctan(|r|/|t|) is the channel angle built from the matched
+    amplitudes and differentiated numerically (independent of the closed
+    forms).  The channel-phase branch s = -beta sign(sin(sqrt(v))/sqrt(v)),
+    v = (k^2 - V0/K) d^2 and beta the sign of V0, is the rule of
+    perfbench/reference.py's starting_point, not the closed form's; on the
+    evanescent side (v < 0) the kernel is sinh(sqrt(-v))/sqrt(-v) > 0.
+    Requires 0 < T < 1: at exact resonances (T = 1) and in the opaque limit
+    (T = 0) the channel angle has a kink or is degenerate and the derivative
+    is undefined.
     """
     k = float(k)
-    rec = evaluate_widths(barrier, k)
-    if rec.transmission >= 1.0 or rec.transmission <= 0.0:
+    transmission = evaluate_widths(barrier, k).transmission
+    if transmission >= 1.0 or transmission <= 0.0:
         raise ValueError(
             "channel-phase derivative undefined at T = %r; need 0 < T < 1"
-            % rec.transmission)
+            % transmission)
     potential = barrier.potential()
 
     def angle(kk):
         amp = amplitudes(kk, potential, barrier.kinetic_coeff)
         return float(np.arctan2(abs(amp.r), abs(amp.t)))
 
-    slope = ddk(angle, k, h=h)
-    return float(np.sign(rec.starting_point)) * abs(slope)
+    v = (k * k - barrier.height / barrier.kinetic_coeff) * barrier.width ** 2
+    kernel_sign = 1.0 if v <= 0.0 else math.copysign(1.0, math.sin(math.sqrt(v)))
+    beta = 1.0 if barrier.height >= 0.0 else -1.0
+    return beta * kernel_sign * ddk(angle, k, h=h)
 
 
 def csv_text_per_cell(header, rows):

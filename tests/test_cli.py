@@ -202,6 +202,168 @@ def test_csv_text_matches_reference_across_row_blocks():
             == oracles.csv_text_per_cell("n,a,b,c", zip(*columns)))
 
 
+# ---------------------------------------------------------------------------
+# the vectorised %.17g renderer: every float cell is exactly '%.17g' % x
+
+
+def assert_cells_are_percent_17g(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = cli._csv_text("v", [values]).split("\n")[1:-1]
+    want = ["%.17g" % value for value in values.tolist()]
+    assert len(got) == len(want)
+    wrong = [(w, g) for g, w in zip(got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+def test_float_cells_exact_on_random_bit_patterns():
+    # uniform bit patterns reach every exponent, the subnormals included
+    bits = np.random.default_rng(16).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert_cells_are_percent_17g(values[~np.isnan(values)])
+
+
+def test_float_cells_exact_at_and_beside_powers_of_ten():
+    ks = range(-323, 309)
+    nearest = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in ks])
+    powered = 10.0 ** np.arange(-323.0, 309.0)
+    values = np.concatenate([nearest, powered, np.nextafter(nearest, np.inf),
+                             np.nextafter(nearest, -np.inf)])
+    assert_cells_are_percent_17g(np.concatenate([values, -values]))
+
+
+def test_float_cells_exact_at_and_beside_decimal_ties():
+    # m / 2**p with m odd and m 5**p of 18 digits has exactly 18 significant
+    # digits, the last a 5: %.17g rounds it half to even, and its neighbours
+    # one ulp away plainly
+    rng = np.random.default_rng(17)
+    ties = []
+    for p in range(2, 26):
+        low, high = -(-10**17 // 5**p), min(10**18 // 5**p, 2**53)
+        for m in (rng.integers(low, high, size=40) | 1).tolist():
+            digits = str(m * 5**p)
+            if len(digits) == 18:
+                ties.append(m / 2.0**p)
+    ties = np.array(ties)
+    assert ties.size > 500
+    assert_cells_are_percent_17g(
+        [ties, -ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    halves = np.arange(-4000, 4000) + 0.5
+    assert_cells_are_percent_17g([halves, np.nextafter(halves, np.inf),
+                                  np.nextafter(halves, -np.inf)])
+
+
+def test_float_cells_exact_on_integers_near_2_53_1e16_and_1e17():
+    values = [float(int(centre) + offset) for centre in (2**53, 10**16, 10**17)
+              for offset in range(-2000, 2001)]
+    assert_cells_are_percent_17g(values)
+
+
+def test_float_cells_exact_at_zero_infinity_subnormals_and_fast_range_edges():
+    subnormals = np.random.default_rng(18).integers(
+        1, 2**52, size=2000, dtype=np.uint64).view(np.float64)
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]
+    for edge in (cli._FAST_MAX, 1.0 / cli._FAST_MAX):
+        edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+    values = np.concatenate([subnormals, edges])
+    assert_cells_are_percent_17g(np.concatenate([values, -values]))
+    assert cli._csv_text("v", [[0.0, -0.0]]) == "v\n0\n-0\n"
+
+
+def test_table_across_row_blocks_with_special_cells_at_block_edges():
+    n_rows = 3 * cli._ROW_BLOCK + 17
+    rng = np.random.default_rng(19)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+    for row, value in zip((0, cli._ROW_BLOCK - 1, cli._ROW_BLOCK, n_rows - 1),
+                          (-0.0, math.inf, 1e-300, -math.inf)):
+        floats[row] = value
+    columns = [list(range(n_rows)), floats,
+               ["w%d" % (row % 7) for row in range(n_rows)], floats[::-1]]
+    assert (cli._csv_text("n,a,s,b", columns)
+            == oracles.csv_text_per_cell("n,a,s,b", zip(*columns)))
+
+
+@pytest.mark.parametrize("cell", ["a\0b", "ab\0"])
+def test_str_cell_holding_nul_raises(cell):
+    with pytest.raises(ValueError, match="NUL"):
+        cli._csv_text("s", [["ok", cell]])
+
+
+def test_table_len_is_its_size_in_bytes():
+    columns = [[1, 22, 333], [0.1, -math.inf, 2.5e-300], ["a", "bb", "ccc"]]
+    table = cli._CsvTable("n,x,s", columns)
+    assert len(table) == len(cli._csv_text("n,x,s", columns).encode())
+
+
+def test_table_write_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    real = cli._float_fields
+    calls = []
+
+    def second_block_fails(x):
+        calls.append(x.size)
+        if len(calls) == 2:
+            raise RuntimeError("disk gone")
+        return real(x)
+
+    monkeypatch.setattr(cli, "_float_fields", second_block_fails)
+    table = cli._CsvTable("x", [np.linspace(0.0, 1.0, 2 * cli._ROW_BLOCK)])
+    with pytest.raises(RuntimeError, match="disk gone"):
+        cli.write_atomic(str(tmp_path / "x.csv"), table)
+    assert os.listdir(tmp_path) == []
+
+
+def test_nan_and_json_errors_carry_their_quantity():
+    with pytest.raises(NumericInvariantError) as info:
+        cli._csv_text("v", [[0.0, math.nan]])
+    assert info.value.quantity == "table cell"
+    assert math.isnan(info.value.value) and info.value.bound is None
+    with pytest.raises(NumericInvariantError) as info:
+        cli._json_text({"x": math.inf})
+    assert (info.value.quantity, info.value.value, info.value.bound) == (
+        "JSON value", None, None)
+
+
+# the CI runtime-only job's run.json, and a dense sweep of the Fig-2 well
+CI_RUN = {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
+          "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 1024,
+                     "k_span": 5.0},
+          "sweep": {"points": 200, "emax": 3.0},
+          "n_x": 2048, "snapshot_times": [0.0, 0.4]}
+FIG2_WELL = dict(CI_RUN, barrier={"height": -0.25, "width": 0.5, "left_edge": 60.0},
+                 sweep={"points": 20000, "emax": 3.0})
+
+
+@pytest.mark.parametrize("payload", [CI_RUN, FIG2_WELL], ids=["ci-run", "fig2-well"])
+def test_every_csv_output_matches_the_per_cell_reference(tmp_path, monkeypatch, payload):
+    tables = {}
+    real = cli.write_atomic
+
+    def recording(path, text):
+        if isinstance(text, cli._CsvTable):
+            tables[os.path.basename(path)] = text
+        real(path, text)
+
+    monkeypatch.setattr(cli, "write_atomic", recording)
+    cfg = write_config(tmp_path, payload)
+    for command in ("sweep", "packet", "resonance", "limits"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(tables) == ["limits.csv", "packet_t0.csv", "packet_t1.csv",
+                              "resonance.csv", "sweep.csv"]
+    for name, table in tables.items():
+        text = (tmp_path / name).read_bytes().decode()
+        rows = zip(*(column.tolist() for column in table.columns))
+        assert text == oracles.csv_text_per_cell(table.header, rows), name
+        numeric = 0
+        for line in text.split("\n")[1:-1]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert "%.17g" % value == cell, (name, cell)
+                numeric += 1
+        assert numeric > 0, name
+
+
 def test_resonance_with_every_order_omitted_writes_header_only(tmp_path):
     cfg = write_config(tmp_path, {"barrier": {"height": -0.25, "width": 8.0},
                                   "n_max": 1})
@@ -226,6 +388,22 @@ def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):
                      "--points", "9"]) == 3
     assert "NaN" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_nan_in_sweep_leaves_no_output_or_temp_file(tmp_path, monkeypatch):
+    real = cli.evaluate_widths
+
+    def poisoned(barrier, ks):
+        record = real(barrier, ks)
+        values = np.array(record.dwell_width)
+        values[-1] = np.nan
+        return dataclasses.replace(record, dwell_width=values)
+
+    monkeypatch.setattr(cli, "evaluate_widths", poisoned)
+    cfg = write_config(tmp_path, {"barrier": BARRIER})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert os.listdir(out) == []
 
 
 def test_nan_in_json_output_exits_3(tmp_path, monkeypatch, capsys):

@@ -190,6 +190,20 @@ def test_clock_undersampled_grid_asks_for_more_points(monkeypatch):
         run_clock(SPEC, BARRIER, LAYOUT)
 
 
+def test_clock_errors_carry_quantity_value_and_bound(monkeypatch):
+    # the spin-component re-raise keeps the synthesis check's fields
+    monkeypatch.setattr(larmor, "N_X_CLOCK", 16)
+    with pytest.raises(NumericInvariantError) as info:
+        run_clock(SPEC, BARRIER, LAYOUT)
+    err = info.value
+    assert err.quantity == "n_full" and err.value > err.bound > 1.0
+    assert "%.9f" % err.value in str(err)
+    with pytest.raises(NumericInvariantError) as info:
+        larmor._crossing_time(10.0, 1.0, 5.0, "detector")
+    assert (info.value.quantity, info.value.value, info.value.bound) == (
+        "crossing time", -5.0, 0.0)
+
+
 def test_clock_kernel_work_stays_off_the_pad_grid(monkeypatch):
     # the pads are factorised plane-wave sums, so the interior kernels see
     # the region tables and the barrier's few grid points, not every pad

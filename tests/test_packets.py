@@ -158,6 +158,22 @@ def test_containment_error_reports_extent():
         evolve(FREE_SPEC, FREE, 0.0, x=x)
 
 
+def test_containment_errors_carry_n_full_and_the_bound_it_crossed():
+    x = np.linspace(-215.0, -185.0, 512)
+    with pytest.raises(NumericInvariantError) as short:
+        evolve(FREE_SPEC, FREE, 0.0, x=x)
+    barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=2048, k_span=5.0)
+    with pytest.raises(NumericInvariantError) as aliased:
+        evolve(spec, barrier, 0.0, n_x=16)
+    low, high = short.value, aliased.value
+    assert (low.quantity, low.bound) == ("n_full", 1.0 - packets.CONTAINMENT_TOL)
+    assert (high.quantity, high.bound) == ("n_full", 1.0 + packets.CONTAINMENT_TOL)
+    assert low.value < low.bound and high.value > high.bound
+    # the message prints the same number the field holds
+    assert "%.9f" % low.value in str(low) and "%.9f" % high.value in str(high)
+
+
 def test_undersampled_grid_raises_with_n_x_hint():
     # 16 points alias the carrier, so the trapezoid sum overshoots the norm
     barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)

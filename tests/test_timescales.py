@@ -316,6 +316,17 @@ def test_lorentz_width_rejects_bad_stencil():
         lorentz_width(barrier_for(7.0, sign=-1.0), 1)
 
 
+def test_lorentz_fit_error_carries_spread_and_tolerance():
+    with pytest.raises(NumericInvariantError) as info:
+        lorentz_width(barrier_for(2.0), 1, delta=3.0)
+    err = info.value
+    assert err.quantity == "a0 estimate spread"
+    assert err.value > err.bound > 0.0
+    # the bound is the stated relative tolerance of the finer estimate
+    fine = float(str(err).split(" and ")[1].split(" ")[0])
+    assert err.bound == pytest.approx(timescales._LORENTZ_CONSISTENCY_TOL * fine, rel=1e-8)
+
+
 def test_opaque_branch_continuous_at_switch():
     # kappa*d crosses 20 as the height varies; widths stay smooth
     d = 2.0
