@@ -18,10 +18,11 @@ of plane waves, and on the uniform k grid and a uniform x grid the spectral
 sums there are Bluestein chirp-z transforms, run on numpy.fft in
 O((N_x + N_k) log(N_x + N_k)) instead of O(N_x N_k).  Inside the support, a
 region where every node oscillates with z >= k^2/100 (the Larmor clock's
-field-free pads) is summed as factorised plane waves: O(sqrt(m) N_k)
-exponentials and one complex matrix product for its m points.  Only the
-remaining regions (evanescent barriers, near-threshold nodes) evaluate the
-interior kernels directly, at O(N_k) per point.  A caller-supplied grid x
+field-free pads) is summed as factorised plane waves: three exponentials
+per k node, O(sqrt(m) N_k) complex multiplications for the phase tables of
+its m points and one complex matrix product.  Only the remaining regions
+(evanescent barriers, near-threshold nodes) evaluate the interior kernels
+directly, at O(N_k) per point.  A caller-supplied grid x
 must therefore be uniform and ascending; evolve raises ValueError otherwise.
 
 Conventions: l0 sets the Gaussian before the _EDGE_TAPER window: untapered
@@ -326,10 +327,12 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
 
     The spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
     _spectral_sums with channel weight c_tr; n_full, the grid norm, must be
-    1 to CONTAINMENT_TOL.  Too much norm, or too little on a grid whose step
-    aliases the spectrum's largest k (k_max dx >= pi), asks to raise the
-    caller's grid size, named n_x_name; too little on a finer grid gives the
-    extent that would have sufficed.
+    1 to CONTAINMENT_TOL.  Too much norm asks to raise the caller's grid
+    size, named n_x_name.  So does too little on a grid whose step aliases
+    the spectrum's largest k (k_max dx >= pi), or whose end densities are
+    both below CONTAINMENT_TOL / extent: the packet has decayed inside the
+    grid, so the shortfall is quadrature error, not norm past the ends.
+    Too little on any other grid gives the extent that would have sufficed.
     """
     ks = spectrum.k
     phase_t = np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
@@ -351,6 +354,16 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
                 "grid holds only %.9f of the norm at t=%g ps; raise %s (step %.4g "
                 "nm aliases the spectrum's k_max %.4g 1/nm, which needs a step "
                 "below %.4g nm)" % (n_full, t, n_x_name, step, ks[-1], math.pi / ks[-1]),
+                quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
+            )
+        ends = (abs(psi_full[0]) ** 2, abs(psi_full[-1]) ** 2)
+        if max(ends) < CONTAINMENT_TOL / extent:
+            raise NumericInvariantError(
+                "grid holds only %.9f of the norm at t=%g ps; raise %s (current "
+                "%d points; the end densities %.2g and %.2g 1/nm are below %.2g "
+                "1/nm, so the packet is inside the grid and the shortfall is "
+                "quadrature error)" % (n_full, t, n_x_name, x.size, ends[0], ends[1],
+                                       CONTAINMENT_TOL / extent),
                 quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
             )
         raise NumericInvariantError(

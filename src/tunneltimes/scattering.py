@@ -160,10 +160,14 @@ class RegionTable:
         Needs splits_into_plane_waves.  Each state is exp(sigma) (A e^{iq dx}
         + B e^{-iq dx}) with q = sqrt(z), A, B = (psi +- dpsi/(iq))/2 and
         dx = x - x_right.  Writing point j as b P + j' with P = ceil(sqrt(m))
-        factors e^{iq dx_j} = e^{iq dx_{bP}} e^{iq j' h}, so both signs of
-        the wave cost two tables of about sqrt(m) x N_k exponentials and one
-        complex matrix product; the e^{-iq dx} sums are conjugates of e^{iq dx}
-        sums on conjugate weights.  Exact: there is no truncation.
+        and step h factors e^{iq dx_j} = e^{iq dx_0} e^{iq b P h} e^{iq j' h}.
+        Only e^{iq dx_0}, e^{iqPh} and e^{iqh} are exponentials, three per
+        k; the weighted rows of the P-point blocks and the P x N_k table of
+        fine phases are their powers, built by repeated multiplication, and
+        one complex matrix product sums both signs of the wave: the
+        e^{-iq dx} sums are conjugates of e^{iq dx} sums on conjugate
+        weights.  Exact: there is no truncation, and the recurrence adds
+        about P + m/P ulp of phase error.
         """
         m = x.size
         p = math.isqrt(m - 1) + 1
@@ -171,13 +175,22 @@ class RegionTable:
         q = np.sqrt(self.z)
         scale = np.exp(self.sigma) * weights
         ratio = self.dpsi / (1j * q)
-        fwd = 0.5 * (self.psi + ratio) * scale
-        back = 0.5 * (self.psi - ratio) * scale
-        coarse = np.exp(1j * np.outer(x[::p] - self.x_right, q))
-        fine = np.exp(1j * np.outer(h * np.arange(p), q))
-        sums = np.concatenate([coarse * fwd, coarse * np.conj(back)]) @ fine.T
-        blocks = coarse.shape[0]
-        return (sums[:blocks] + np.conj(sums[blocks:])).ravel()[:m]
+        shift = np.exp(1j * q * (x[0] - self.x_right))
+        fwd = 0.5 * (self.psi + ratio) * scale * shift
+        back = np.conj(0.5 * (self.psi - ratio) * scale) * shift
+        rows = _powers(np.stack([fwd, back]), np.exp(1j * (p * h) * q), (m + p - 1) // p)
+        fine = _powers(np.ones_like(fwd), np.exp(1j * h * q), p)
+        sums = rows.reshape(-1, q.size) @ fine.T
+        return (sums[0::2] + np.conj(sums[1::2])).ravel()[:m]
+
+
+def _powers(first, ratio, n):
+    """Rows first * ratio**j for j < n, stacked on a new leading axis."""
+    out = np.empty((n,) + first.shape, dtype=complex)
+    out[0] = first
+    for j in range(1, n):
+        np.multiply(out[j - 1], ratio, out=out[j])
+    return out
 
 
 def _real_matmul(mat, vec):

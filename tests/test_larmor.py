@@ -2,7 +2,7 @@
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from tunneltimes import (
 )
 from tunneltimes import kernels, larmor
 from tunneltimes.packets import _spectral_sums, _synthesize
-from tunneltimes.scattering import interior_table
+from tunneltimes.scattering import RegionTable, interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
 FREE = BarrierSpec(0.0, 0.5, left_edge=2200.0)
@@ -222,6 +222,30 @@ def test_clock_kernel_work_stays_off_the_pad_grid(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     run_clock(SPEC, BARRIER, LAYOUT)
     assert 0 < sum(elements) < 10**5
+
+
+@pytest.mark.parametrize("spec,barrier,layout", [
+    (SPEC, BARRIER, LAYOUT),
+    (PacketSpec(l0=100.0, x0=0.0, k0=K0, n_k=2048),
+     BarrierSpec(0.25, 0.5, left_edge=1100.0),
+     FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)),
+], ids=["criterion-10", "criterion-11"])
+def test_clock_readout_does_not_depend_on_the_synthesis(monkeypatch, spec, barrier, layout):
+    # the syntheses only check containment: summing the pads through the
+    # interior kernels instead of plane waves leaves every readout field equal
+    want = run_clock(spec, barrier, layout)
+    sizes = []
+
+    def through_superpose(reg, x, weights):
+        sizes.append(x.size)
+        return np.concatenate([reg.superpose(x[start:start + 128], weights)
+                               for start in range(0, x.size, 128)])
+
+    monkeypatch.setattr(RegionTable, "plane_wave_sums", through_superpose)
+    got = run_clock(spec, barrier, layout)
+    assert len(sizes) == 4 and min(sizes) > 0
+    for field in fields(larmor.SpinReadout):
+        assert getattr(got, field.name) == getattr(want, field.name)
 
 
 def test_clock_recovers_starting_point(readout):

@@ -394,6 +394,40 @@ def test_pad_plane_wave_sums_match_superpose(margin, omega):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 15**2 - 1, 15**2, 15**2 + 1, 4500])
+def test_plane_wave_sums_match_superpose_at_size_edges(m):
+    # single points, block counts one short of, at and one past a perfect
+    # square, and a region dense enough that the row and column recurrences
+    # run longest; the points start and end off the pad's edges
+    layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
+    spectrum = gaussian_spectrum(CLOCK_SPEC)
+    ks = spectrum.k
+    v = group_velocity(CLOCK_SPEC.k0, CLOCK_BARRIER.kinetic_coeff)
+    potential = spin_potentials(CLOCK_BARRIER, layout)[0]
+    _, tables = interior_table(ks, potential, CLOCK_BARRIER.kinetic_coeff)
+    for reg in (tables[0], tables[-1]):
+        assert reg.splits_into_plane_waves(ks)
+        x = np.linspace(reg.x_left + 0.37, reg.x_right - 0.21, m)
+        u = _spectral_weights(spectrum, CLOCK_BARRIER.kinetic_coeff,
+                              0.5 * (reg.x_left + reg.x_right) / v)
+        want = np.concatenate([reg.superpose(x[start:start + 128], u)
+                               for start in range(0, m, 128)])
+        got = reg.plane_wave_sums(x, u)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_cutting_the_packet_asks_for_a_wider_grid():
+    # a caller grid ending 60 nm past the 40 nm well leaves 1e-3 per nm of
+    # density at its right end: the missing norm lies past the grid
+    well = BarrierSpec(-0.25, 40.0, left_edge=300.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=1024, k_span=5.0)
+    with pytest.raises(NumericInvariantError, match="widen the grid") as info:
+        evolve(spec, well, 0.4, x=np.linspace(-100.0, 400.0, 4096))
+    assert "raise n_x" not in str(info.value)
+    assert info.value.value < info.value.bound == 1.0 - packets.CONTAINMENT_TOL
+
+
 @pytest.mark.parametrize("level", ["evanescent", "threshold"])
 def test_ill_conditioned_regions_fall_back_and_match_dense_sum(monkeypatch, level):
     # a 20 nm region under BAR_SPEC: a barrier at 0.25 eV is evanescent for
