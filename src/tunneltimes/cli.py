@@ -275,11 +275,6 @@ class _CsvTable:
         return buffer.translate(None, b"\0")
 
 
-def _csv_text(header, columns) -> str:
-    """The whole CSV text of a table as one string."""
-    return b"".join(_CsvTable(header, columns)).decode()
-
-
 def _json_text(payload) -> str:
     try:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

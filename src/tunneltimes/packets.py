@@ -222,10 +222,13 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     from one spectrum and one evaluate_widths record.  The margin handles
     spreading (it grows at 8 sigma_v, which also covers the carrier's spread
     of arrival positions) plus the slow-tail allowance; the left end
-    additionally tracks the ballistic retreat of the reflected packet
-    whenever the reflected spectral mass, Integral |A|^2 R dk, is not
-    negligible.
+    follows the incident packet back to x0 + v t at t < 0, and tracks the
+    ballistic retreat of the reflected packet whenever the reflected
+    spectral mass, Integral |A|^2 R dk, is not negligible.  n_x must be an
+    integer >= 2 (ValueError otherwise).
     """
+    if not isinstance(n_x, (int, np.integer)) or n_x < 2:
+        raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
     times, scalar = _times(t)
     spectrum = gaussian_spectrum(spec)
     rec = evaluate_widths(barrier, spectrum.k)
@@ -237,7 +240,7 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     grids = []
     for t in times:
         margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + tail
-        lo = spec.x0
+        lo = min(spec.x0, spec.x0 + v * t)
         if t > 0.0 and retreats:
             lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
         lo -= margin

@@ -10,9 +10,9 @@ with (x_min, x_max) the support of the potential.  Inside a uniform
 region at level V the squared local wavenumber is z = (E - V) /
 kinetic_coeff; z < 0 marks a classically forbidden (evanescent) region.
 Region propagators act on real (psi, psi') Cauchy data and have unit
-determinant, rescaled by exp(-kappa L) where kappa L > 20.  A region at
-level V > 0 is cut into equal pieces of kappa0 L <= 300, kappa0 =
-sqrt(V / kinetic_coeff) bounding kappa at every k, so the state continued
+determinant.  A region at level V > 0 is cut into equal pieces of
+kappa0 L <= 300, kappa0 = sqrt(V / kinetic_coeff) bounding kappa at every
+k, so no propagator entry exceeds cosh(300) and the state continued
 across each piece stays representable however opaque the barrier.
 
 interior_table pulls a transmitted wave back through the pieces once,
@@ -28,42 +28,23 @@ import numpy as np
 from . import kernels
 from .model import require_wavenumbers
 
-# below this kappa*L the unscaled cosh/sinh entries stay < 2.5e8, and the
-# pulled-back data are renormalised after every piece, so nothing compounds
-_SCALE_THRESHOLD = 20.0
-# largest kappa0*L of one piece: continuing a table across a piece costs
-# at most cosh(300) ~ 1e130, far from overflow
+# largest kappa0*L of one piece: every propagator entry stays below
+# cosh(300) ~ 1e130, and the pulled-back data are renormalised after every
+# piece, so continuing a table across a piece stays far from overflow
 _PIECE_KAPPA_L = 300.0
 
 
 def _region_propagator(z, length):
-    """Scaled (psi, psi') propagator over one uniform region, arrays over k.
-
-    Returns (c, f, g, u) with the true propagator equal to
-    exp(u) * [[c, f], [g, c]]; u is nonzero only where kappa*L exceeds
-    the scaling threshold.
-    """
+    """Unit-determinant (psi, psi') propagator [[c, f], [g, c]] over one
+    uniform region, arrays over k: (c, f, g) = (cos_sqrt(v), L sinc_sqrt(v),
+    -z f) with v = z L^2."""
     v = z * length * length
-    u = np.sqrt(np.maximum(-v, 0.0))
-    deep = u > _SCALE_THRESHOLD
-    shallow = ~deep
-    c = np.empty_like(v)
-    f = np.empty_like(v)
-    g = np.empty_like(v)
-    c[shallow] = kernels.cos_sqrt(v[shallow])
-    f[shallow] = length * kernels.sinc_sqrt(v[shallow])
-    g[shallow] = -z[shallow] * f[shallow]
-    kap = u[deep] / length
-    em = np.exp(-2.0 * u[deep])
-    sh = 0.5 * (1.0 - em)
-    c[deep] = 0.5 * (1.0 + em)
-    f[deep] = sh / kap
-    g[deep] = kap * sh
-    return c, f, g, np.where(deep, u, 0.0)
+    f = length * kernels.sinc_sqrt(v)
+    return kernels.cos_sqrt(v), f, -z * f
 
 
 def _propagators(ks, potential, kinetic_coeff):
-    """[(x_left, x_right, z, (c, f, g, u)), ...] per piece, arrays over ks."""
+    """[(x_left, x_right, z, (c, f, g)), ...] per piece, arrays over ks."""
     e = kinetic_coeff * ks * ks
     out = []
     for xl, xr, lev in potential.filled_regions():
@@ -80,7 +61,6 @@ def _propagators(ks, potential, kinetic_coeff):
 class Amplitudes:
     """Transmission/reflection amplitudes at one k, or arrays over a k grid.
 
-    log_scale is the sum of the propagators' exp(-kappa L) rescalings.
     det_defect is the Wronskian drift of the pulled-back wave, (-Im(psi
     conj(psi'))/k - exp(-2 sigma)) / max(1, |psi| |psi'|/k) at the left
     edge: the product of the propagators' determinants, off 1, measured
@@ -90,7 +70,6 @@ class Amplitudes:
     k: float
     t: complex
     r: complex
-    log_scale: float
     det_defect: float
 
     @property
@@ -103,7 +82,7 @@ class Amplitudes:
 
 
 def amplitudes(k, potential, kinetic_coeff):
-    """t, r, log_scale and det_defect for unit incidence from the left.
+    """t, r and det_defect for unit incidence from the left.
 
     Scalar k gives scalars; an array of k gives arrays, all in one pass:
     the amplitudes of interior_table.  Every k must be positive and finite
@@ -213,9 +192,8 @@ def interior_table(ks, potential, kinetic_coeff):
     psi = np.exp(1j * ks * b)
     dpsi = 1j * ks * psi
     sigma = np.zeros(ks.shape)
-    log_scale = np.zeros(ks.shape)
     tables = []
-    for xl, xr, z, (c, f, g, u) in reversed(_propagators(ks, potential, kinetic_coeff)):
+    for xl, xr, z, (c, f, g) in reversed(_propagators(ks, potential, kinetic_coeff)):
         norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
         psi = psi / norm
         dpsi = dpsi / norm
@@ -224,16 +202,13 @@ def interior_table(ks, potential, kinetic_coeff):
         # adjugate of the unit-determinant propagator pulls the data
         # back to the region's left edge
         psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
-        sigma = sigma + u
-        log_scale = log_scale + u
-    c = f = g = u = None  # free the last propagator for the split: 0.7 MB less peak RSS
+    c = f = g = None  # free the last propagator for the split: 0.7 MB less peak RSS
     ratio = dpsi / (1j * ks)
     inc = 0.5 * (psi + ratio) * np.exp(-1j * ks * a)
     flux = -np.imag(psi * np.conj(dpsi)) / ks
     defect = (flux - np.exp(-2.0 * sigma)) / np.maximum(1.0, np.abs(psi * dpsi) / ks)
     amps = Amplitudes(k=ks, t=np.exp(-sigma) / inc,
-                      r=0.5 * (psi - ratio) * np.exp(1j * ks * a) / inc,
-                      log_scale=log_scale, det_defect=defect)
+                      r=0.5 * (psi - ratio) * np.exp(1j * ks * a) / inc, det_defect=defect)
     size = np.abs(inc)
     phase = size / inc
     shift = -sigma - np.log(size)

@@ -33,6 +33,10 @@ CLOCK = {
 }
 
 
+def csv_text(header, columns):
+    return b"".join(cli._CsvTable(header, columns)).decode()
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -157,10 +161,10 @@ def test_readme_shared_config_serves_every_subcommand(tmp_path, monkeypatch):
 
 
 def test_format_float_tokens():
-    assert (cli._csv_text("v", [[math.inf, -math.inf, 0.1]])
+    assert (csv_text("v", [[math.inf, -math.inf, 0.1]])
             == "v\ninf\n-inf\n0.10000000000000001\n")
     with pytest.raises(NumericInvariantError):
-        cli._csv_text("v", [[0.0, math.nan]])
+        csv_text("v", [[0.0, math.nan]])
 
 
 # every float64 bit pattern except NaN, plus hypothesis' own float edge cases
@@ -188,7 +192,7 @@ def tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(tables())
 def test_csv_text_matches_per_cell_reference(columns):
-    assert (cli._csv_text("h", columns)
+    assert (csv_text("h", columns)
             == oracles.csv_text_per_cell("h", zip(*columns)))
 
 
@@ -198,7 +202,7 @@ def test_csv_text_matches_reference_across_row_blocks():
     bits = rng.integers(0, 2**64, size=(3, n_rows), dtype=np.uint64)
     floats = [np.where(np.isnan(col), 0.5, col) for col in bits.view(np.float64)]
     columns = [list(range(n_rows))] + floats
-    assert (cli._csv_text("n,a,b,c", columns)
+    assert (csv_text("n,a,b,c", columns)
             == oracles.csv_text_per_cell("n,a,b,c", zip(*columns)))
 
 
@@ -208,7 +212,7 @@ def test_csv_text_matches_reference_across_row_blocks():
 
 def assert_cells_are_percent_17g(values):
     values = np.asarray(values, dtype=float).ravel()
-    got = cli._csv_text("v", [values]).split("\n")[1:-1]
+    got = csv_text("v", [values]).split("\n")[1:-1]
     want = ["%.17g" % value for value in values.tolist()]
     assert len(got) == len(want)
     wrong = [(w, g) for g, w in zip(got, want) if g != w]
@@ -266,7 +270,7 @@ def test_float_cells_exact_at_zero_infinity_subnormals_and_fast_range_edges():
         edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
     values = np.concatenate([subnormals, edges])
     assert_cells_are_percent_17g(np.concatenate([values, -values]))
-    assert cli._csv_text("v", [[0.0, -0.0]]) == "v\n0\n-0\n"
+    assert csv_text("v", [[0.0, -0.0]]) == "v\n0\n-0\n"
 
 
 def test_table_across_row_blocks_with_special_cells_at_block_edges():
@@ -278,20 +282,20 @@ def test_table_across_row_blocks_with_special_cells_at_block_edges():
         floats[row] = value
     columns = [list(range(n_rows)), floats,
                ["w%d" % (row % 7) for row in range(n_rows)], floats[::-1]]
-    assert (cli._csv_text("n,a,s,b", columns)
+    assert (csv_text("n,a,s,b", columns)
             == oracles.csv_text_per_cell("n,a,s,b", zip(*columns)))
 
 
 @pytest.mark.parametrize("cell", ["a\0b", "ab\0"])
 def test_str_cell_holding_nul_raises(cell):
     with pytest.raises(ValueError, match="NUL"):
-        cli._csv_text("s", [["ok", cell]])
+        csv_text("s", [["ok", cell]])
 
 
 def test_table_len_is_its_size_in_bytes():
     columns = [[1, 22, 333], [0.1, -math.inf, 2.5e-300], ["a", "bb", "ccc"]]
     table = cli._CsvTable("n,x,s", columns)
-    assert len(table) == len(cli._csv_text("n,x,s", columns).encode())
+    assert len(table) == len(csv_text("n,x,s", columns).encode())
 
 
 def test_table_write_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
@@ -313,7 +317,7 @@ def test_table_write_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
 
 def test_nan_and_json_errors_carry_their_quantity():
     with pytest.raises(NumericInvariantError) as info:
-        cli._csv_text("v", [[0.0, math.nan]])
+        csv_text("v", [[0.0, math.nan]])
     assert info.value.quantity == "table cell"
     assert math.isnan(info.value.value) and info.value.bound is None
     with pytest.raises(NumericInvariantError) as info:

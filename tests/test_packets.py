@@ -208,6 +208,30 @@ def test_default_grid_tracks_both_channels():
     ) - 1e-9
 
 
+@pytest.mark.parametrize("t", [-0.3, -1.0, -5.0])
+def test_default_grid_follows_the_packet_back_in_time(t):
+    # before launch the packet sits at x0 + v t, left of x0
+    spec = PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=2048)
+    barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
+    state = evolve(spec, barrier, t)
+    v = group_velocity(spec.k0, barrier.kinetic_coeff)
+    assert abs(state.n_full - 1.0) < 1e-6
+    assert state.cm_full == pytest.approx(spec.x0 + v * t, abs=0.1)
+
+
+@pytest.mark.parametrize("n_x", [0, 1, 100.5, True, "2048"])
+def test_default_grid_rejects_bad_point_count(n_x):
+    with pytest.raises(ValueError, match="n_x"):
+        default_grid(FREE_SPEC, FREE, 0.0, n_x=n_x)
+    with pytest.raises(ValueError, match="n_x"):
+        evolve(FREE_SPEC, FREE, 0.0, n_x=n_x)
+
+
+def test_default_grid_accepts_numpy_point_count():
+    grid = default_grid(FREE_SPEC, FREE, 0.0, n_x=np.int64(64))
+    assert grid.size == 64 and grid.tolist() == default_grid(FREE_SPEC, FREE, 0.0, 64).tolist()
+
+
 def test_channel_additivity_and_support(barrier_states):
     state = barrier_states[1.5]
     assert np.max(np.abs(state.psi_tr + state.psi_ref - state.psi_full)) <= 1e-12
