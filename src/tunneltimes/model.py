@@ -72,10 +72,10 @@ def require_wavenumbers(k):
 
 
 def wavenumber(energy, kinetic_coeff):
-    """k = sqrt(E / kinetic_coeff) for E >= 0; E = 0 maps to k = 0."""
+    """k = sqrt(E / kinetic_coeff) for finite E >= 0; E = 0 maps to k = 0."""
     energy = np.asarray(energy, dtype=float)
-    if np.any(energy < 0):
-        raise ValueError("kinetic energy must be non-negative")
+    if not np.all(np.isfinite(energy) & (energy >= 0)):
+        raise ValueError("kinetic energy must be finite and non-negative")
     out = np.sqrt(energy / kinetic_coeff)
     return float(out) if out.ndim == 0 else out
 
@@ -98,8 +98,8 @@ def group_velocity(k, kinetic_coeff):
 class PiecewisePotential:
     """Piecewise-constant potential, zero outside its segments.
 
-    segments is a tuple of (x_left, x_right, level) triples in ascending
-    order with no overlaps.  Gaps between segments are at level zero.
+    segments is a tuple of finite (x_left, x_right, level) triples in
+    ascending order with no overlaps.  Gaps between segments are at level zero.
     """
 
     segments: tuple = ()
@@ -108,8 +108,10 @@ class PiecewisePotential:
         norm = tuple(
             (float(xl), float(xr), float(lev)) for xl, xr, lev in self.segments
         )
-        for xl, xr, _ in norm:
-            if not xr > xl:
+        for seg in norm:
+            if not all(map(math.isfinite, seg)):
+                raise ValueError("segment edges and level must be finite, got %r" % (seg,))
+            if not seg[1] > seg[0]:
                 raise ValueError("segment needs x_right > x_left")
         for (_, xr, _), (xl2, _, _) in zip(norm, norm[1:]):
             if xl2 < xr:

@@ -8,9 +8,9 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
-evolve and the Larmor clock share one grid rule (default_grid), one channel
-weight (channel_weight of the transfer matrix's own T and R) and one checked
-synthesis (_synthesize): spectral weights at t, the sums below, and a
+evolve and the Larmor clock share one measured grid rule (default_grid), one
+channel weight (channel_weight of the transfer matrix's own T and R) and one
+checked synthesis (_synthesize): spectral weights at t, the sums below, and a
 grid-norm containment check that asks for more grid points or a wider grid.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
@@ -62,6 +62,9 @@ _X_CHUNK = 128
 # largest norm a synthesis grid may lose or gain before the snapshot is
 # rejected
 CONTAINMENT_TOL = 1e-6
+# norm of each free channel wave the default grid may leave outside, half
+# past either end: 100 times below the packet scenario's 1e-8 closure gate
+_TAIL_MASS = 1e-10
 
 # fraction of the spectral grid, per side, smoothly rolled off to zero.  A
 # hard truncation of the sampled spectrum rings in position space with 1/x^2
@@ -184,27 +187,6 @@ def dispersion_time(spec: PacketSpec, kinetic_coeff: float) -> float:
     return HBAR * spec.l0**2 / kinetic_coeff
 
 
-def _slow_tail(spectrum, rec):
-    """Extra grid extent needed by slow spectral components.
-
-    Channel content at wavenumber k sits displaced by the starting-point
-    shift x_start(k), and strongly reflected slow components also need a few
-    of their own wavelengths before the k-integration dephases their
-    standing-wave pattern.  Spectra that reach down to such components (the
-    deep-well scenario) therefore carry tails thousands of nm long even at
-    t = 0.  Both scales are taken over the nodes whose reflected mass
-    exceeds 1e-13 (rec is the spectrum's evaluate_widths record); elsewhere
-    the allowance is negligible.
-    """
-    node_mass = np.abs(spectrum.amplitude) ** 2 * spectrum.weights
-    keep = node_mass * np.asarray(rec.reflection, dtype=float) > 1e-13
-    if not keep.any():
-        return 0.0
-    shift = 2.0 * float(np.max(np.abs(np.asarray(rec.starting_point)[keep])))
-    slowest = float(np.min(spectrum.k[keep]))
-    return shift + 1.5 * 2.0 * math.pi / slowest
-
-
 def _times(t):
     """(times, scalar): t as a tuple of floats, and whether it was one time."""
     times = np.asarray(t, dtype=float)
@@ -215,38 +197,55 @@ def _times(t):
     return tuple(float(v) for v in times.ravel()), times.ndim == 0
 
 
-def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
-    """Spatial grid wide enough to hold both channels at time t.
+def _grids(spec, barrier, spectrum, amps, c_tr, times, n_x):
+    """One n_x-point grid per time, from the channel waves' measured extent.
 
-    t is one finite time, or a 1-d sequence of them for a tuple of grids
-    from one spectrum and one evaluate_widths record.  The margin handles
-    spreading (it grows at 8 sigma_v, which also covers the carrier's spread
-    of arrival positions) plus the slow-tail allowance; the left end
-    follows the incident packet back to x0 + v t at t < 0, and tracks the
-    ballistic retreat of the reflected packet whenever the reflected
-    spectral mass, Integral |A|^2 R dk, is not negligible.  n_x must be an
-    integer >= 2 (ValueError otherwise).
+    The incident wave A, the incidence-side channel A c_tr, the reflected
+    wave A r exp(-ikx) and the transmitted wave A t are Fourier sums on the
+    uniform k grid, periodic in x: one n_k-point FFT gives each density at
+    the points j step of the period centred on x0 + v t, or on 2a - x0 - v t
+    for the reflected wave (the density of the forward sum of conj(A r)).
+    Counting the first three left of a and the last right of b, the grid
+    leaves at most _TAIL_MASS / 2 of each past either end and spans [a, b].
     """
     if not isinstance(n_x, (int, np.integer)) or n_x < 2:
         raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
-    times, scalar = _times(t)
-    spectrum = gaussian_spectrum(spec)
-    rec = evaluate_widths(barrier, spectrum.k)
-    tail = _slow_tail(spectrum, rec)
-    density = np.abs(spectrum.amplitude) ** 2
-    retreats = np.trapezoid(density * rec.reflection, spectrum.k) > 0.1 * CONTAINMENT_TOL
-    t_disp = dispersion_time(spec, barrier.kinetic_coeff)
-    v = group_velocity(spec.k0, barrier.kinetic_coeff)
+    a, b = barrier.left_edge, barrier.right_edge
+    ks, n = spectrum.k, spectrum.k.size
+    step = 2.0 * math.pi * (n - 1) / (n * (ks[-1] - ks[0]))
     grids = []
     for t in times:
-        margin = 8.0 * spec.l0 * (1.0 + abs(t) / t_disp) + tail
-        lo = min(spec.x0, spec.x0 + v * t)
-        if t > 0.0 and retreats:
-            lo = min(lo, 2.0 * barrier.left_edge - spec.x0 - v * t)
-        lo -= margin
-        hi = barrier.right_edge + v * t + margin
+        u = spectrum.amplitude * spectrum.weights * np.exp(
+            -1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
+        waves = np.fft.ifft(np.stack([u, u * c_tr, np.conj(u * amps.r), u * amps.t]))
+        centre = spec.x0 + group_velocity(spec.k0, barrier.kinetic_coeff) * t
+        starts = np.rint(np.array([centre, centre, 2.0 * a - centre, centre]) / step) - n // 2
+        x = (starts[:, None] + np.arange(n)) * step
+        mass = np.stack([np.roll(w.real**2 + w.imag**2, -int(j)) for w, j in zip(waves, starts)])
+        mass *= (n * n * step / (2.0 * math.pi)) * np.vstack([x[:3] < a, x[3] > b])
+        cum = np.cumsum(mass, axis=1)
+        held = cum[:, -1] > _TAIL_MASS
+        first = starts + np.argmax(cum >= 0.5 * _TAIL_MASS, axis=1)
+        last = starts + np.argmax(cum >= cum[:, -1:] - 0.5 * _TAIL_MASS, axis=1)
+        lo = np.min((first - 0.5) * step, where=held, initial=a)
+        hi = np.max((last + 0.5) * step, where=held, initial=b)
         grids.append(np.linspace(lo, hi, n_x))
-    return grids[0] if scalar else tuple(grids)
+    return tuple(grids)
+
+
+def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
+    """Spatial grid of n_x points that holds both channels at time t.
+
+    t is one finite time, or a 1-d sequence of them for a tuple of grids
+    from one spectrum and one interior_table solve of the barrier, each
+    measured by _grids.  n_x must be an integer >= 2 (ValueError otherwise).
+    """
+    times, scalar = _times(t)
+    spectrum = gaussian_spectrum(spec)
+    amps, _ = interior_table(spectrum.k, barrier.potential(), barrier.kinetic_coeff)
+    c_tr = channel_weight(barrier, spectrum.k, amps.transmission, amps.reflection)
+    grids = _grids(spec, barrier, spectrum, amps, c_tr, times, n_x)
+    return grids[0] if scalar else grids
 
 
 def _fast_len(n):
@@ -395,22 +394,21 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     PacketStates from one spectrum and one interior_table solve, whose own
     T and R give the channel weight.  x, when given, must be a uniform
     ascending grid (ValueError otherwise) and serves every time; the default
-    is default_grid(spec, barrier, t, n_x).  psi_full and psi_tr come from
-    the checked _synthesize, which raises NumericInvariantError when the
-    grid norm is off 1 by more than 1e-6.
+    is default_grid(spec, barrier, t, n_x), measured on the same solve.
+    psi_full and psi_tr come from the checked _synthesize, which raises
+    NumericInvariantError when the grid norm is off 1 by more than 1e-6.
     """
     times, scalar = _times(t)
-    if x is None:
-        grids = default_grid(spec, barrier, times, n_x)
-    else:
+    if x is not None:
         x = np.asarray(x, dtype=float)
         _check_grid(x)
-        grids = (x,) * len(times)
     spectrum = gaussian_spectrum(spec)
     ks = spectrum.k
     potential = barrier.potential()
     amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
     c_tr = channel_weight(barrier, ks, amps.transmission, amps.reflection)
+    grids = (_grids(spec, barrier, spectrum, amps, c_tr, times, n_x) if x is None
+             else (x,) * len(times))
     states = []
     for t, x in zip(times, grids):
         psi_full, psi_tr, n_full = _synthesize(x, spectrum, t, barrier.kinetic_coeff, c_tr,

@@ -264,8 +264,8 @@ class ScalingLimit:
 
 def scaling_limit(barrier: BarrierSpec, lam: float) -> ScalingLimit:
     """Evaluate the widths at k = width/lam^2 and their small-width targets."""
-    if lam <= 0.0:
-        raise ValueError("length scale lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("length scale lam must be positive and finite, got %r" % (lam,))
     d = barrier.width
     k = d / lam**2
     rec = evaluate_widths(barrier, k)

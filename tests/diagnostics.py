@@ -4,9 +4,8 @@ local_wavenumbers gives the interior regime and rate at the energy of k,
 interface_mismatch the transmission channel's jump at the left edge,
 channel_mean_k the spectral mean k per channel, cm_trajectory the centers
 of mass over a list of snapshot times, second_central_moment the spread of
-a sampled density (it backs the wave-packet acceptance criterion),
-slow_tail_allowance the grid extent default_grid allows for slow spectral
-components, and synthetic_precession the spin a clock would read for a
+a sampled density (it backs the wave-packet acceptance criterion), and
+synthetic_precession the spin a clock would read for a
 given starting point.  They sit apart from oracles.py, which the benchmark
 imports.
 """
@@ -19,7 +18,7 @@ import numpy as np
 from oracles import stationary_value
 from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.model import group_velocity
-from tunneltimes.packets import N_X_DEFAULT, _slow_tail, evolve, gaussian_spectrum
+from tunneltimes.packets import N_X_DEFAULT, evolve, gaussian_spectrum
 from tunneltimes.timescales import evaluate_widths
 
 
@@ -121,12 +120,6 @@ def second_central_moment(x, density):
     norm = np.trapezoid(density, x)
     mean = np.trapezoid(x * density, x) / norm
     return float(np.trapezoid((x - mean) ** 2 * density, x) / norm)
-
-
-def slow_tail_allowance(spec, barrier):
-    """Extra grid extent default_grid allows for slow spectral components."""
-    spectrum = gaussian_spectrum(spec)
-    return _slow_tail(spectrum, evaluate_widths(barrier, spectrum.k))
 
 
 def synthetic_precession(x_start, left_edge, detector_offset, margin, k,

@@ -607,7 +607,7 @@ def test_packet_requires_exactly_one_carrier(tmp_path):
 
 
 def test_packet_undersampled_grid_exits_3(tmp_path, capsys):
-    # 16 points alias the carrier: the grid reads more than the whole norm
+    # 16 points alias the carrier: the grid misreads the norm
     cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=16, snapshot_times=[0.0]))
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "raise n_x" in capsys.readouterr().err
@@ -624,9 +624,9 @@ def test_packet_failing_later_snapshot_writes_no_file(tmp_path):
 
 
 def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
-    # 24 points alias the spectrum (k_max dx >= pi) and read too little
+    # 16 points alias the spectrum (k_max dx >= pi) and read too little
     # norm; a wider grid would alias worse, so the hint is n_x, not extent
-    cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=24, snapshot_times=[0.0]))
+    cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=16, snapshot_times=[0.0]))
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "grid holds only" in err and "raise n_x" in err
@@ -636,16 +636,16 @@ def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
 
 def test_packet_contained_packet_with_low_norm_asks_for_n_x(tmp_path, capsys):
     # the default grid holds the packet (end densities near 1e-13 per nm),
-    # but 4096 points leave a 1.7e-6 trapezoid deficit at the 40 nm well's
+    # but 4592 points leave a 1.7e-6 trapezoid deficit at the 40 nm well's
     # edges; 8192 points pass, so the hint is n_x, not a wider grid
     cfg = write_config(tmp_path, {
         "barrier": {"height": -0.25, "width": 40.0, "left_edge": 300.0},
         "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 1024,
                    "k_span": 5.0},
-        "n_x": 4096, "snapshot_times": [0.4]})
+        "n_x": 4592, "snapshot_times": [0.4]})
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "grid holds only 0.999998" in err and "raise n_x (current 4096 points" in err
+    assert "grid holds only 0.999998" in err and "raise n_x (current 4592 points" in err
     assert "widen" not in err
     assert not (tmp_path / "packet_summary.json").exists()
 

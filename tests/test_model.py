@@ -54,6 +54,12 @@ def test_wavenumber_energy_roundtrip():
         wavenumber(-0.1, K)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [0.1, math.nan]])
+def test_wavenumber_rejects_non_finite_energy(bad):
+    with pytest.raises(ValueError, match="finite"):
+        wavenumber(bad, ParticleSpec().kinetic_coeff)
+
+
 def test_barrier_spec():
     bar = BarrierSpec(height=0.25, width=0.5, left_edge=1.0)
     assert bar.right_edge == 1.5
@@ -88,6 +94,16 @@ def test_piecewise_potential():
         PiecewisePotential(((0.0, 1.0, 0.3), (0.5, 2.0, 0.1)))
     with pytest.raises(ValueError):
         PiecewisePotential(((1.0, 0.5, 0.3),))
+
+
+@pytest.mark.parametrize("segment", [
+    (0.0, 1.0, math.nan), (0.0, 1.0, math.inf), (0.0, math.inf, 0.3),
+    (-math.inf, 1.0, 0.3), (math.nan, 1.0, 0.3),
+])
+def test_piecewise_potential_rejects_non_finite_segments(segment):
+    # a NaN or infinite edge or level used to pass, and fail later inside a solve
+    with pytest.raises(ValueError, match="must be finite"):
+        PiecewisePotential(((-2.0, -1.0, 0.1), segment))
 
 
 def test_adjacent_segments_allowed():

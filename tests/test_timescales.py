@@ -252,6 +252,12 @@ def test_scaling_limit_rejects_bad_lam():
         scaling_limit(BARRIER, 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_scaling_limit_names_a_non_finite_lam(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        scaling_limit(BARRIER, lam)
+
+
 def test_resonance_records_match_evaluator():
     bar = barrier_for(2.0)
     table = resonance_table(bar, 4)
