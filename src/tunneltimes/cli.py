@@ -490,34 +490,30 @@ def cmd_packet(args) -> int:
 
     # one solve for every snapshot and the initial state, whose channel
     # norms and t = 0 center-of-mass separation the summary reports even when
-    # 0 is not among the requested times
+    # 0 is not among the requested times; the whole summary is built before
+    # any file is written, so a failing check writes none
     solved = times if 0.0 in times else times + [0.0]
     states = evolve(spec, barrier, solved, n_x=n_x)
     initial = states[solved.index(0.0)]
-    written = []
-    snapshots = []
-    for index, (t, state) in enumerate(zip(times, states)):
-        name = "packet_t%d.csv" % index
-        path = os.path.join(out, name)
-        write_atomic(path, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state)))
-        written.append(path)
-        snapshots.append({
-            "t": t,
-            "file": name,
-            "cm_tr": state.cm_tr,
-            "cm_full": state.cm_full,
-            "n_full": state.n_full,
-        })
+    names = ["packet_t%d.csv" % index for index in range(len(times))]
     summary = {
         "n_tr": initial.n_tr,
         "n_ref": initial.n_ref,
         "norm_closure_error": initial.n_tr + initial.n_ref - 1.0,
-        "snapshots": snapshots,
+        "snapshots": [{"t": t, "file": name, "cm_tr": state.cm_tr,
+                       "cm_full": state.cm_full, "n_full": state.n_full}
+                      for t, name, state in zip(times, names, states)],
         "starting_point_separation": abs(initial.cm_tr - initial.cm_full),
         "mean_start_shift": starting_point_packet(spec, barrier) - spec.x0,
     }
+    text = _json_text(summary)
+    written = []
+    for name, state in zip(names, states):
+        path = os.path.join(out, name)
+        write_atomic(path, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state)))
+        written.append(path)
     path = os.path.join(out, "packet_summary.json")
-    write_atomic(path, _json_text(summary))
+    write_atomic(path, text)
     written.append(path)
     for item in written:
         print(item)

@@ -22,9 +22,9 @@ detection time minus the channel's own residence inside [a - l, b + l].
 All three times are CM crossings of free channel asymptotes, closed form in
 spectral moments: detection and exit on the transmitted wave (at b + L and
 b + l), entry on the incidence-side channel wave (at a - l).  Each spin
-component is synthesized once, at detection, through the same checked
-synthesis and grid rule as packets.evolve, to check that the grid contains
-the packet.  The channel wave enters late by the starting-point shift yet
+component is synthesized once, at detection, through packets.evolve's
+checked synthesis on its own solve's grid, to check that the grid holds the
+packet.  The channel wave enters late by the starting-point shift yet
 crosses the interior in pad time plus effective-width time, so the shift
 survives into the readout.  This is the discriminating observable:
 phase-delay bookkeeping applied to the full wave instead would cancel the
@@ -47,10 +47,10 @@ from .model import (
 )
 # the one private import across modules: the benchmark counts syntheses per
 # clock rung by swapping larmor._synthesize, so the binding stays until it moves
-from .packets import PacketSpec, _synthesize, default_grid, gaussian_spectrum
+from .packets import PacketSpec, _synthesize, gaussian_spectrum
 from .scattering import interior_table
 
-# points of the clock's default_grid; both channels are smooth envelopes at
+# points of each spin's measured grid; both channels are smooth envelopes at
 # readout times, so this resolves them with tens of points per sigma
 N_X_CLOCK = 2048
 
@@ -221,8 +221,8 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     residence inside [a - l, b + l], the latter the spin-averaged gap
     between the CM crossing of the incidence-side channel asymptote at
     a - l and that of the transmitted asymptote at b + l.  Each component
-    is synthesized once, at t_det, on default_grid(spec, barrier, t_det,
-    N_X_CLOCK) through evolve's checked synthesis, whose containment check
+    is synthesized once, at t_det, through evolve's checked synthesis on
+    the N_X_CLOCK-point grid of its own solve, whose containment check
     raises NumericInvariantError on a grid norm off 1 by more than 1e-6,
     naming the spin component (and N_X_CLOCK when more points would help).
     """
@@ -252,11 +252,10 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     t_det = _crossing_time(0.5 * (start_up + start_dn), 0.5 * (speed_up + speed_dn),
                            detector, "detector")
 
-    x = default_grid(spec, barrier, t_det, N_X_CLOCK)
     for spin, (amps, tables, c_tr) in zip(("up", "down"), components):
         try:
-            _synthesize(x, spectrum, t_det, barrier.kinetic_coeff, c_tr, amps,
-                        tables, support, "larmor.N_X_CLOCK")
+            _synthesize(None, spec, barrier, spectrum, t_det, c_tr, amps, tables,
+                        support, N_X_CLOCK, "larmor.N_X_CLOCK")
         except NumericInvariantError as exc:
             raise NumericInvariantError(
                 "spin-%s component: %s" % (spin, exc), quantity=exc.quantity,

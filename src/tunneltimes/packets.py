@@ -8,10 +8,11 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
-evolve and the Larmor clock share one measured grid rule (default_grid), one
-channel weight (channel_weight of the transfer matrix's own T and R) and one
-checked synthesis (_synthesize): spectral weights at t, the sums below, and a
-grid-norm containment check that asks for more grid points or a wider grid.
+evolve and the Larmor clock share one channel weight (channel_weight of the
+transfer matrix's own T and R) and one checked synthesis (_synthesize): the
+grid _grid measures on the solve it sums, unless the caller gives one, the
+spectral weights at t, the sums below, and a grid-norm containment check
+that asks for more grid points or a wider grid.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
@@ -197,40 +198,38 @@ def _times(t):
     return tuple(float(v) for v in times.ravel()), times.ndim == 0
 
 
-def _grids(spec, barrier, spectrum, amps, c_tr, times, n_x):
-    """One n_x-point grid per time, from the channel waves' measured extent.
+def _grid(spec, barrier, spectrum, amps, c_tr, t, n_x):
+    """n_x-point grid at time t, from the channel waves' measured extent.
 
     The incident wave A, the incidence-side channel A c_tr, the reflected
-    wave A r exp(-ikx) and the transmitted wave A t are Fourier sums on the
-    uniform k grid, periodic in x: one n_k-point FFT gives each density at
-    the points j step of the period centred on x0 + v t, or on 2a - x0 - v t
-    for the reflected wave (the density of the forward sum of conj(A r)).
-    Counting the first three left of a and the last right of b, the grid
-    leaves at most _TAIL_MASS / 2 of each past either end and spans [a, b].
+    wave A r exp(-ikx) and the transmitted wave A t of the solve (amps, c_tr)
+    are Fourier sums on the uniform k grid, periodic in x: one n_k-point FFT
+    gives each density at the points j step of the period centred on
+    x0 + v t, or on 2a - x0 - v t for the reflected wave (the density of the
+    forward sum of conj(A r)).  Counting the first three left of a and the
+    last right of b, the grid leaves at most _TAIL_MASS / 2 of each past
+    either end and spans [a, b].
     """
     if not isinstance(n_x, (int, np.integer)) or n_x < 2:
         raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
     a, b = barrier.left_edge, barrier.right_edge
     ks, n = spectrum.k, spectrum.k.size
     step = 2.0 * math.pi * (n - 1) / (n * (ks[-1] - ks[0]))
-    grids = []
-    for t in times:
-        u = spectrum.amplitude * spectrum.weights * np.exp(
-            -1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
-        waves = np.fft.ifft(np.stack([u, u * c_tr, np.conj(u * amps.r), u * amps.t]))
-        centre = spec.x0 + group_velocity(spec.k0, barrier.kinetic_coeff) * t
-        starts = np.rint(np.array([centre, centre, 2.0 * a - centre, centre]) / step) - n // 2
-        x = (starts[:, None] + np.arange(n)) * step
-        mass = np.stack([np.roll(w.real**2 + w.imag**2, -int(j)) for w, j in zip(waves, starts)])
-        mass *= (n * n * step / (2.0 * math.pi)) * np.vstack([x[:3] < a, x[3] > b])
-        cum = np.cumsum(mass, axis=1)
-        held = cum[:, -1] > _TAIL_MASS
-        first = starts + np.argmax(cum >= 0.5 * _TAIL_MASS, axis=1)
-        last = starts + np.argmax(cum >= cum[:, -1:] - 0.5 * _TAIL_MASS, axis=1)
-        lo = np.min((first - 0.5) * step, where=held, initial=a)
-        hi = np.max((last + 0.5) * step, where=held, initial=b)
-        grids.append(np.linspace(lo, hi, n_x))
-    return tuple(grids)
+    u = spectrum.amplitude * spectrum.weights * np.exp(
+        -1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
+    waves = np.fft.ifft(np.stack([u, u * c_tr, np.conj(u * amps.r), u * amps.t]))
+    centre = spec.x0 + group_velocity(spec.k0, barrier.kinetic_coeff) * t
+    starts = np.rint(np.array([centre, centre, 2.0 * a - centre, centre]) / step) - n // 2
+    x = (starts[:, None] + np.arange(n)) * step
+    mass = np.stack([np.roll(w.real**2 + w.imag**2, -int(j)) for w, j in zip(waves, starts)])
+    mass *= (n * n * step / (2.0 * math.pi)) * np.vstack([x[:3] < a, x[3] > b])
+    cum = np.cumsum(mass, axis=1)
+    held = cum[:, -1] > _TAIL_MASS
+    first = starts + np.argmax(cum >= 0.5 * _TAIL_MASS, axis=1)
+    last = starts + np.argmax(cum >= cum[:, -1:] - 0.5 * _TAIL_MASS, axis=1)
+    lo = np.min((first - 0.5) * step, where=held, initial=a)
+    hi = np.max((last + 0.5) * step, where=held, initial=b)
+    return np.linspace(lo, hi, n_x)
 
 
 def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
@@ -238,13 +237,13 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
 
     t is one finite time, or a 1-d sequence of them for a tuple of grids
     from one spectrum and one interior_table solve of the barrier, each
-    measured by _grids.  n_x must be an integer >= 2 (ValueError otherwise).
+    measured by _grid.  n_x must be an integer >= 2 (ValueError otherwise).
     """
     times, scalar = _times(t)
     spectrum = gaussian_spectrum(spec)
     amps, _ = interior_table(spectrum.k, barrier.potential(), barrier.kinetic_coeff)
     c_tr = channel_weight(barrier, spectrum.k, amps.transmission, amps.reflection)
-    grids = _grids(spec, barrier, spectrum, amps, c_tr, times, n_x)
+    grids = tuple(_grid(spec, barrier, spectrum, amps, c_tr, t, n_x) for t in times)
     return grids[0] if scalar else grids
 
 
@@ -324,10 +323,11 @@ def _spectral_sums(x, ks, u_full, u_tr, amps, tables, support):
     return psi_full, psi_tr
 
 
-def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_name):
-    """(psi_full, psi_tr, n_full) at time t on the uniform ascending grid x.
+def _synthesize(x, spec, barrier, spectrum, t, c_tr, amps, tables, support, n_x, n_x_name):
+    """(x, psi_full, psi_tr, n_full) at time t on the uniform ascending grid x.
 
-    The spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
+    x None takes the n_x-point _grid of this solve (amps, c_tr) at t.  The
+    spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
     _spectral_sums with channel weight c_tr; n_full, the grid norm, must be
     1 to CONTAINMENT_TOL.  Too much norm asks to raise the caller's grid
     size, named n_x_name.  So does too little on a grid whose step aliases
@@ -336,8 +336,10 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
     grid, so the shortfall is quadrature error, not norm past the ends.
     Too little on any other grid gives the extent that would have sufficed.
     """
+    if x is None:
+        x = _grid(spec, barrier, spectrum, amps, c_tr, t, n_x)
     ks = spectrum.k
-    phase_t = np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
+    phase_t = np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
     u_full = spectrum.amplitude * spectrum.weights * phase_t / math.sqrt(2.0 * math.pi)
     psi_full, psi_tr = _spectral_sums(
         x, ks, u_full, u_full * c_tr, amps, tables, support)
@@ -373,7 +375,7 @@ def _synthesize(x, spectrum, t, kinetic_coeff, c_tr, amps, tables, support, n_x_
             "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent),
             quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
         )
-    return psi_full, psi_tr, n_full
+    return x, psi_full, psi_tr, n_full
 
 
 def _check_grid(x):
@@ -394,8 +396,9 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     PacketStates from one spectrum and one interior_table solve, whose own
     T and R give the channel weight.  x, when given, must be a uniform
     ascending grid (ValueError otherwise) and serves every time; the default
-    is default_grid(spec, barrier, t, n_x), measured on the same solve.
-    psi_full and psi_tr come from the checked _synthesize, which raises
+    is each time's n_x-point _grid, measured by _synthesize on the same
+    solve, so it equals default_grid(spec, barrier, t, n_x).  psi_full and
+    psi_tr come from the checked _synthesize, which raises
     NumericInvariantError when the grid norm is off 1 by more than 1e-6.
     """
     times, scalar = _times(t)
@@ -407,26 +410,24 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     potential = barrier.potential()
     amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
     c_tr = channel_weight(barrier, ks, amps.transmission, amps.reflection)
-    grids = (_grids(spec, barrier, spectrum, amps, c_tr, times, n_x) if x is None
-             else (x,) * len(times))
     states = []
-    for t, x in zip(times, grids):
-        psi_full, psi_tr, n_full = _synthesize(x, spectrum, t, barrier.kinetic_coeff, c_tr,
-                                               amps, tables, potential.support, "n_x")
+    for t in times:
+        grid, psi_full, psi_tr, n_full = _synthesize(
+            x, spec, barrier, spectrum, t, c_tr, amps, tables, potential.support, n_x, "n_x")
         psi_ref = psi_full - psi_tr
         dens_tr = np.abs(psi_tr) ** 2
-        n_tr = float(np.trapezoid(dens_tr, x))
+        n_tr = float(np.trapezoid(dens_tr, grid))
         states.append(PacketState(
             t=t,
-            grid=x,
+            grid=grid,
             psi_full=psi_full,
             psi_tr=psi_tr,
             psi_ref=psi_ref,
             n_full=n_full,
             n_tr=n_tr,
-            n_ref=float(np.trapezoid(np.abs(psi_ref) ** 2, x)),
-            cm_tr=float(np.trapezoid(x * dens_tr, x) / n_tr),
-            cm_full=float(np.trapezoid(x * np.abs(psi_full) ** 2, x) / n_full),
+            n_ref=float(np.trapezoid(np.abs(psi_ref) ** 2, grid)),
+            cm_tr=float(np.trapezoid(grid * dens_tr, grid) / n_tr),
+            cm_full=float(np.trapezoid(grid * np.abs(psi_full) ** 2, grid) / n_full),
         ))
     return states[0] if scalar else tuple(states)
 
@@ -436,12 +437,18 @@ def starting_point_packet(spec: PacketSpec, barrier: BarrierSpec) -> float:
 
     The shift is the transmission-weighted spectral average of the per-k
     starting point, Integral |A|^2 T x_start dk / Integral |A|^2 T dk; for a
-    transparent potential it reduces to x0 exactly.
+    transparent potential it reduces to x0 exactly.  A T that underflows to
+    0 over the whole spectrum raises NumericInvariantError.
     """
     spectrum = gaussian_spectrum(spec)
     rec = evaluate_widths(barrier, spectrum.k)
     density = np.abs(spectrum.amplitude) ** 2
     weight = density * rec.transmission
     denom = float(np.trapezoid(weight, spectrum.k))
+    if denom <= 0.0:
+        raise NumericInvariantError(
+            "transmission underflows to 0 over the whole spectrum, so the "
+            "transmitted channel has no starting point",
+            quantity="Integral |A|^2 T dk", value=denom, bound=0.0)
     shift = float(np.trapezoid(weight * rec.starting_point, spectrum.k)) / denom
     return spec.x0 + shift

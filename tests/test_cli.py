@@ -623,6 +623,20 @@ def test_packet_failing_later_snapshot_writes_no_file(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_packet_opaque_barrier_exits_3_and_writes_no_file(tmp_path, capsys):
+    # both snapshots synthesize, but T underflows to 0 over the whole
+    # spectrum, so the summary's mean_start_shift has no transmitted weight
+    cfg = write_config(tmp_path, {
+        "barrier": {"height": 0.25, "width": 5000.0, "left_edge": 400.0},
+        "packet": {"l0": 40.0, "x0": 0.0, "e_mean": 0.2, "n_k": 1024,
+                   "k_span": 5.0},
+        "n_x": 4096, "snapshot_times": [0.0, 1.0]})
+    out = tmp_path / "out"
+    assert cli.main(["packet", "--config", cfg, "--out", str(out)]) == 3
+    assert "transmission underflows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
     # 16 points alias the spectrum (k_max dx >= pi) and read too little
     # norm; a wider grid would alias worse, so the hint is n_x, not extent

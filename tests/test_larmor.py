@@ -24,8 +24,9 @@ from tunneltimes import (
     spin_potentials,
     starting_point_packet,
 )
-from tunneltimes import kernels, larmor
-from tunneltimes.packets import _spectral_sums, _synthesize
+from tunneltimes import kernels, larmor, packets
+from tunneltimes.decomposition import channel_weight
+from tunneltimes.packets import _grid, _spectral_sums, _synthesize
 from tunneltimes.scattering import RegionTable, interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
@@ -139,10 +140,10 @@ def _recorded_syntheses(monkeypatch, barrier, layout):
     """(x, psi_full, psi_tr) of each synthesis run_clock performs."""
     calls = []
 
-    def recording(x, *args):
-        psi_full, psi_tr, n_full = _synthesize(x, *args)
+    def recording(*args):
+        x, psi_full, psi_tr, n_full = _synthesize(*args)
         calls.append((x, psi_full, psi_tr))
-        return psi_full, psi_tr, n_full
+        return x, psi_full, psi_tr, n_full
 
     monkeypatch.setattr(larmor, "_synthesize", recording)
     run_clock(SPEC, barrier, layout)
@@ -172,12 +173,63 @@ def test_clock_synthesizes_once_per_spin_component(monkeypatch):
     assert len(calls) == 2
 
 
-def test_clock_grid_is_the_default_grid(monkeypatch, readout):
-    # one grid rule: the clock synthesizes on evolve's default_grid,
-    # reflected retreat included, not on a grid of its own
+def test_clock_grid_is_measured_on_each_spin_solve(monkeypatch, readout):
+    # one grid rule, measured on the solve it synthesizes: each spin
+    # component's grid is _grid of its own solve, not of the bare barrier
     calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
-    grid = default_grid(SPEC, BARRIER, readout.t_det, larmor.N_X_CLOCK)
-    assert [np.array_equal(x, grid) for x, _, _ in calls] == [True, True]
+    spectrum = gaussian_spectrum(SPEC)
+    grids = []
+    for potential in spin_potentials(BARRIER, LAYOUT):
+        amps, _ = interior_table(spectrum.k, potential, BARRIER.kinetic_coeff)
+        c_tr = channel_weight(BARRIER, spectrum.k, amps.transmission, amps.reflection)
+        grids.append(_grid(SPEC, BARRIER, spectrum, amps, c_tr, readout.t_det,
+                           larmor.N_X_CLOCK))
+    bare = default_grid(SPEC, BARRIER, readout.t_det, larmor.N_X_CLOCK)
+    assert [np.array_equal(grid, bare) for grid in grids] == [False, False]
+    assert [np.array_equal(x, grid) for (x, _, _), grid in zip(calls, grids)] == [True, True]
+
+
+CRITERION_11_CLOCK = (PacketSpec(l0=100.0, x0=0.0, k0=K0, n_k=2048),
+                      replace(BARRIER, left_edge=1100.0),
+                      FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2))
+
+
+@pytest.mark.parametrize("spec,barrier,layout", [
+    CRITERION_11_CLOCK, (SPEC, BARRIER, LAYOUT), (SPEC, FREE, LAYOUT),
+], ids=["criterion-11", "readme", "free"])
+def test_clock_grids_hold_each_spin_to_the_tail_rule(monkeypatch, spec, barrier, layout):
+    # each free channel wave leaves at most 1e-10 outside its own solve's
+    # grid, so every spin synthesis on every rung holds the norm to 2e-10;
+    # the bare barrier's grid lost up to 1.7e-8 on the free clock
+    norms = []
+
+    def recording(*args):
+        result = _synthesize(*args)
+        norms.append(result[-1])
+        return result
+
+    monkeypatch.setattr(larmor, "_synthesize", recording)
+    extrapolate_start(spec, barrier, layout)
+    assert len(norms) == 6
+    assert max(abs(1.0 - n_full) for n_full in norms) <= 2e-10
+
+
+def test_clock_ladder_solves_each_spin_once_per_rung(monkeypatch):
+    # one spectrum and two spin solves per rung; the grids come from those
+    # solves, with no third, bare-barrier solve
+    counts = {"interior_table": 0, "gaussian_spectrum": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    for module in (larmor, packets):
+        for name in counts:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    extrapolate_start(*CRITERION_11_CLOCK)
+    assert counts == {"interior_table": 6, "gaussian_spectrum": 3}
 
 
 def test_clock_undersampled_grid_asks_for_more_points(monkeypatch):

@@ -137,6 +137,17 @@ def test_transparent_starting_point_is_x0():
     assert starting_point_packet(FREE_SPEC, FREE) == FREE_SPEC.x0
 
 
+def test_starting_point_of_an_opaque_barrier_is_an_invariant_error():
+    # kappa d >= 497 at every k, so T ~ exp(-2 kappa d) underflows to 0 and
+    # the transmitted channel has no weight to average the starting point over
+    barrier = BarrierSpec(0.25, 5000.0, left_edge=400.0)
+    spec = PacketSpec.for_energy(40.0, 0.0, 0.2, n_k=1024, k_span=5.0)
+    with pytest.raises(NumericInvariantError, match="underflows") as info:
+        starting_point_packet(spec, barrier)
+    err = info.value
+    assert (err.quantity, err.value, err.bound) == ("Integral |A|^2 T dk", 0.0, 0.0)
+
+
 def test_starting_point_narrow_spectrum_limit():
     # as the spectrum narrows the weighted shift converges on the
     # monochromatic starting point at the carrier
@@ -313,9 +324,9 @@ def test_evolve_splits_with_the_transmission_it_synthesizes(monkeypatch):
     weights = []
     synthesize = packets._synthesize
 
-    def recording(x, spectrum, t, kinetic_coeff, c_tr, *args):
+    def recording(x, spec, barrier, spectrum, t, c_tr, *args):
         weights.append(c_tr)
-        return synthesize(x, spectrum, t, kinetic_coeff, c_tr, *args)
+        return synthesize(x, spec, barrier, spectrum, t, c_tr, *args)
 
     monkeypatch.setattr(packets, "_synthesize", recording)
     evolve(DEEP_SPEC, DEEP_WELL, 0.0)
