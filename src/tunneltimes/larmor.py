@@ -22,11 +22,12 @@ detection time minus the channel's own residence inside [a - l, b + l].
 All three times are CM crossings of free channel asymptotes, closed form in
 spectral moments: detection and exit on the transmitted wave (at b + L and
 b + l), entry on the incidence-side channel wave (at a - l).  Each spin
-component is synthesized once, at detection, through packets.evolve's
-checked synthesis on its own solve's grid, to check that the grid holds the
-packet.  The channel wave enters late by the starting-point shift yet
-crosses the interior in pad time plus effective-width time, so the shift
-survives into the readout.  This is the discriminating observable:
+component is one packets.solve_packet of its potential, synthesized once,
+at detection, through packets.evolve's checked synthesis on a grid measured
+on that solve, with a step of at most pi / (2 k_max), to check that the
+grid holds the packet.  The channel wave enters late by the starting-point
+shift yet crosses the interior in pad time plus effective-width time, so
+the shift survives into the readout.  This is the discriminating observable:
 phase-delay bookkeeping applied to the full wave instead would cancel the
 shift against the detection delay and always return zero.
 """
@@ -36,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import channel_weight
 from .model import (
     HBAR,
     BarrierSpec,
@@ -47,12 +47,7 @@ from .model import (
 )
 # the one private import across modules: the benchmark counts syntheses per
 # clock rung by swapping larmor._synthesize, so the binding stays until it moves
-from .packets import PacketSpec, _synthesize, gaussian_spectrum
-from .scattering import interior_table
-
-# points of each spin's measured grid; both channels are smooth envelopes at
-# readout times, so this resolves them with tens of points per sigma
-N_X_CLOCK = 2048
+from .packets import PacketSpec, _synthesize, solve_packet
 
 
 @dataclass(frozen=True)
@@ -220,31 +215,27 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     pi/4 plus omega times the channel's field time: t_det minus its
     residence inside [a - l, b + l], the latter the spin-averaged gap
     between the CM crossing of the incidence-side channel asymptote at
-    a - l and that of the transmitted asymptote at b + l.  Each component
-    is synthesized once, at t_det, through evolve's checked synthesis on
-    the N_X_CLOCK-point grid of its own solve, whose containment check
-    raises NumericInvariantError on a grid norm off 1 by more than 1e-6,
-    naming the spin component (and N_X_CLOCK when more points would help).
+    a - l and that of the transmitted asymptote at b + l.  Both spin solves
+    share one spectrum.  Each is synthesized once, at t_det, through
+    evolve's checked synthesis on its own measured grid, whose step is at
+    most pi / (2 k_max); a grid norm off 1 by more than 1e-6 raises
+    NumericInvariantError naming the spin component.
     """
     if layout.omega_larmor <= 0.0:
         raise ValueError("omega_larmor must be positive to run the clock")
     _validate_clock(spec, barrier, layout)
 
-    spectrum = gaussian_spectrum(spec)
+    up, down = spin_potentials(barrier, layout)
+    solve_up = solve_packet(spec, barrier, up)
+    solves = (solve_up, solve_packet(spec, barrier, down, solve_up.spectrum))
+    spectrum = solve_up.spectrum
     qs = spectrum.k
-    support = (barrier.left_edge - layout.margin,
-               barrier.right_edge + layout.margin)
+    support = solve_up.support
     detector = barrier.right_edge + layout.detector_offset
-
-    components, entries, exits = [], [], []
-    for potential in spin_potentials(barrier, layout):
-        amps, tables = interior_table(qs, potential, barrier.kinetic_coeff)
-        c_tr = channel_weight(barrier, qs, amps.transmission, amps.reflection)
-        components.append((amps, tables, c_tr))
-        entries.append(_asymptote_moments(
-            qs, spectrum.amplitude * c_tr, barrier.kinetic_coeff, "entry"))
-        exits.append(_asymptote_moments(
-            qs, spectrum.amplitude * amps.t, barrier.kinetic_coeff, "exit"))
+    entries = [_asymptote_moments(qs, spectrum.amplitude * solve.c_tr,
+                                  barrier.kinetic_coeff, "entry") for solve in solves]
+    exits = [_asymptote_moments(qs, spectrum.amplitude * solve.amplitudes.t,
+                                barrier.kinetic_coeff, "exit") for solve in solves]
 
     # detection on the spin-averaged transmitted CM; averaging the two
     # components' crossing times instead would differ at second order
@@ -252,10 +243,9 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     t_det = _crossing_time(0.5 * (start_up + start_dn), 0.5 * (speed_up + speed_dn),
                            detector, "detector")
 
-    for spin, (amps, tables, c_tr) in zip(("up", "down"), components):
+    for spin, solve in zip(("up", "down"), solves):
         try:
-            _synthesize(None, spec, barrier, spectrum, t_det, c_tr, amps, tables,
-                        support, N_X_CLOCK, "larmor.N_X_CLOCK")
+            _synthesize(solve, t_det, solve.grid(t_det))
         except NumericInvariantError as exc:
             raise NumericInvariantError(
                 "spin-%s component: %s" % (spin, exc), quantity=exc.quantity,
@@ -272,7 +262,7 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     sy = 0.5 * math.sin(azimuth)
 
     density = np.abs(spectrum.amplitude) ** 2
-    t_mean = 0.5 * (components[0][0].transmission + components[1][0].transmission)
+    t_mean = 0.5 * (solves[0].amplitudes.transmission + solves[1].amplitudes.transmission)
     k_tr = float(np.trapezoid(density * t_mean * qs, qs)
                  / np.trapezoid(density * t_mean, qs))
     x_est = invert_precession(sx, sy, barrier.left_edge, layout.detector_offset,

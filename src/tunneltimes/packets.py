@@ -8,11 +8,12 @@ decomposition) carries over linearly to the packet, giving Psi_full =
 Psi_tr + Psi_ref pointwise with Psi_ref identically zero past the left edge
 of the potential.
 
-evolve and the Larmor clock share one channel weight (channel_weight of the
-transfer matrix's own T and R) and one checked synthesis (_synthesize): the
-grid _grid measures on the solve it sums, unless the caller gives one, the
-spectral weights at t, the sums below, and a grid-norm containment check
-that asks for more grid points or a wider grid.
+evolve, default_grid and the Larmor clock build every solve through
+solve_packet, a PacketSolve of the spectrum, one potential's interior_table
+solve and the channel weight of its own T and R, which measures its grids.
+One checked synthesis (_synthesize) sums it on the caller's grid: it
+rejects an aliasing step before the sum and a grid norm off 1 after it,
+asking for more grid points or a wider grid.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
@@ -49,7 +50,7 @@ from .model import (
     require_finite,
     wavenumber,
 )
-from .scattering import interior_table
+from .scattering import Amplitudes, interior_table
 from .timescales import evaluate_widths
 
 # spatial grid size; 8192 points resolve the carrier wave at ~10 points per
@@ -188,62 +189,98 @@ def dispersion_time(spec: PacketSpec, kinetic_coeff: float) -> float:
     return HBAR * spec.l0**2 / kinetic_coeff
 
 
-def _times(t):
-    """(times, scalar): t as a tuple of floats, and whether it was one time."""
+def _times(t, n_x):
+    """(times, scalar): t as a tuple of floats, and whether it was one time; checks n_x."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ValueError("t must be one time or a non-empty 1-d sequence of times")
     if not np.isfinite(times).all():
         raise ValueError("t must be finite, got %r" % (t,))
+    if not isinstance(n_x, (int, np.integer)) or n_x < 2:
+        raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
     return tuple(float(v) for v in times.ravel()), times.ndim == 0
 
 
-def _grid(spec, barrier, spectrum, amps, c_tr, t, n_x):
-    """n_x-point grid at time t, from the channel waves' measured extent.
+@dataclass(frozen=True)
+class PacketSolve:
+    """A spectrum and the interior_table solve of one potential under it.
 
-    The incident wave A, the incidence-side channel A c_tr, the reflected
-    wave A r exp(-ikx) and the transmitted wave A t of the solve (amps, c_tr)
-    are Fourier sums on the uniform k grid, periodic in x: one n_k-point FFT
-    gives each density at the points j step of the period centred on
-    x0 + v t, or on 2a - x0 - v t for the reflected wave (the density of the
-    forward sum of conj(A r)).  Counting the first three left of a and the
-    last right of b, the grid leaves at most _TAIL_MASS / 2 of each past
-    either end and spans [a, b].
+    The potential (the barrier's own, or a clock spin potential) may differ
+    from barrier, which gives the kinetic coefficient, the channel weight's
+    branch and the edges [a, b] the grid is measured around.
     """
-    if not isinstance(n_x, (int, np.integer)) or n_x < 2:
-        raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
-    a, b = barrier.left_edge, barrier.right_edge
-    ks, n = spectrum.k, spectrum.k.size
-    step = 2.0 * math.pi * (n - 1) / (n * (ks[-1] - ks[0]))
-    u = spectrum.amplitude * spectrum.weights * np.exp(
-        -1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
-    waves = np.fft.ifft(np.stack([u, u * c_tr, np.conj(u * amps.r), u * amps.t]))
-    centre = spec.x0 + group_velocity(spec.k0, barrier.kinetic_coeff) * t
-    starts = np.rint(np.array([centre, centre, 2.0 * a - centre, centre]) / step) - n // 2
-    x = (starts[:, None] + np.arange(n)) * step
-    mass = np.stack([np.roll(w.real**2 + w.imag**2, -int(j)) for w, j in zip(waves, starts)])
-    mass *= (n * n * step / (2.0 * math.pi)) * np.vstack([x[:3] < a, x[3] > b])
-    cum = np.cumsum(mass, axis=1)
-    held = cum[:, -1] > _TAIL_MASS
-    first = starts + np.argmax(cum >= 0.5 * _TAIL_MASS, axis=1)
-    last = starts + np.argmax(cum >= cum[:, -1:] - 0.5 * _TAIL_MASS, axis=1)
-    lo = np.min((first - 0.5) * step, where=held, initial=a)
-    hi = np.max((last + 0.5) * step, where=held, initial=b)
-    return np.linspace(lo, hi, n_x)
+
+    spec: PacketSpec
+    barrier: BarrierSpec
+    spectrum: SampledSpectrum
+    amplitudes: Amplitudes  # over spectrum.k
+    tables: tuple           # scattering.RegionTable per region of the support
+    c_tr: np.ndarray        # channel_weight of the solve's own T and R
+    support: tuple          # (x_min, x_max) of the solved potential
+
+    def weights(self, t):
+        """Spectral column weights A w exp(-i E t / hbar) at time t (w: quadrature)."""
+        return self.spectrum.amplitude * self.spectrum.weights * np.exp(
+            -1j * self.barrier.kinetic_coeff * self.spectrum.k**2 * t / HBAR)
+
+    def grid(self, t, n_x=None):
+        """n_x-point grid at time t, from the channel waves' measured extent.
+
+        The incident wave A, the incidence-side channel A c_tr, the reflected
+        wave A r exp(-ikx) and the transmitted wave A t of this solve are
+        Fourier sums on the uniform k grid, periodic in x: one n_k-point FFT
+        gives each density at the points j step of the period centred on
+        x0 + v t, or on 2a - x0 - v t for the reflected wave (the density of
+        the forward sum of conj(A r)).  Counting the first three left of a
+        and the last right of b, the grid leaves at most _TAIL_MASS / 2 of
+        each past either end and spans [a, b].  n_x None takes the fewest
+        points whose step is at most pi / (2 k_max), half the aliasing limit.
+        """
+        spec, amps = self.spec, self.amplitudes
+        a, b = self.barrier.left_edge, self.barrier.right_edge
+        ks, n = self.spectrum.k, self.spectrum.k.size
+        step = 2.0 * math.pi * (n - 1) / (n * (ks[-1] - ks[0]))
+        u = self.weights(t)
+        waves = np.fft.ifft(np.stack([u, u * self.c_tr, np.conj(u * amps.r), u * amps.t]))
+        centre = spec.x0 + group_velocity(spec.k0, self.barrier.kinetic_coeff) * t
+        starts = np.rint(np.array([centre, centre, 2.0 * a - centre, centre]) / step) - n // 2
+        x = (starts[:, None] + np.arange(n)) * step
+        mass = np.stack([np.roll(w.real**2 + w.imag**2, -int(j)) for w, j in zip(waves, starts)])
+        mass *= (n * n * step / (2.0 * math.pi)) * np.vstack([x[:3] < a, x[3] > b])
+        cum = np.cumsum(mass, axis=1)
+        held = cum[:, -1] > _TAIL_MASS
+        first = starts + np.argmax(cum >= 0.5 * _TAIL_MASS, axis=1)
+        last = starts + np.argmax(cum >= cum[:, -1:] - 0.5 * _TAIL_MASS, axis=1)
+        lo = np.min((first - 0.5) * step, where=held, initial=a)
+        hi = np.max((last + 0.5) * step, where=held, initial=b)
+        if n_x is None:
+            n_x = math.ceil(2.0 * ks[-1] * (hi - lo) / math.pi) + 1
+        return np.linspace(lo, hi, n_x)
+
+
+def solve_packet(spec: PacketSpec, barrier: BarrierSpec, potential=None, spectrum=None):
+    """PacketSolve of potential (default the barrier's) under spectrum.
+
+    spectrum defaults to gaussian_spectrum(spec); the Larmor clock passes
+    one to both spin solves.  c_tr is channel_weight of the solve's T and R.
+    """
+    spectrum = gaussian_spectrum(spec) if spectrum is None else spectrum
+    potential = barrier.potential() if potential is None else potential
+    amps, tables = interior_table(spectrum.k, potential, barrier.kinetic_coeff)
+    c_tr = channel_weight(barrier, spectrum.k, amps.transmission, amps.reflection)
+    return PacketSolve(spec, barrier, spectrum, amps, tables, c_tr, potential.support)
 
 
 def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
     """Spatial grid of n_x points that holds both channels at time t.
 
     t is one finite time, or a 1-d sequence of them for a tuple of grids
-    from one spectrum and one interior_table solve of the barrier, each
-    measured by _grid.  n_x must be an integer >= 2 (ValueError otherwise).
+    from one solve_packet of the barrier, each measured by its grid method.
+    n_x must be an integer >= 2 (ValueError otherwise).
     """
-    times, scalar = _times(t)
-    spectrum = gaussian_spectrum(spec)
-    amps, _ = interior_table(spectrum.k, barrier.potential(), barrier.kinetic_coeff)
-    c_tr = channel_weight(barrier, spectrum.k, amps.transmission, amps.reflection)
-    grids = tuple(_grid(spec, barrier, spectrum, amps, c_tr, t, n_x) for t in times)
+    times, scalar = _times(t, n_x)
+    solve = solve_packet(spec, barrier)
+    grids = tuple(solve.grid(t, n_x) for t in times)
     return grids[0] if scalar else grids
 
 
@@ -323,50 +360,47 @@ def _spectral_sums(x, ks, u_full, u_tr, amps, tables, support):
     return psi_full, psi_tr
 
 
-def _synthesize(x, spec, barrier, spectrum, t, c_tr, amps, tables, support, n_x, n_x_name):
-    """(x, psi_full, psi_tr, n_full) at time t on the uniform ascending grid x.
+def _synthesize(solve, t, x):
+    """(psi_full, psi_tr, n_full) of solve at time t on the uniform ascending grid x.
 
-    x None takes the n_x-point _grid of this solve (amps, c_tr) at t.  The
-    spectrum, weighted by quadrature and exp(-i E t / hbar), goes through
-    _spectral_sums with channel weight c_tr; n_full, the grid norm, must be
-    1 to CONTAINMENT_TOL.  Too much norm asks to raise the caller's grid
-    size, named n_x_name.  So does too little on a grid whose step aliases
-    the spectrum's largest k (k_max dx >= pi), or whose end densities are
-    both below CONTAINMENT_TOL / extent: the packet has decayed inside the
-    grid, so the shortfall is quadrature error, not norm past the ends.
-    Too little on any other grid gives the extent that would have sufficed.
+    A grid whose step aliases the spectrum's largest k (k_max dx >= pi) is
+    rejected before the sum, asking for more points.  Otherwise the
+    spectral weights at t go through _spectral_sums with the solve's
+    channel weight c_tr, and n_full, the grid norm, must be 1 to
+    CONTAINMENT_TOL.  Too much norm asks for more points, and so does too
+    little on a grid whose end densities are both below CONTAINMENT_TOL /
+    extent: the packet has decayed inside the grid, so the shortfall is
+    quadrature error, not norm past the ends.  Too little on any other grid
+    gives the extent that would have sufficed.
     """
-    if x is None:
-        x = _grid(spec, barrier, spectrum, amps, c_tr, t, n_x)
-    ks = spectrum.k
-    phase_t = np.exp(-1j * barrier.kinetic_coeff * ks**2 * t / HBAR)
-    u_full = spectrum.amplitude * spectrum.weights * phase_t / math.sqrt(2.0 * math.pi)
+    ks = solve.spectrum.k
+    extent = float(x[-1] - x[0])
+    step = extent / (x.size - 1)
+    if ks[-1] * step >= math.pi:
+        raise NumericInvariantError(
+            "grid step %.4g nm aliases the spectrum's k_max %.4g 1/nm at t=%g ps; "
+            "raise n_x (current %d points; the step must stay below %.4g nm)"
+            % (step, ks[-1], t, x.size, math.pi / ks[-1]),
+            quantity="k_max step", value=float(ks[-1] * step), bound=math.pi,
+        )
+    u_full = solve.weights(t) / math.sqrt(2.0 * math.pi)
     psi_full, psi_tr = _spectral_sums(
-        x, ks, u_full, u_full * c_tr, amps, tables, support)
+        x, ks, u_full, u_full * solve.c_tr, solve.amplitudes, solve.tables, solve.support)
     n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
     if n_full > 1.0 + CONTAINMENT_TOL:
         raise NumericInvariantError(
-            "grid holds %.9f of the norm at t=%g ps; raise %s (current %d "
-            "points undersample the packet)" % (n_full, t, n_x_name, x.size),
+            "grid holds %.9f of the norm at t=%g ps; raise n_x (current %d "
+            "points undersample the packet)" % (n_full, t, x.size),
             quantity="n_full", value=n_full, bound=1.0 + CONTAINMENT_TOL,
         )
     if n_full < 1.0 - CONTAINMENT_TOL:
-        extent = float(x[-1] - x[0])
-        step = extent / (x.size - 1)
-        if ks[-1] * step >= math.pi:
-            raise NumericInvariantError(
-                "grid holds only %.9f of the norm at t=%g ps; raise %s (step %.4g "
-                "nm aliases the spectrum's k_max %.4g 1/nm, which needs a step "
-                "below %.4g nm)" % (n_full, t, n_x_name, step, ks[-1], math.pi / ks[-1]),
-                quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
-            )
         ends = (abs(psi_full[0]) ** 2, abs(psi_full[-1]) ** 2)
         if max(ends) < CONTAINMENT_TOL / extent:
             raise NumericInvariantError(
-                "grid holds only %.9f of the norm at t=%g ps; raise %s (current "
+                "grid holds only %.9f of the norm at t=%g ps; raise n_x (current "
                 "%d points; the end densities %.2g and %.2g 1/nm are below %.2g "
                 "1/nm, so the packet is inside the grid and the shortfall is "
-                "quadrature error)" % (n_full, t, n_x_name, x.size, ends[0], ends[1],
+                "quadrature error)" % (n_full, t, x.size, ends[0], ends[1],
                                        CONTAINMENT_TOL / extent),
                 quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
             )
@@ -375,7 +409,7 @@ def _synthesize(x, spec, barrier, spectrum, t, c_tr, amps, tables, support, n_x,
             "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent),
             quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
         )
-    return x, psi_full, psi_tr, n_full
+    return psi_full, psi_tr, n_full
 
 
 def _check_grid(x):
@@ -393,27 +427,23 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     """Packet snapshot at time t (ps) with the channel split and diagnostics.
 
     t is one finite time, or a 1-d sequence of them for a tuple of
-    PacketStates from one spectrum and one interior_table solve, whose own
-    T and R give the channel weight.  x, when given, must be a uniform
+    PacketStates from one solve_packet of the barrier, whose own T and R
+    give the channel weight.  x, when given, must be a uniform
     ascending grid (ValueError otherwise) and serves every time; the default
-    is each time's n_x-point _grid, measured by _synthesize on the same
-    solve, so it equals default_grid(spec, barrier, t, n_x).  psi_full and
+    is each time's n_x-point grid measured on the same solve_packet, so it
+    equals default_grid(spec, barrier, t, n_x).  psi_full and
     psi_tr come from the checked _synthesize, which raises
     NumericInvariantError when the grid norm is off 1 by more than 1e-6.
     """
-    times, scalar = _times(t)
+    times, scalar = _times(t, n_x)
     if x is not None:
         x = np.asarray(x, dtype=float)
         _check_grid(x)
-    spectrum = gaussian_spectrum(spec)
-    ks = spectrum.k
-    potential = barrier.potential()
-    amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
-    c_tr = channel_weight(barrier, ks, amps.transmission, amps.reflection)
+    solve = solve_packet(spec, barrier)
     states = []
     for t in times:
-        grid, psi_full, psi_tr, n_full = _synthesize(
-            x, spec, barrier, spectrum, t, c_tr, amps, tables, potential.support, n_x, "n_x")
+        grid = solve.grid(t, n_x) if x is None else x
+        psi_full, psi_tr, n_full = _synthesize(solve, t, grid)
         psi_ref = psi_full - psi_tr
         dens_tr = np.abs(psi_tr) ** 2
         n_tr = float(np.trapezoid(dens_tr, grid))

@@ -637,14 +637,15 @@ def test_packet_opaque_barrier_exits_3_and_writes_no_file(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_packet_aliasing_grid_with_low_norm_asks_for_n_x(tmp_path, capsys):
-    # 16 points alias the spectrum (k_max dx >= pi) and read too little
-    # norm; a wider grid would alias worse, so the hint is n_x, not extent
+def test_packet_aliasing_grid_asks_for_n_x_before_the_sum(tmp_path, capsys):
+    # 16 points alias the spectrum (k_max dx >= pi), which is rejected
+    # before any norm is read; a wider grid would alias worse, so the hint
+    # is n_x, not extent
     cfg = write_config(tmp_path, dict(PACKET_CFG, n_x=16, snapshot_times=[0.0]))
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "grid holds only" in err and "raise n_x" in err
-    assert "widen" not in err
+    assert "aliases the spectrum's k_max" in err and "raise n_x (current 16 points" in err
+    assert "grid holds" not in err and "widen" not in err
     assert not (tmp_path / "packet_summary.json").exists()
 
 
@@ -694,6 +695,22 @@ def test_larmor_report_structure_and_recovery(tmp_path):
     assert abs(report["extrapolated_x_start"]
                - report["standard_prediction"]) == pytest.approx(abs(closed),
                                                                  rel=0.05)
+
+
+def test_larmor_well_exits_0_and_reruns_byte_identically(tmp_path):
+    # a -0.7054 eV x 1.2605 nm well whose spin grids need over 4200 points;
+    # 2048 points alias its spectrum and overcount the spin-up norm
+    cfg = write_config(tmp_path, {
+        "barrier": {"height": -0.7054, "width": 1.2605, "left_edge": 1100.0},
+        "packet": {"l0": 100.0, "x0": 0.0, "e_mean": 0.7746, "n_k": 2048},
+        "field": {"margin": 500.0, "detector_offset": 1100.0, "omega_larmor": 0.2}})
+    for sub in ("a", "b"):
+        assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+    first = (tmp_path / "a" / "larmor.json").read_bytes()
+    assert first == (tmp_path / "b" / "larmor.json").read_bytes()
+    report = json.loads(first)
+    assert report["extrapolated_x_start"] == pytest.approx(
+        report["closed_form_x_start"], rel=1e-4)
 
 
 def test_larmor_ladder_flag_must_halve(tmp_path, capsys):

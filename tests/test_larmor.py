@@ -14,7 +14,6 @@ from tunneltimes import (
     FieldLayout,
     NumericInvariantError,
     PacketSpec,
-    default_grid,
     evaluate_widths,
     extrapolate_start,
     gaussian_spectrum,
@@ -25,8 +24,7 @@ from tunneltimes import (
     starting_point_packet,
 )
 from tunneltimes import kernels, larmor, packets
-from tunneltimes.decomposition import channel_weight
-from tunneltimes.packets import _grid, _spectral_sums, _synthesize
+from tunneltimes.packets import _spectral_sums, _synthesize, solve_packet
 from tunneltimes.scattering import RegionTable, interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
@@ -140,10 +138,10 @@ def _recorded_syntheses(monkeypatch, barrier, layout):
     """(x, psi_full, psi_tr) of each synthesis run_clock performs."""
     calls = []
 
-    def recording(*args):
-        x, psi_full, psi_tr, n_full = _synthesize(*args)
+    def recording(solve, t, x):
+        psi_full, psi_tr, n_full = _synthesize(solve, t, x)
         calls.append((x, psi_full, psi_tr))
-        return x, psi_full, psi_tr, n_full
+        return psi_full, psi_tr, n_full
 
     monkeypatch.setattr(larmor, "_synthesize", recording)
     run_clock(SPEC, barrier, layout)
@@ -175,16 +173,12 @@ def test_clock_synthesizes_once_per_spin_component(monkeypatch):
 
 def test_clock_grid_is_measured_on_each_spin_solve(monkeypatch, readout):
     # one grid rule, measured on the solve it synthesizes: each spin
-    # component's grid is _grid of its own solve, not of the bare barrier
+    # component's grid is the grid of its own solve, not of the bare barrier
     calls = _recorded_syntheses(monkeypatch, BARRIER, LAYOUT)
     spectrum = gaussian_spectrum(SPEC)
-    grids = []
-    for potential in spin_potentials(BARRIER, LAYOUT):
-        amps, _ = interior_table(spectrum.k, potential, BARRIER.kinetic_coeff)
-        c_tr = channel_weight(BARRIER, spectrum.k, amps.transmission, amps.reflection)
-        grids.append(_grid(SPEC, BARRIER, spectrum, amps, c_tr, readout.t_det,
-                           larmor.N_X_CLOCK))
-    bare = default_grid(SPEC, BARRIER, readout.t_det, larmor.N_X_CLOCK)
+    grids = [solve_packet(SPEC, BARRIER, potential, spectrum).grid(readout.t_det)
+             for potential in spin_potentials(BARRIER, LAYOUT)]
+    bare = solve_packet(SPEC, BARRIER).grid(readout.t_det)
     assert [np.array_equal(grid, bare) for grid in grids] == [False, False]
     assert [np.array_equal(x, grid) for (x, _, _), grid in zip(calls, grids)] == [True, True]
 
@@ -192,11 +186,16 @@ def test_clock_grid_is_measured_on_each_spin_solve(monkeypatch, readout):
 CRITERION_11_CLOCK = (PacketSpec(l0=100.0, x0=0.0, k0=K0, n_k=2048),
                       replace(BARRIER, left_edge=1100.0),
                       FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2))
+# a well with k_max 1.2 1/nm: its spin grids take over 4200 points to keep
+# the step within pi / (2 k_max), and 2048 points would alias the spectrum
+WELL_CLOCK = (PacketSpec.for_energy(l0=100.0, x0=0.0, e_mean=0.7746, n_k=2048),
+              BarrierSpec(-0.7054, 1.2605, left_edge=1100.0),
+              FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2))
 
 
 @pytest.mark.parametrize("spec,barrier,layout", [
-    CRITERION_11_CLOCK, (SPEC, BARRIER, LAYOUT), (SPEC, FREE, LAYOUT),
-], ids=["criterion-11", "readme", "free"])
+    CRITERION_11_CLOCK, (SPEC, BARRIER, LAYOUT), (SPEC, FREE, LAYOUT), WELL_CLOCK,
+], ids=["criterion-11", "readme", "free", "well"])
 def test_clock_grids_hold_each_spin_to_the_tail_rule(monkeypatch, spec, barrier, layout):
     # each free channel wave leaves at most 1e-10 outside its own solve's
     # grid, so every spin synthesis on every rung holds the norm to 2e-10;
@@ -225,30 +224,50 @@ def test_clock_ladder_solves_each_spin_once_per_rung(monkeypatch):
             return fn(*args)
         return counted
 
-    for module in (larmor, packets):
-        for name in counts:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # larmor binds neither name: every solve goes through packets.solve_packet
+    for name in counts:
+        monkeypatch.setattr(packets, name, counting(name, getattr(packets, name)))
     extrapolate_start(*CRITERION_11_CLOCK)
     assert counts == {"interior_table": 6, "gaussian_spectrum": 3}
 
 
-def test_clock_undersampled_grid_asks_for_more_points(monkeypatch):
-    # 16 points alias the spectrum and overcount the norm; the hint names
-    # the failing spin component and the clock's own grid size, not "widen
-    # the grid"
-    monkeypatch.setattr(larmor, "N_X_CLOCK", 16)
+@pytest.mark.parametrize("spec,barrier,layout", [
+    CRITERION_11_CLOCK, WELL_CLOCK, (SPEC, BARRIER, LAYOUT), (SPEC, FREE, LAYOUT),
+], ids=["criterion-11", "well", "readme", "free"])
+def test_clock_grid_has_the_fewest_points_within_half_the_aliasing_step(
+        monkeypatch, spec, barrier, layout):
+    # k_max step <= pi / 2 on every spin grid, and one point fewer would
+    # break it
+    spans = []
+
+    def recording(solve, t, x):
+        spans.append((solve.spectrum.k[-1] * (x[-1] - x[0]), x.size))
+        return _synthesize(solve, t, x)
+
+    monkeypatch.setattr(larmor, "_synthesize", recording)
+    run_clock(spec, barrier, layout)
+    assert len(spans) == 2
+    for k_extent, n_x in spans:
+        assert k_extent / (n_x - 1) <= 0.5 * math.pi < k_extent / (n_x - 2)
+
+
+def test_clock_containment_error_names_the_spin_component(monkeypatch):
+    # each spin grid leaves up to 1e-10 of the norm outside, so a 1e-12
+    # containment tolerance fails the first component synthesized
+    monkeypatch.setattr(packets, "CONTAINMENT_TOL", 1e-12)
     with pytest.raises(NumericInvariantError,
-                       match=r"^spin-up component: .*raise larmor\.N_X_CLOCK \(current 16 "):
+                       match=r"^spin-up component: grid holds only "):
         run_clock(SPEC, BARRIER, LAYOUT)
 
 
 def test_clock_errors_carry_quantity_value_and_bound(monkeypatch):
     # the spin-component re-raise keeps the synthesis check's fields
-    monkeypatch.setattr(larmor, "N_X_CLOCK", 16)
+    monkeypatch.setattr(packets, "CONTAINMENT_TOL", 1e-12)
     with pytest.raises(NumericInvariantError) as info:
         run_clock(SPEC, BARRIER, LAYOUT)
     err = info.value
-    assert err.quantity == "n_full" and err.value > err.bound > 1.0
+    assert (err.quantity, err.bound) == ("n_full", 1.0 - 1e-12)
+    assert err.value < err.bound
     assert "%.9f" % err.value in str(err)
     with pytest.raises(NumericInvariantError) as info:
         larmor._crossing_time(10.0, 1.0, 5.0, "detector")

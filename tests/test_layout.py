@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tunneltimes"
 
 # larmor binds packets' checked _synthesize, the one synthesis path it shares
-# with evolve: the benchmark counts syntheses per clock rung by swapping
+# with evolve, next to solve_packet, through which it builds both spin
+# solves: the benchmark counts syntheses per clock rung by swapping
 # larmor._synthesize, so dropping the binding means moving that counter too
 ALLOWED_PRIVATE = {("larmor", "packets", "_synthesize")}
 
@@ -33,6 +34,18 @@ def test_no_private_imports_across_modules():
     found = {hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _private_imports(path)}
     assert found <= ALLOWED_PRIVATE, sorted(found - ALLOWED_PRIVATE)
+
+
+def test_larmor_builds_its_solves_only_through_packets():
+    # spectrum -> interior_table -> channel_weight is assembled in one place,
+    # packets.solve_packet, so larmor binds no scattering or decomposition name
+    from tunneltimes import larmor
+    assert not hasattr(larmor, "interior_table")
+    assert not hasattr(larmor, "channel_weight")
+    tree = ast.parse((PACKAGE / "larmor.py").read_text())
+    sources = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert sources.isdisjoint({"scattering", "decomposition"}), sources
 
 
 def test_every_export_is_in_readme():

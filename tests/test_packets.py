@@ -14,7 +14,6 @@ from diagnostics import (
     second_central_moment,
 )
 from tunneltimes import packets
-from tunneltimes.decomposition import channel_amplitudes, channel_weight
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
 from tunneltimes.packets import (
@@ -23,6 +22,7 @@ from tunneltimes.packets import (
     dispersion_time,
     evolve,
     gaussian_spectrum,
+    solve_packet,
     starting_point_packet,
     _fast_len,
     _spectral_sums,
@@ -172,20 +172,44 @@ def test_containment_errors_carry_n_full_and_the_bound_it_crossed():
     x = np.linspace(-215.0, -185.0, 512)
     with pytest.raises(NumericInvariantError) as short:
         evolve(FREE_SPEC, FREE, 0.0, x=x)
-    barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
-    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=2048, k_span=5.0)
-    with pytest.raises(NumericInvariantError) as aliased:
-        evolve(spec, barrier, 0.0, n_x=24)
-    low, high = short.value, aliased.value
+    # 2048 points step 0.13 pi / k_max, below the aliasing limit, yet
+    # undersample the wave inside the 40 nm well, whose local wavenumber
+    # exceeds k_max: the trapezoid sum reads too much norm
+    well = BarrierSpec(-0.25, 40.0, left_edge=300.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=1024, k_span=5.0)
+    with pytest.raises(NumericInvariantError) as excess:
+        evolve(spec, well, 0.4, n_x=2048)
+    low, high = short.value, excess.value
     assert (low.quantity, low.bound) == ("n_full", 1.0 - packets.CONTAINMENT_TOL)
     assert (high.quantity, high.bound) == ("n_full", 1.0 + packets.CONTAINMENT_TOL)
     assert low.value < low.bound and high.value > high.bound
+    assert "raise n_x (current 2048 points" in str(high) and "widen" not in str(high)
     # the message prints the same number the field holds
     assert "%.9f" % low.value in str(low) and "%.9f" % high.value in str(high)
 
 
+def test_aliasing_grid_is_rejected_before_the_sum(monkeypatch):
+    # 24 points step 11 pi / k_max: the check names k_max step against pi
+    # and asks for more points without summing the spectrum
+    def refuse(*args):
+        raise AssertionError("aliasing grid reached the spectral sums")
+
+    monkeypatch.setattr(packets, "_spectral_sums", refuse)
+    barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
+    spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=2048, k_span=5.0)
+    with pytest.raises(NumericInvariantError) as info:
+        evolve(spec, barrier, 0.0, n_x=24)
+    err = info.value
+    grid = default_grid(spec, barrier, 0.0, n_x=24)
+    k_max = gaussian_spectrum(spec).k[-1]
+    assert (err.quantity, err.bound) == ("k_max step", math.pi)
+    assert err.value == pytest.approx(k_max * (grid[-1] - grid[0]) / 23, rel=1e-12)
+    assert err.value > err.bound
+    assert "raise n_x (current 24 points" in str(err) and "widen" not in str(err)
+
+
 def test_undersampled_grid_raises_with_n_x_hint():
-    # 16 points alias the carrier, so the trapezoid sum misreads the norm
+    # 16 points alias the carrier, so the grid is rejected before the sum
     barrier = BarrierSpec(0.25, 0.5, left_edge=60.0)
     spec = PacketSpec.for_energy(l0=15.0, x0=0.0, e_mean=0.125, n_k=2048, k_span=5.0)
     with pytest.raises(NumericInvariantError, match="raise n_x"):
@@ -226,10 +250,9 @@ def test_default_grid_closes_the_deep_well_channels():
     # every criterion-9 time: the grid leaves at most _TAIL_MASS / 2 of each
     # free channel wave past either end, so the channel norms close to a few
     # 1e-10 and n_tr meets Integral |A|^2 |c_tr|^2 dk of the same solve
-    spectrum = gaussian_spectrum(DEEP_SPEC)
-    amps, _ = interior_table(spectrum.k, DEEP_WELL.potential(), DEEP_WELL.kinetic_coeff)
-    c_tr = channel_weight(DEEP_WELL, spectrum.k, amps.transmission, amps.reflection)
-    want = np.trapezoid(np.abs(spectrum.amplitude * c_tr) ** 2, spectrum.k)
+    solve = solve_packet(DEEP_SPEC, DEEP_WELL)
+    spectrum = solve.spectrum
+    want = np.trapezoid(np.abs(spectrum.amplitude * solve.c_tr) ** 2, spectrum.k)
     for state in evolve(DEEP_SPEC, DEEP_WELL, [0.0, 29.0, 33.5, 38.0]):
         assert abs(state.n_tr + state.n_ref - 1.0) <= 5e-10
         assert abs(state.n_tr - want) <= 5e-10
@@ -324,9 +347,9 @@ def test_evolve_splits_with_the_transmission_it_synthesizes(monkeypatch):
     weights = []
     synthesize = packets._synthesize
 
-    def recording(x, spec, barrier, spectrum, t, c_tr, *args):
-        weights.append(c_tr)
-        return synthesize(x, spec, barrier, spectrum, t, c_tr, *args)
+    def recording(solve, t, x):
+        weights.append(solve.c_tr)
+        return synthesize(solve, t, x)
 
     monkeypatch.setattr(packets, "_synthesize", recording)
     evolve(DEEP_SPEC, DEEP_WELL, 0.0)
@@ -381,20 +404,16 @@ def test_second_central_moment_gaussian():
     assert second_central_moment(x, density) == pytest.approx(sigma**2, rel=1e-6)
 
 
-def _spectral_weights(spectrum, kinetic_coeff, t):
-    ks = spectrum.k
-    return (spectrum.amplitude * spectrum.weights
-            * np.exp(-1j * kinetic_coeff * ks**2 * t / HBAR)
-            / math.sqrt(2.0 * math.pi))
+def _spectral_weights(solve, t):
+    """The column weights _synthesize sums at time t."""
+    return solve.weights(t) / math.sqrt(2.0 * math.pi)
 
 
-def _synthesis_pair(spec, barrier, potential, t, x, c_tr):
-    """(chirp-z, dense) (psi_full, psi_tr) for one snapshot on grid x."""
-    spectrum = gaussian_spectrum(spec)
-    ks = spectrum.k
-    u_full = _spectral_weights(spectrum, barrier.kinetic_coeff, t)
-    amps, tables = interior_table(ks, potential, barrier.kinetic_coeff)
-    args = (x, ks, u_full, u_full * c_tr, amps, tables, potential.support)
+def _synthesis_pair(solve, t, x):
+    """(chirp-z, dense) (psi_full, psi_tr) of one solve at time t on grid x."""
+    u_full = _spectral_weights(solve, t)
+    args = (x, solve.spectrum.k, u_full, u_full * solve.c_tr, solve.amplitudes,
+            solve.tables, solve.support)
     return _spectral_sums(*args), oracles.dense_synthesis(*args)
 
 
@@ -405,9 +424,8 @@ def _assert_same_waves(fast, dense):
 
 @pytest.mark.parametrize("t", [0.0, 38.0])
 def test_deep_well_synthesis_matches_dense_sum(t):
-    c_tr = channel_amplitudes(DEEP_WELL, gaussian_spectrum(DEEP_SPEC).k).c_tr
     x = default_grid(DEEP_SPEC, DEEP_WELL, t)
-    fast, dense = _synthesis_pair(DEEP_SPEC, DEEP_WELL, DEEP_WELL.potential(), t, x, c_tr)
+    fast, dense = _synthesis_pair(solve_packet(DEEP_SPEC, DEEP_WELL), t, x)
     _assert_same_waves(fast, dense)
 
 
@@ -420,9 +438,8 @@ def test_clock_synthesis_matches_dense_sum(t):
     layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
     x = np.linspace(-1000.0, 3500.0, 4501)
     assert np.count_nonzero((x >= 1100.0) & (x < 1100.5)) > 0
-    c_tr = channel_amplitudes(barrier, gaussian_spectrum(spec).k).c_tr
     for potential in spin_potentials(barrier, layout):
-        fast, dense = _synthesis_pair(spec, barrier, potential, t, x, c_tr)
+        fast, dense = _synthesis_pair(solve_packet(spec, barrier, potential), t, x)
         _assert_same_waves(fast, dense)
 
 
@@ -443,13 +460,13 @@ def test_pad_plane_wave_sums_match_superpose(margin, omega):
     times = ((CLOCK_BARRIER.left_edge - 0.5 * margin) / v,
              (CLOCK_BARRIER.right_edge + 0.5 * margin) / v)
     for potential in spin_potentials(CLOCK_BARRIER, layout):
-        _, tables = interior_table(ks, potential, CLOCK_BARRIER.kinetic_coeff)
-        for reg in (tables[0], tables[-1]):
+        solve = solve_packet(CLOCK_SPEC, CLOCK_BARRIER, potential, spectrum)
+        for reg in (solve.tables[0], solve.tables[-1]):
             assert reg.splits_into_plane_waves(ks)
             first, stop = np.searchsorted(x, (reg.x_left, reg.x_right))
             assert stop - first >= margin - 1
             for t in times:
-                u = _spectral_weights(spectrum, CLOCK_BARRIER.kinetic_coeff, t)
+                u = _spectral_weights(solve, t)
                 want = reg.superpose(x[first:stop], u)
                 got = reg.plane_wave_sums(x[first:stop], u)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -464,13 +481,12 @@ def test_plane_wave_sums_match_superpose_at_size_edges(m):
     spectrum = gaussian_spectrum(CLOCK_SPEC)
     ks = spectrum.k
     v = group_velocity(CLOCK_SPEC.k0, CLOCK_BARRIER.kinetic_coeff)
-    potential = spin_potentials(CLOCK_BARRIER, layout)[0]
-    _, tables = interior_table(ks, potential, CLOCK_BARRIER.kinetic_coeff)
-    for reg in (tables[0], tables[-1]):
+    solve = solve_packet(CLOCK_SPEC, CLOCK_BARRIER,
+                         spin_potentials(CLOCK_BARRIER, layout)[0], spectrum)
+    for reg in (solve.tables[0], solve.tables[-1]):
         assert reg.splits_into_plane_waves(ks)
         x = np.linspace(reg.x_left + 0.37, reg.x_right - 0.21, m)
-        u = _spectral_weights(spectrum, CLOCK_BARRIER.kinetic_coeff,
-                              0.5 * (reg.x_left + reg.x_right) / v)
+        u = _spectral_weights(solve, 0.5 * (reg.x_left + reg.x_right) / v)
         want = np.concatenate([reg.superpose(x[start:start + 128], u)
                                for start in range(0, m, 128)])
         got = reg.plane_wave_sums(x, u)
@@ -502,14 +518,13 @@ def test_ill_conditioned_regions_fall_back_and_match_dense_sum(monkeypatch, leve
     ks = gaussian_spectrum(BAR_SPEC).k
     kinetic = BARRIER.kinetic_coeff
     height = 0.25 if level == "evanescent" else kinetic * ks[0] ** 2 * (1.0 - 1e-12)
-    potential = BarrierSpec(height, 20.0).potential()
-    (reg,) = interior_table(ks, potential, kinetic)[1]
+    solve = solve_packet(BAR_SPEC, BARRIER, BarrierSpec(height, 20.0).potential())
+    (reg,) = solve.tables
     assert not reg.splits_into_plane_waves(ks)
     assert (np.min(reg.z) < 0.0) == (level == "evanescent")
     x = np.linspace(-300.0, 300.0, 4096)
     assert np.count_nonzero((x >= 0.0) & (x < 20.0)) > 128
-    fast, dense = _synthesis_pair(BAR_SPEC, BARRIER, potential, 0.12, x,
-                                  np.ones(ks.shape))
+    fast, dense = _synthesis_pair(solve, 0.12, x)
     _assert_same_waves(fast, dense)
 
 
