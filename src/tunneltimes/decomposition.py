@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import sinc_sqrt
+from .kernels import SERIES_WINDOW
 from .model import BarrierSpec
 from .scattering import interior_table
 from .timescales import evaluate_widths
@@ -58,10 +58,14 @@ class ChannelAmplitudes:
 
 
 def _phase_sign(barrier: BarrierSpec, k):
-    # s = -beta * sign(F1(v)); F1 > 0 below the band edge, so v < 0 is clipped, not evaluated
+    # s = -beta * sign(F1(v)).  F1 > 0 below the band edge and inside the
+    # series window (its series is 1 - v/6 + ...); past the window F1 is
+    # sin(sqrt v)/sqrt v, whose sign is that of sin(sqrt v).  No double is a
+    # multiple of pi, so s is never 0
     k2 = np.asarray(k, dtype=float) ** 2
     v = (k2 - barrier.beta * barrier.kappa0**2) * barrier.width**2
-    return -barrier.beta * np.sign(sinc_sqrt(np.maximum(v, 0.0)))
+    sign = np.sign(np.sin(np.sqrt(np.maximum(v, SERIES_WINDOW))))
+    return -barrier.beta * np.where(v > SERIES_WINDOW, sign, 1.0)
 
 
 def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
@@ -72,12 +76,10 @@ def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
     they split.  The branch s is always the bare barrier's, whatever
     potential T and R come from: the clock's layered spin potentials deform
     continuously into the barrier as the field goes to zero, and the branch
-    sets the channel's entry time through d(arg c_tr)/dk.  s = +1 where the
-    bare kernel vanishes exactly.
+    sets the channel's entry time through d(arg c_tr)/dk.
     """
     sign = _phase_sign(barrier, k)
-    branch = np.where(sign == 0.0, 1.0, sign)
-    return transmission + 1j * branch * np.sqrt(np.maximum(transmission * reflection, 0.0))
+    return transmission + 1j * sign * np.sqrt(np.maximum(transmission * reflection, 0.0))
 
 
 def channel_amplitudes(barrier: BarrierSpec, k) -> ChannelAmplitudes:

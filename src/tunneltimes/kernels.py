@@ -11,8 +11,13 @@ where the truncated series is accurate to full double precision.
 Numerics: the series run as a Horner loop in ``polyval``'s operation order.
 :func:`width_kernels` takes the five width kernels in one pass: one ``|v|``,
 one mask per window and, off the series, one ``s = sqrt|v|`` with one
-sin/sinh of s, 2s and s/2 and one cos/cosh of s.  ``sqrt(4|v|) == 2*sqrt|v|``
-and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
+sin/sinh of s and 2s, one cos/cosh of s, and the sin/sinh of s/2 only past
+the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|`` and ``v/4`` are exact, so each
+output keeps the bits of its kernel alone.  Input on one side of a window
+is evaluated in place; mixed input, of any shape, is split by integer
+indices (one ``flatnonzero`` per side, gathered with ``take`` and scattered
+through a flat view of each output), which costs a fraction of boolean-mask
+copies.
 """
 
 from math import factorial
@@ -41,22 +46,35 @@ def _horner(u, coef):
     return out
 
 
+def _split(mask, inside, outside, *args):
+    """Tuple of outputs: inside(*args) where mask holds, outside(*args) elsewhere.
+
+    A one-sided mask passes args uncopied.  Otherwise each side is gathered
+    with ``take`` through one ``flatnonzero`` of its mask and scattered back
+    through a flat view of each C-ordered output, so any input shape works.
+    """
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return inside(*args)
+    if not count:
+        return outside(*args)
+    inner, outer = np.flatnonzero(mask), np.flatnonzero(~mask)
+    lows = inside(*(arg.take(inner) for arg in args))
+    highs = outside(*(arg.take(outer) for arg in args))
+    outs = tuple(np.empty(mask.shape) for _ in lows)
+    for out, low, high in zip(outs, lows, highs):
+        flat = out.reshape(-1)
+        flat[inner], flat[outer] = low, high
+    return outs
+
+
 def _piecewise(v, series, direct):
     """Tuple of kernels: series(u, |u|) inside the window, direct(u, |u|) outside."""
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     a = np.abs(v)
-    small = a <= SERIES_WINDOW
-    if small.all():
-        outs = series(v, a)
-    elif not small.any():
-        outs = direct(v, a)
-    else:
-        low, high = series(v[small], a[small]), direct(v[~small], a[~small])
-        outs = tuple(np.empty_like(v) for _ in low)
-        for out, lo, hi in zip(outs, low, high):
-            out[small], out[~small] = lo, hi
+    outs = _split(a <= SERIES_WINDOW, series, direct, v, a)
     return tuple(float(out[0]) for out in outs) if scalar else outs
 
 
@@ -96,12 +114,13 @@ def _widths_series(v, a):
 
 def _widths_direct(v, a):
     s, up = np.sqrt(a), v > 0
-    sinc, sinc4, half = (_sinc(x, up) for x in (s, 2.0 * s, 0.5 * s))
+    sinc, sinc4 = _sinc(s, up), _sinc(2.0 * s, up)
     cos = _branches(s, up, np.cos, np.cosh)
-    # v/4 keeps its own series window, four times as wide in v
-    mid = a <= 4.0 * SERIES_WINDOW
-    if mid.any():
-        half[mid] = _horner(0.25 * v[mid], _SINC_COEF)
+    # v/4 keeps its own series window, four times as wide in v: the s/2
+    # sine runs only past it
+    half, = _split(a <= 4.0 * SERIES_WINDOW,
+                   lambda v, s, up: (_horner(0.25 * v, _SINC_COEF),),
+                   lambda v, s, up: (_sinc(0.5 * s, up),), v, s, up)
     return sinc, (sinc4 - 1.0) / v, half, (sinc - 1.0) / v, (sinc - cos) / v
 
 

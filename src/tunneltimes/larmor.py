@@ -244,12 +244,19 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
                            detector, "detector")
 
     for spin, solve in zip(("up", "down"), solves):
+        grid = solve.grid(t_det)
         try:
-            _synthesize(solve, t_det, solve.grid(t_det))
+            _synthesize(solve, t_det, grid)
         except NumericInvariantError as exc:
+            # keep the finding, drop packet's hint: the clock takes no n_x
+            # or extent, it derives both from the spectrum and the solve
             raise NumericInvariantError(
-                "spin-%s component: %s" % (spin, exc), quantity=exc.quantity,
-                value=exc.value, bound=exc.bound) from exc
+                "spin-%s component: %s; the clock sizes its grid from the spectrum's "
+                "k_max %.4g 1/nm (step at most pi / (2 k_max)) and the measured "
+                "packet extent %.4g nm (%d points), both set by the packet (l0, "
+                "n_k, k_span) and the detector offset"
+                % (spin, str(exc).split("; ", 1)[0], qs[-1], grid[-1] - grid[0], grid.size),
+                quantity=exc.quantity, value=exc.value, bound=exc.bound) from exc
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,

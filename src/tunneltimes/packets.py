@@ -371,7 +371,9 @@ def _synthesize(solve, t, x):
     little on a grid whose end densities are both below CONTAINMENT_TOL /
     extent: the packet has decayed inside the grid, so the shortfall is
     quadrature error, not norm past the ends.  Too little on any other grid
-    gives the extent that would have sufficed.
+    gives the extent that would have sufficed.  Each message reads
+    "finding; hint", with |n_full - 1| in %.3g; the clock keeps the finding
+    and names its own grid inputs instead of the hint.
     """
     ks = solve.spectrum.k
     extent = float(x[-1] - x[0])
@@ -387,26 +389,27 @@ def _synthesize(solve, t, x):
     psi_full, psi_tr = _spectral_sums(
         x, ks, u_full, u_full * solve.c_tr, solve.amplitudes, solve.tables, solve.support)
     n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
+    # |n_full - 1| in %.3g: %.9f would print a 7e-11 shortfall as 1.000000000
+    held = "grid holds %s %.3g of the norm at t=%g ps" % (
+        "1 +" if n_full > 1.0 else "only 1 -", abs(n_full - 1.0), t)
     if n_full > 1.0 + CONTAINMENT_TOL:
         raise NumericInvariantError(
-            "grid holds %.9f of the norm at t=%g ps; raise n_x (current %d "
-            "points undersample the packet)" % (n_full, t, x.size),
+            "%s; raise n_x (current %d points undersample the packet)" % (held, x.size),
             quantity="n_full", value=n_full, bound=1.0 + CONTAINMENT_TOL,
         )
     if n_full < 1.0 - CONTAINMENT_TOL:
         ends = (abs(psi_full[0]) ** 2, abs(psi_full[-1]) ** 2)
         if max(ends) < CONTAINMENT_TOL / extent:
             raise NumericInvariantError(
-                "grid holds only %.9f of the norm at t=%g ps; raise n_x (current "
-                "%d points; the end densities %.2g and %.2g 1/nm are below %.2g "
-                "1/nm, so the packet is inside the grid and the shortfall is "
-                "quadrature error)" % (n_full, t, x.size, ends[0], ends[1],
-                                       CONTAINMENT_TOL / extent),
+                "%s; raise n_x (current %d points; the end densities %.2g and %.2g "
+                "1/nm are below %.2g 1/nm, so the packet is inside the grid and the "
+                "shortfall is quadrature error)" % (held, x.size, ends[0], ends[1],
+                                                    CONTAINMENT_TOL / extent),
                 quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
             )
         raise NumericInvariantError(
-            "grid holds only %.9f of the norm at t=%g ps; widen the grid "
-            "(current extent %.4g nm, try %.4g nm)" % (n_full, t, extent, 2.0 * extent),
+            "%s; widen the grid (current extent %.4g nm, try %.4g nm)"
+            % (held, extent, 2.0 * extent),
             quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
         )
     return psi_full, psi_tr, n_full

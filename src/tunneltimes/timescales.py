@@ -2,7 +2,8 @@
 
 All widths below are effective lengths in nm.  Dividing a width by the group
 speed ``2*K*k/HBAR`` (see :func:`tunneltimes.model.group_velocity`) converts it
-to a time in ps; :class:`TimescaleRecord` carries both forms.  For a
+to a time in ps; :class:`TimescaleRecord` stores the widths and derives the
+times from them on read.  For a
 rectangular barrier or well of signed height V0 and width d,
 :func:`evaluate_widths` returns these fields of :class:`TimescaleRecord`:
 
@@ -27,7 +28,9 @@ cancellation.  For opaque barriers (kappa*d > 20) an algebraically equivalent
 form scaled by 1/sinh^2(kappa*d) avoids overflow; it stays finite beyond
 kappa*d = 700 where sinh itself cannot be represented.  An array of k runs in
 fixed chunks, one :func:`tunneltimes.kernels.width_kernels` pass each, written
-into preallocated fields; a chunk on one branch skips the mask copies.
+into the six preallocated result arrays.  A chunk on one branch is passed
+uncopied; a chunk mixing the deep and kernel branches is gathered and
+scattered through one integer index array per branch.
 """
 
 from __future__ import annotations
@@ -119,9 +122,14 @@ def _quadruple_deep(k2, v, k02, d):
 
 
 def _fill(views, mask, branch, k2, v, *consts):
-    """Write branch(k2, v, *consts) into views where mask holds, uncopied if everywhere."""
-    if mask.any():
-        key = Ellipsis if mask.all() else mask
+    """Write branch(k2, v, *consts) into views where mask holds.
+
+    A mixed chunk goes through one flat index array per side, gathered and
+    scattered by integer indices; a chunk all on this side passes uncopied.
+    """
+    count = np.count_nonzero(mask)
+    if count:
+        key = Ellipsis if count == mask.size else np.flatnonzero(mask)
         for view, val in zip(views, branch(k2[key], v[key], *consts)):
             view[key] = val
 
@@ -144,9 +152,12 @@ def _quadruple(k_arr, k02, beta, d):
 
 @dataclass(frozen=True)
 class TimescaleRecord:
-    """Widths (nm), their time equivalents (ps) and T/R.
+    """Widths (nm) and T/R, with their time equivalents (ps) derived on read.
 
-    Every field is a float for scalar k and an array for array k.
+    k and the six results are floats for scalar k and arrays for array k.
+    The four times are each width over ``group_velocity(k, kinetic_coeff)``,
+    computed when read; ``barrier_width`` and ``kinetic_coeff`` are the two
+    barrier scalars they need.
     """
 
     k: object
@@ -156,38 +167,37 @@ class TimescaleRecord:
     starting_point: object
     transmission: object
     reflection: object
-    phase_time: object
-    dwell_time: object
-    transmission_time: object
-    free_time: object
+    barrier_width: float
+    kinetic_coeff: float
+
+    def _over_speed(self, width):
+        return width / group_velocity(self.k, self.kinetic_coeff)
+
+    @property
+    def phase_time(self):
+        return self._over_speed(self.phase_width)
+
+    @property
+    def dwell_time(self):
+        return self._over_speed(self.dwell_width)
+
+    @property
+    def transmission_time(self):
+        return self._over_speed(self.effective_width)
+
+    @property
+    def free_time(self):
+        return self._over_speed(self.barrier_width)
 
 
 def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
-    """Evaluate the width quadruple, times and T/R at wavenumber(s) k > 0."""
+    """Evaluate the width quadruple and T/R at wavenumber(s) k > 0."""
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(require_wavenumbers(k))
-    k02 = barrier.kappa0 ** 2
-    d = barrier.width
-    d_phase, d_dwell, d_eff, x_start, t_coef, r_coef = _quadruple(
-        k_arr, k02, barrier.beta, d
-    )
-    speed = group_velocity(k_arr, barrier.kinetic_coeff)
-    fields = (
-        k_arr,
-        d_phase,
-        d_dwell,
-        d_eff,
-        x_start,
-        t_coef,
-        r_coef,
-        d_phase / speed,
-        d_dwell / speed,
-        d_eff / speed,
-        d / speed,
-    )
+    fields = (k_arr, *_quadruple(k_arr, barrier.kappa0 ** 2, barrier.beta, barrier.width))
     if scalar:
         fields = tuple(float(f[0]) for f in fields)
-    return TimescaleRecord(*fields)
+    return TimescaleRecord(*fields, barrier.width, barrier.kinetic_coeff)
 
 
 @dataclass(frozen=True)

@@ -660,7 +660,7 @@ def test_packet_contained_packet_with_low_norm_asks_for_n_x(tmp_path, capsys):
         "n_x": 4592, "snapshot_times": [0.4]})
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "grid holds only 0.999998" in err and "raise n_x (current 4592 points" in err
+    assert "grid holds only 1 - 1.75e-06 of the norm" in err and "raise n_x (current 4592 points" in err
     assert "widen" not in err
     assert not (tmp_path / "packet_summary.json").exists()
 

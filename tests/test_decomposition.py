@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from diagnostics import interface_mismatch
 from oracles import ddk, mp_stationary, stationary_value, x_start_from_gamma
-from tunneltimes import decomposition
+from tunneltimes import decomposition, kernels
 from tunneltimes.decomposition import (
     channel_amplitudes,
     channel_weight,
@@ -83,6 +83,39 @@ def test_phase_sign_flips_across_resonance():
     # the weight itself stays continuous through the flip (gamma -> 0 there)
     assert abs(below.c_tr - 1.0) < 5e-3
     assert abs(above.c_tr - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize("barrier", [BARRIER, WELL, BarrierSpec(0.25, 3.0),
+                                     BarrierSpec(-0.7054, 1.2605)],
+                         ids=["barrier", "well", "thick", "deep-well"])
+def test_phase_sign_equals_the_sign_of_the_sinc_kernel(barrier):
+    # _phase_sign reads +1 inside the series window and sign(sin sqrt v)
+    # past it, never the full kernel; that must be the kernel's sign to the
+    # bit, on both sides of the first six transparency resonances
+    # (v = (n pi)^2) and of the window edge
+    k02, d2 = barrier.kappa0 ** 2, barrier.width ** 2
+
+    def k_at(v):
+        return math.sqrt(v / d2 + barrier.beta * k02)
+
+    targets = [(n * math.pi) ** 2 for n in range(1, 7)]
+    if barrier.beta > 0:
+        targets.append(kernels.SERIES_WINDOW)
+    ks = np.concatenate([
+        np.linspace(1e-3, k_at(50.0 ** 2), 4001),
+        *(k_at(v) + np.arange(-40, 41) * np.spacing(k_at(v)) for v in targets),
+        *(k_at(v) * np.array([1.0 - 1e-6, 1.0 + 1e-6]) for v in targets),
+    ])
+    v = (ks ** 2 - barrier.beta * k02) * d2
+    want = -barrier.beta * np.sign(kernels.sinc_sqrt(np.maximum(v, 0.0)))
+    got = decomposition._phase_sign(barrier, ks)
+    assert np.array_equal(got, want)
+    assert [decomposition._phase_sign(barrier, k) for k in ks[::40]] == list(want[::40])
+    # both signs occur, and both sides of the window edge for the barriers
+    assert set(np.unique(got)) == {-1.0, 1.0}
+    if barrier.beta > 0:
+        assert (v <= kernels.SERIES_WINDOW).any() and (
+            (v > kernels.SERIES_WINDOW) & (v < 0.31)).any()
 
 
 @pytest.mark.parametrize(

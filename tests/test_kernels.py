@@ -204,6 +204,30 @@ def test_mixed_input_matches_one_sided_calls(fn):
     assert np.array_equal(fn(v), want)
 
 
+def _superpose_v():
+    """(m, n) v = dx^2 z as RegionTable.superpose builds it, mixing the series
+    window, the v/4 window (0.3 < |v| <= 1.2) and the direct side on both signs."""
+    dx = np.linspace(-2.0, 0.0, 37)
+    z = np.array([-40.0, -0.2, -1e-3, 0.0, 1e-3, 0.09, 0.25, 0.7, 3.0, 250.0])
+    return np.outer(dx * dx, z)
+
+
+@pytest.mark.parametrize("fn", list(ORACLES), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+def test_2d_mixed_input_matches_per_entry_calls(fn, layout):
+    # the split gathers and scatters through flat indices, so every layout
+    # of a 2-d input must land each entry where its one-sided call puts it
+    v = {"c": _superpose_v(), "transposed": _superpose_v().T,
+         "strided": _superpose_v()[::2, 1::2]}[layout]
+    a = np.abs(v)
+    assert (a <= kernels.SERIES_WINDOW).any() and (a > 4 * kernels.SERIES_WINDOW).any()
+    assert ((a > kernels.SERIES_WINDOW) & (a <= 4 * kernels.SERIES_WINDOW)).any()
+    want = np.array([fn(float(x)) for x in v.ravel()]).reshape(v.shape)
+    got = fn(v)
+    assert got.shape == v.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # width_kernels against the kernels it fused, evaluated one at a time: the
 # series by numpy.polynomial inside each output's own window, the direct

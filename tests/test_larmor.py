@@ -268,7 +268,10 @@ def test_clock_errors_carry_quantity_value_and_bound(monkeypatch):
     err = info.value
     assert (err.quantity, err.bound) == ("n_full", 1.0 - 1e-12)
     assert err.value < err.bound
-    assert "%.9f" % err.value in str(err)
+    # a 7e-11 shortfall reads as such, not as %.9f's 1.000000000
+    assert "grid holds only 1 - %.3g of the norm" % (1.0 - err.value) in str(err)
+    assert "raise n_x" not in str(err) and "widen" not in str(err)
+    assert "the clock sizes its grid from the spectrum's k_max" in str(err)
     with pytest.raises(NumericInvariantError) as info:
         larmor._crossing_time(10.0, 1.0, 5.0, "detector")
     assert (info.value.quantity, info.value.value, info.value.bound) == (

@@ -184,8 +184,9 @@ def test_containment_errors_carry_n_full_and_the_bound_it_crossed():
     assert (high.quantity, high.bound) == ("n_full", 1.0 + packets.CONTAINMENT_TOL)
     assert low.value < low.bound and high.value > high.bound
     assert "raise n_x (current 2048 points" in str(high) and "widen" not in str(high)
-    # the message prints the same number the field holds
-    assert "%.9f" % low.value in str(low) and "%.9f" % high.value in str(high)
+    # the message prints |n_full - 1| of the number the field holds
+    assert "grid holds only 1 - %.3g " % (1.0 - low.value) in str(low)
+    assert "grid holds 1 + %.3g " % (high.value - 1.0) in str(high)
 
 
 def test_aliasing_grid_is_rejected_before_the_sum(monkeypatch):

@@ -1,6 +1,5 @@
 """Closed-form widths against derivative/quadrature oracles and known limits."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from oracles import ddk, dwell_norm
 from tunneltimes import timescales
-from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec
+from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec, group_velocity
 from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import (
     evaluate_widths,
@@ -23,6 +22,11 @@ from tunneltimes.timescales import (
 K = ParticleSpec().kinetic_coeff
 BARRIER = BarrierSpec(height=0.25, width=0.5)
 WELL = BarrierSpec(height=-0.25, width=0.5)
+
+# what evaluate_widths computes per k, then the four times derived on read
+RESULTS = ("k", "phase_width", "dwell_width", "effective_width", "starting_point",
+           "transmission", "reflection")
+QUANTITIES = RESULTS + ("phase_time", "dwell_time", "transmission_time", "free_time")
 
 
 def barrier_for(kappa0_d, width=0.5, sign=1.0):
@@ -404,17 +408,22 @@ def test_large_k_transparency():
 
 
 def test_time_conversions():
-    k = 0.4688469119692836
-    rec = evaluate_widths(BARRIER, k)
-    speed = 2.0 * K * k / 6.582119569e-4
-    assert rec.phase_time == pytest.approx(rec.phase_width / speed, rel=1e-15)
-    assert rec.dwell_time == pytest.approx(rec.dwell_width / speed, rel=1e-15)
-    assert rec.transmission_time == pytest.approx(
-        rec.effective_width / speed, rel=1e-15
-    )
-    assert rec.free_time == pytest.approx(BARRIER.width / speed, rel=1e-15)
+    # each time is its width over the group speed, to the bit, for scalar
+    # and array k alike
+    for k in (0.4688469119692836, np.linspace(0.01, 3.0, 257)):
+        rec = evaluate_widths(BARRIER, k)
+        speed = group_velocity(k, K)
+        assert np.array_equal(speed, 2.0 * K * np.asarray(k) / 6.582119569e-4)
+        for time, width in (("phase_time", rec.phase_width),
+                            ("dwell_time", rec.dwell_width),
+                            ("transmission_time", rec.effective_width),
+                            ("free_time", BARRIER.width)):
+            got = getattr(rec, time)
+            assert type(got) is type(rec.phase_width), time
+            assert np.array_equal(got, width / speed), time
     # touchstone: free-particle traversal time diverges like 1/k
-    slow = evaluate_widths(BARRIER, 1e-6)
+    k = 0.4688469119692836
+    slow, rec = evaluate_widths(BARRIER, 1e-6), evaluate_widths(BARRIER, k)
     assert slow.free_time / rec.free_time == pytest.approx(k / 1e-6, rel=1e-12)
 
 
@@ -470,9 +479,9 @@ def test_chunk_seams_match_scalar_calls(monkeypatch):
     assert 0 < deep[2 * size:].sum() < size + 123
     rec = evaluate_widths(bar, ks)
     singles = [evaluate_widths(bar, float(k)) for k in ks]
-    for field in dataclasses.fields(rec):
-        want = np.array([getattr(one, field.name) for one in singles])
-        assert np.array_equal(getattr(rec, field.name), want), field.name
+    for name in QUANTITIES:
+        want = np.array([getattr(one, name) for one in singles])
+        assert np.array_equal(getattr(rec, name), want), name
 
 
 @pytest.mark.parametrize("bar, ks", [
@@ -481,14 +490,15 @@ def test_chunk_seams_match_scalar_calls(monkeypatch):
 ], ids=["fig1", "opaque-and-shallow"])
 def test_widths_transient_memory_stays_near_record_size(bar, ks):
     # the chunked pass keeps its temporaries chunk-sized: the peak is the
-    # record itself plus little more
+    # record's arrays (k and the six results; the times are derived on
+    # read) plus little more
     tracemalloc.start()
     try:
         rec = evaluate_widths(bar, ks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    record_bytes = sum(getattr(rec, f.name).nbytes for f in dataclasses.fields(rec))
+    record_bytes = sum(getattr(rec, name).nbytes for name in RESULTS)
     assert peak <= 1.25 * record_bytes, (peak, record_bytes)
 
 
