@@ -22,7 +22,9 @@ O((N_x + N_k) log(N_x + N_k)) instead of O(N_x N_k).  Inside the support, a
 region where every node oscillates with z >= k^2/100 (the Larmor clock's
 field-free pads) is summed as factorised plane waves: three exponentials
 per k node, O(sqrt(m) N_k) complex multiplications for the phase tables of
-its m points and one complex matrix product.  Only the remaining regions
+its m points, and complex matrix products over a few sqrt(m)-point blocks
+at a time while the sqrt(m) x N_k phase table is small (one product over
+every block above that size).  Only the remaining regions
 (evanescent barriers, near-threshold nodes) evaluate the interior kernels
 directly, at O(N_k) per point.  A caller-supplied grid x
 must therefore be uniform and ascending; evolve raises ValueError otherwise.

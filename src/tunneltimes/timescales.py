@@ -296,7 +296,7 @@ def scaling_limit(barrier: BarrierSpec, lam: float) -> ScalingLimit:
         effective_width=rec.effective_width,
         effective_target=d,
         starting_point=rec.starting_point,
-        starting_target=-phase_star,
+        starting_target=0.0 - phase_star,  # +0.0, not -0.0, for a zero target
     )
 
 
@@ -348,7 +348,8 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
                 phase_ratio=1.0 + shift,
                 dwell_ratio=1.0 + shift,
                 effective_ratio=1.0 if n % 2 == 1 else 1.0 + 2.0 * shift,
-                starting_ratio=shift if n % 2 == 0 else -shift,
+                # + 0.0 turns a zero shift's -0.0 into +0.0 and moves no other bit
+                starting_ratio=(shift if n % 2 == 0 else -shift) + 0.0,
             )
         )
     return ResonanceTable(records=tuple(records), omitted=tuple(omitted))

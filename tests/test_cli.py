@@ -375,6 +375,16 @@ def test_resonance_with_every_order_omitted_writes_header_only(tmp_path):
     assert (tmp_path / "resonance.csv").read_text() == cli.RESONANCE_HEADER + "\n"
 
 
+def test_free_potential_resonance_prints_no_negative_zero(tmp_path):
+    # the starting shift of a free potential is zero; negated for odd n it
+    # was written as -0
+    cfg = write_config(tmp_path, {"barrier": {"height": 0.0, "width": 0.5}})
+    assert cli.main(["resonance", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "resonance.csv")
+    assert rows and all(row[-1] == "0" for row in rows)
+    assert not any(cell.startswith("-0") for row in rows for cell in row)
+
+
 @pytest.mark.parametrize("field", ["phase_width", "dwell_width",
                                    "effective_width", "starting_point"])
 def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):

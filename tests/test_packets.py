@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from diagnostics import (
     second_central_moment,
 )
 from tunneltimes import packets
-from tunneltimes.larmor import FieldLayout, spin_potentials
+from tunneltimes.larmor import FieldLayout, run_clock, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
 from tunneltimes.packets import (
     PacketSpec,
@@ -26,6 +27,7 @@ from tunneltimes.packets import (
     starting_point_packet,
     _fast_len,
     _spectral_sums,
+    _synthesize,
 )
 from tunneltimes.scattering import RegionTable, interior_table
 from tunneltimes.timescales import evaluate_widths
@@ -473,11 +475,16 @@ def test_pad_plane_wave_sums_match_superpose(margin, omega):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 15**2 - 1, 15**2, 15**2 + 1, 4500])
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 21, 64, 82, 15**2 - 1, 15**2, 15**2 + 1,
+                               576, 577, 4500])
 def test_plane_wave_sums_match_superpose_at_size_edges(m):
-    # single points, block counts one short of, at and one past a perfect
-    # square, and a region dense enough that the row and column recurrences
-    # run longest; the points start and end off the pad's edges
+    # single points; 4, 5, 8 and 9 blocks (16, 21, 64, 82 points), so a
+    # group of _ROW_GROUP blocks ends exactly at the last block or one block
+    # before it; block counts one short of, at and one past a perfect
+    # square; the two sides of the phase-table limit at N_k = 2048 (P = 24
+    # and 25, grouped and one product); and a region dense enough that the
+    # row and column recurrences run longest.  The points start and end off
+    # the pad's edges
     layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
     spectrum = gaussian_spectrum(CLOCK_SPEC)
     ks = spectrum.k
@@ -493,6 +500,25 @@ def test_plane_wave_sums_match_superpose_at_size_edges(m):
         got = reg.plane_wave_sums(x, u)
         assert got.shape == (m,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_clock_synthesis_transient_memory_stays_near_one_phase_table():
+    # the criterion-11 spin-up component at its detection time: 1830 grid
+    # points, 159 in each field-free pad.  Summing a pad holds its 13 x 2048
+    # phase table (0.43 MB) and a 4-block row buffer (0.26 MB); holding all
+    # 13 block rows at once peaked at 1.68 MB
+    layout = FieldLayout(margin=500.0, detector_offset=1100.0, omega_larmor=0.2)
+    t_det = run_clock(CLOCK_SPEC, CLOCK_BARRIER, layout).t_det
+    solve = solve_packet(CLOCK_SPEC, CLOCK_BARRIER, spin_potentials(CLOCK_BARRIER, layout)[0])
+    grid = solve.grid(t_det)
+    assert grid.size == 1830 and t_det == pytest.approx(2.717, abs=1e-3)
+    tracemalloc.start()
+    try:
+        _synthesize(solve, t_det, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3e6, peak
 
 
 def test_grid_cutting_the_packet_asks_for_a_wider_grid():

@@ -283,6 +283,18 @@ def test_resonance_records_match_evaluator():
             assert abs(ev.effective_width / d - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("height", [0.0, 5e-324, -5e-324], ids=["free", "tiny-barrier", "tiny-well"])
+def test_zero_starting_shifts_are_positive_zeros(height):
+    # a free potential's shift is zero and a subnormal one's underflows to a
+    # zero of either sign; negating it (odd n, the scaling target) must not
+    # leave a -0.0 to be printed as -0
+    bar = BarrierSpec(height, 0.5)
+    values = [r.starting_ratio for r in resonance_table(bar, 4).records]
+    values.append(scaling_limit(bar, 1.0).starting_target)
+    zeros = [value for value in values if value == 0.0]
+    assert zeros and all(math.copysign(1.0, value) == 1.0 for value in zeros), values
+
+
 def test_resonance_is_transmission_maximum():
     bar = barrier_for(2.0)
     k_res = resonance_table(bar, 1).records[0].k_res
