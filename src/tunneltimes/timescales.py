@@ -64,6 +64,12 @@ _DEEP_SWITCH = 400.0
 # mmap threshold) stay in cache; 8192 to 32768 timed alike, 2048 slower
 _CHUNK = 8192
 
+# The largest kappa0*d at which a barrier's long-wave denominator
+# -v0*sinc_sqrt(v0) = u*sinh(u) is finite.  Past it coth(u) and tanh(u/2) are
+# 1 to double precision, so the phase and effective ratios are 2/u and the
+# starting ratio -2/(u sinh u) is -4 exp(-u)/u.
+_LONGWAVE_SWITCH = 703.9191965020692
+
 # Flag long-wave well limits as divergent when kappa0*d sits this close to a
 # multiple of pi (transparency pole of the k -> 0 ratios).
 _POLE_WINDOW = 1e-8
@@ -218,7 +224,12 @@ class LongWaveLimits:
 
 
 def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
-    """Limits of (phase, dwell, effective, starting)/d as k -> 0+."""
+    """Limits of (phase, dwell, effective, starting)/d as k -> 0+.
+
+    Outside a well's pole window every ratio is finite in exact arithmetic;
+    one that lies past float range (kappa0*d below ~1e-154, where the phase
+    and starting ratios grow like 2/(kappa0 d)^2) raises NumericInvariantError.
+    """
     u0 = barrier.kappa0 * barrier.width
     if u0 == 0.0:
         # Free particle: every width equals d at all k.
@@ -235,15 +246,25 @@ def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
                 divergent=True,
                 pole_index=near,
             )
-    v0 = -barrier.beta * u0 * u0
-    f1 = sinc_sqrt(v0)
-    c0 = cos_sqrt(v0)
-    return LongWaveLimits(
-        -2.0 * c0 / (v0 * f1),
-        0.0,
-        2.0 * f1 / (1.0 + c0),
-        2.0 / (v0 * f1),
-    )
+    if barrier.beta > 0.0 and u0 > _LONGWAVE_SWITCH:
+        phase = effective = 2.0 / u0
+        starting = -4.0 * math.exp(-u0) / u0
+    else:
+        v0 = -barrier.beta * u0 * u0
+        f1 = sinc_sqrt(v0)
+        c0 = cos_sqrt(v0)
+        # v0 underflows to 0 once kappa0*d < ~2e-162; NaN then fails below
+        denom = v0 * f1 or math.nan
+        phase = -2.0 * c0 / denom
+        effective = 2.0 * f1 / (1.0 + c0)
+        starting = 2.0 / denom
+    for name, value in (("phase", phase), ("effective", effective),
+                        ("starting", starting)):
+        if not math.isfinite(value):
+            raise NumericInvariantError(
+                "long-wave %s ratio at kappa0*d = %.3g lies past float range"
+                % (name, u0), quantity="%s ratio" % name, value=value)
+    return LongWaveLimits(phase, 0.0, effective, starting)
 
 
 @dataclass(frozen=True)

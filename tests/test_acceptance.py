@@ -8,7 +8,6 @@ mpmath solver in ``oracles.py``; nothing here shares code with the paths
 under test beyond the public API.
 """
 
-import json
 import math
 import time
 
@@ -16,6 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import scenarios
 from diagnostics import second_central_moment, synthetic_precession
 from oracles import _solve, mp_dwell
 from tunneltimes import (
@@ -334,44 +334,12 @@ def test_criterion_10_larmor_clock():
 
 
 def test_criterion_11_deterministic_cli(tmp_path):
-    configs = {
-        "sweep": {"barrier": {"height": 0.25, "width": 0.5},
-                  "sweep": {"points": 200, "emax": 3.0}},
-        "packet": {
-            "barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
-            "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125,
-                       "n_k": 2048, "k_span": 5.0},
-            "n_x": 2048, "snapshot_times": [0.0, 0.4]},
-        "larmor": {
-            "barrier": {"height": 0.25, "width": 0.5, "left_edge": 1100.0},
-            "packet": {"l0": 100.0, "x0": 0.0, "k0": 0.4688469119692836,
-                       "n_k": 2048},
-            "field": {"margin": 500.0, "detector_offset": 1100.0,
-                      "omega_larmor": 0.2}},
-        "resonance": {"barrier": {"height": 0.25, "width": 0.5}},
-        "limits": {"barrier": {"height": -0.25, "width": 0.5}},
-    }
-    outputs = {
-        "sweep": ("sweep.csv",),
-        "packet": ("packet_t0.csv", "packet_t1.csv", "packet_summary.json"),
-        "larmor": ("larmor.json",),
-        "resonance": ("resonance.csv",),
-        "limits": ("limits.csv",),
-    }
-    mismatches = []
-    for command, payload in configs.items():
-        cfg = tmp_path / (command + ".json")
-        cfg.write_text(json.dumps(payload))
-        runs = []
-        for attempt in ("a", "b"):
-            out = tmp_path / command / attempt
-            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
-            assert code == 0, "%s exited %d" % (command, code)
-            runs.append({name: (out / name).read_bytes()
-                         for name in outputs[command]})
-        for name in outputs[command]:
-            if runs[0][name] != runs[1][name]:
-                mismatches.append("%s/%s" % (command, name))
-    report(11, not mismatches,
-           "all 5 commands byte-identical across reruns" if not mismatches
-           else "mismatched: " + ", ".join(mismatches))
+    # every row of the CLI scenario table, its rerun byte-identical
+    found = {row.name: scenarios.failures(row, scenarios.run_row(
+        row, tmp_path / row.name, scenarios.invoke_main)) for row in scenarios.SCENARIOS}
+    bad = ["%s: %s" % (name, msgs[0]) for name, msgs in found.items() if msgs]
+    commands = {argv[0] for row in scenarios.SCENARIOS for argv in row.commands}
+    reruns = sum(row.rerun for row in scenarios.SCENARIOS)
+    report(11, not bad and len(commands) == 5,
+           "; ".join(bad) or "%d scenarios over all %d commands pass, %d rerun "
+           "byte-identically" % (len(found), len(commands), reruns))

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, file formats, exit codes."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import scenarios
 import tunneltimes
 from tunneltimes import cli, larmor
 from tunneltimes.larmor import SpinReadout
@@ -24,13 +26,8 @@ from tunneltimes.model import BarrierSpec, NumericInvariantError
 BARRIER = {"height": 0.25, "width": 0.5}
 THIN_WIDE = {"height": 0.00025, "width": 50.0}
 
-# light clock geometry: every margin sits at its validation floor so the
-# three runs of the ladder stay fast
-CLOCK = {
-    "barrier": {"height": 0.25, "width": 0.5, "left_edge": 1100.0},
-    "packet": {"l0": 100.0, "x0": 0.0, "k0": 0.4688469119692836, "n_k": 2048},
-    "field": {"margin": 500.0, "detector_offset": 1100.0, "omega_larmor": 0.2},
-}
+# the table's light clock, every margin at its floor so the ladder runs fast
+CLOCK = scenarios.BY_NAME["clock"].config
 
 
 def csv_text(header, columns):
@@ -50,26 +47,55 @@ def read_rows(path):
     return header, rows
 
 
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # both cost import time and the package needs neither
+def loaded_by_import(condition):
+    """Modules m meeting condition in sys.modules after a fresh package import."""
     src = str(Path(tunneltimes.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import tunneltimes, tunneltimes.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))" % src)
+            "print(sorted(m for m in sys.modules if %s))" % (src, condition))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # both cost import time and the package needs neither
+    assert loaded_by_import("m in ('scipy.integrate', 'scipy.optimize')") == "[]"
 
 
 def test_import_loads_no_scipy_module():
     # the runtime is numpy alone; scipy is a test dependency
-    src = str(Path(tunneltimes.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, %r); import tunneltimes, tunneltimes.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))" % src)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    assert loaded_by_import("m == 'scipy' or m.startswith('scipy.')") == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the scenario table of tests/scenarios.py, run in process
+
+
+@pytest.mark.parametrize("row", scenarios.SCENARIOS, ids=lambda row: row.name)
+def test_cli_scenario(row, tmp_path):
+    runs = scenarios.run_row(row, tmp_path, scenarios.invoke_main)
+    assert scenarios.failures(row, runs) == []
+
+
+def test_scenario_checks_reject_corrupted_runs(tmp_path, monkeypatch):
+    row = scenarios.BY_NAME["well"]
+    runs = scenarios.run_row(row, tmp_path / "clean", scenarios.invoke_main)
+    assert scenarios.failures(row, runs) == []
+    flipped, dropped, wrong_code = (copy.deepcopy(runs) for _ in range(3))
+    text = flipped[1].files["limits.csv"]
+    flipped[1].files["limits.csv"] = text[:-2] + bytes([text[-2] ^ 1]) + b"\n"
+    del dropped[0].files["limits.csv"]
+    wrong_code[1].codes[0] = 3
+    for corrupt, expected in ((flipped, "rerun differs in ['limits.csv']"),
+                              (dropped, "run 1: out dir holds"),
+                              (wrong_code, "run 2: exit codes [3, 0, 0]")):
+        assert expected in "".join(scenarios.failures(row, corrupt))
+    # a numpy overflow inside the command exits 1 under error::RuntimeWarning
+    monkeypatch.setattr(cli, "longwave_limits", lambda barrier: np.exp(1e3))
+    found = scenarios.failures(row, scenarios.run_row(row, tmp_path / "warn",
+                                                      scenarios.invoke_main))
+    assert "exit codes [0, 0, 1]" in found[0]
+    assert "RuntimeWarning: overflow encountered in exp" in found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +352,8 @@ def test_nan_and_json_errors_carry_their_quantity():
         "JSON value", None, None)
 
 
-# the CI runtime-only job's run.json, and a dense sweep of the Fig-2 well
-CI_RUN = {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
-          "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 1024,
-                     "k_span": 5.0},
-          "sweep": {"points": 200, "emax": 3.0},
-          "n_x": 2048, "snapshot_times": [0.0, 0.4]}
+# the scenario table's run config, and a dense sweep of the Fig-2 well
+CI_RUN = scenarios.BY_NAME["run"].config
 FIG2_WELL = dict(CI_RUN, barrier={"height": -0.25, "width": 0.5, "left_edge": 60.0},
                  sweep={"points": 20000, "emax": 3.0})
 
@@ -356,16 +378,7 @@ def test_every_csv_output_matches_the_per_cell_reference(tmp_path, monkeypatch, 
         text = (tmp_path / name).read_bytes().decode()
         rows = zip(*(column.tolist() for column in table.columns))
         assert text == oracles.csv_text_per_cell(table.header, rows), name
-        numeric = 0
-        for line in text.split("\n")[1:-1]:
-            for cell in line.split(","):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                assert "%.17g" % value == cell, (name, cell)
-                numeric += 1
-        assert numeric > 0, name
+        assert scenarios.finite_cells_are_own_17g({name: text.encode()}, "") is None
 
 
 def test_resonance_with_every_order_omitted_writes_header_only(tmp_path):
@@ -385,18 +398,23 @@ def test_free_potential_resonance_prints_no_negative_zero(tmp_path):
     assert not any(cell.startswith("-0") for row in rows for cell in row)
 
 
-@pytest.mark.parametrize("field", ["phase_width", "dwell_width",
-                                   "effective_width", "starting_point"])
-def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):
+def poison_sweep(monkeypatch, field, row):
+    """Make cli.evaluate_widths return NaN in field at row."""
     real = cli.evaluate_widths
 
     def poisoned(barrier, ks):
         record = real(barrier, ks)
         values = np.array(getattr(record, field))
-        values[len(values) // 2] = np.nan
+        values[row] = np.nan
         return dataclasses.replace(record, **{field: values})
 
     monkeypatch.setattr(cli, "evaluate_widths", poisoned)
+
+
+@pytest.mark.parametrize("field", ["phase_width", "dwell_width",
+                                   "effective_width", "starting_point"])
+def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):
+    poison_sweep(monkeypatch, field, 4)
     cfg = write_config(tmp_path, {"barrier": BARRIER})
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path),
                      "--points", "9"]) == 3
@@ -405,15 +423,7 @@ def test_nan_in_any_sweep_column_exits_3(tmp_path, monkeypatch, capsys, field):
 
 
 def test_nan_in_sweep_leaves_no_output_or_temp_file(tmp_path, monkeypatch):
-    real = cli.evaluate_widths
-
-    def poisoned(barrier, ks):
-        record = real(barrier, ks)
-        values = np.array(record.dwell_width)
-        values[-1] = np.nan
-        return dataclasses.replace(record, dwell_width=values)
-
-    monkeypatch.setattr(cli, "evaluate_widths", poisoned)
+    poison_sweep(monkeypatch, "dwell_width", -1)
     cfg = write_config(tmp_path, {"barrier": BARRIER})
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
@@ -554,13 +564,7 @@ def test_thin_wide_barrier_effective_width_band(tmp_path):
 # packet
 
 
-PACKET_CFG = {
-    "barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
-    "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 2048,
-               "k_span": 5.0},
-    "n_x": 2048,
-    "snapshot_times": [0.0, 0.4],
-}
+PACKET_CFG = dict(CI_RUN, packet=dict(CI_RUN["packet"], n_k=2048))
 
 
 def test_packet_snapshots_and_summary(tmp_path):
@@ -633,20 +637,6 @@ def test_packet_failing_later_snapshot_writes_no_file(tmp_path):
     assert list(out.iterdir()) == []
 
 
-def test_packet_opaque_barrier_exits_3_and_writes_no_file(tmp_path, capsys):
-    # both snapshots synthesize, but T underflows to 0 over the whole
-    # spectrum, so the summary's mean_start_shift has no transmitted weight
-    cfg = write_config(tmp_path, {
-        "barrier": {"height": 0.25, "width": 5000.0, "left_edge": 400.0},
-        "packet": {"l0": 40.0, "x0": 0.0, "e_mean": 0.2, "n_k": 1024,
-                   "k_span": 5.0},
-        "n_x": 4096, "snapshot_times": [0.0, 1.0]})
-    out = tmp_path / "out"
-    assert cli.main(["packet", "--config", cfg, "--out", str(out)]) == 3
-    assert "transmission underflows" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
 def test_packet_aliasing_grid_asks_for_n_x_before_the_sum(tmp_path, capsys):
     # 16 points alias the spectrum (k_max dx >= pi), which is rejected
     # before any norm is read; a wider grid would alias worse, so the hint
@@ -705,22 +695,6 @@ def test_larmor_report_structure_and_recovery(tmp_path):
     assert abs(report["extrapolated_x_start"]
                - report["standard_prediction"]) == pytest.approx(abs(closed),
                                                                  rel=0.05)
-
-
-def test_larmor_well_exits_0_and_reruns_byte_identically(tmp_path):
-    # a -0.7054 eV x 1.2605 nm well whose spin grids need over 4200 points;
-    # 2048 points alias its spectrum and overcount the spin-up norm
-    cfg = write_config(tmp_path, {
-        "barrier": {"height": -0.7054, "width": 1.2605, "left_edge": 1100.0},
-        "packet": {"l0": 100.0, "x0": 0.0, "e_mean": 0.7746, "n_k": 2048},
-        "field": {"margin": 500.0, "detector_offset": 1100.0, "omega_larmor": 0.2}})
-    for sub in ("a", "b"):
-        assert cli.main(["larmor", "--config", cfg, "--out", str(tmp_path / sub)]) == 0
-    first = (tmp_path / "a" / "larmor.json").read_bytes()
-    assert first == (tmp_path / "b" / "larmor.json").read_bytes()
-    report = json.loads(first)
-    assert report["extrapolated_x_start"] == pytest.approx(
-        report["closed_form_x_start"], rel=1e-4)
 
 
 def test_larmor_ladder_flag_must_halve(tmp_path, capsys):

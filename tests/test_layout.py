@@ -76,3 +76,13 @@ def test_package_import_leaves_numpy_polynomial_unloaded():
             "sys.exit(0 if eager or 'numpy.polynomial' not in sys.modules else 1)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_ci_runs_cli_scenarios_only_through_the_table():
+    # tests/scenarios.py is the one source of CLI scenarios: CI holds no
+    # inline config and calls no subcommand itself
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "<<" not in workflow
+    assert not re.search(r"\btunneltimes\s+(sweep|packet|larmor|resonance|limits)\b",
+                          workflow)
+    assert workflow.count("run: python tests/scenarios.py") == 2

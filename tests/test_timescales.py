@@ -149,7 +149,8 @@ def test_starting_point_matches_gamma_derivative(bar):
         assert g_prime == pytest.approx(alt, rel=1e-6)
 
 
-@pytest.mark.parametrize("kappa0_d", [0.5, 1.0, 2.0])
+# a barrier's u*sinh(u) overflows past kappa0*d ~ 704: 720 and 1500 lie beyond
+@pytest.mark.parametrize("kappa0_d", [0.5, 1.0, 2.0, 720.0, 1500.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["barrier", "well"])
 def test_longwave_limits_reached(kappa0_d, sign):
     bar = barrier_for(kappa0_d, sign=sign)
@@ -162,6 +163,26 @@ def test_longwave_limits_reached(kappa0_d, sign):
     assert rec.starting_point / d == pytest.approx(lw.starting_ratio, rel=1e-4)
     assert abs(rec.dwell_width / d) <= 1e-4
     assert lw.dwell_ratio == 0.0
+
+
+def test_longwave_limits_switch_where_u_sinh_u_overflows():
+    # the direct form is finite up to the switch and the exp(-u) form takes
+    # over one ulp past it, agreeing to rounding
+    switch = timescales._LONGWAVE_SWITCH
+    below = longwave_limits(barrier_for(switch))
+    assert 0.0 < below.phase_ratio and -math.inf < below.starting_ratio < 0.0
+    above = longwave_limits(barrier_for(math.nextafter(switch, math.inf)))
+    for name in ("phase_ratio", "effective_ratio", "starting_ratio"):
+        assert getattr(above, name) == pytest.approx(getattr(below, name), rel=1e-13)
+
+
+@pytest.mark.parametrize("bar", [barrier_for(1e-158), barrier_for(1e-158, sign=-1.0),
+                                 BarrierSpec(-0.00108, 1e-300)],
+                         ids=["barrier-1e-158", "well-1e-158", "well-1e-300nm"])
+def test_longwave_limits_past_float_range_raise(bar):
+    # +-2/(kappa0 d)^2 overflows; at 1e-300 nm (kappa0 d)^2 itself underflows
+    with pytest.raises(NumericInvariantError, match="long-wave phase ratio"):
+        longwave_limits(bar)
 
 
 def test_longwave_limit_closed_forms():
