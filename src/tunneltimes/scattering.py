@@ -59,7 +59,7 @@ def _propagators(ks, potential, kinetic_coeff):
 
 @dataclass(frozen=True)
 class Amplitudes:
-    """Transmission/reflection amplitudes at one k, or arrays over a k grid.
+    """Transmission/reflection amplitudes, arrays over a k grid.
 
     det_defect is the Wronskian drift of the pulled-back wave, (-Im(psi
     conj(psi'))/k - exp(-2 sigma)) / max(1, |psi| |psi'|/k) at the left
@@ -67,10 +67,10 @@ class Amplitudes:
     along the solution.
     """
 
-    k: float
-    t: complex
-    r: complex
-    det_defect: float
+    k: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    det_defect: np.ndarray
 
     @property
     def transmission(self):
@@ -79,20 +79,6 @@ class Amplitudes:
     @property
     def reflection(self):
         return np.abs(self.r) ** 2
-
-
-def amplitudes(k, potential, kinetic_coeff):
-    """t, r and det_defect for unit incidence from the left.
-
-    Scalar k gives scalars; an array of k gives arrays, all in one pass:
-    the amplitudes of interior_table.  Every k must be positive and finite
-    (ValueError otherwise).
-    """
-    k = require_wavenumbers(k)
-    amp = interior_table(np.atleast_1d(k), potential, kinetic_coeff)[0]
-    if k.ndim:
-        return amp
-    return Amplitudes(*(field[0].item() for field in vars(amp).values()))
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,15 @@ def _quadruple(k_arr, k02, beta, d):
     if k02 == 0.0:
         # free particle: every width is exactly d, transmission is total
         return [np.full(k_arr.shape, val) for val in (d, d, d, 0.0, 1.0, 0.0)]
+    # the kernel branch's den = 4 k^2 + k0^4 d^2 f1^2 is 0 only where k^2
+    # underflows, so if anywhere then at the smallest k
+    k = float(k_arr.min(initial=math.inf))
+    v = (k * k - beta * k02) * (d * d)
+    if (k * k == 0.0 and v >= -_DEEP_SWITCH
+            and (k02 * k02) * (d * d) * sinc_sqrt(v) * sinc_sqrt(v) == 0.0):
+        raise NumericInvariantError(
+            "width denominator 4k^2 + kappa0^4 d^2 f1^2 underflows to 0 at k = %.3g" % k,
+            quantity="width denominator", value=0.0)
     out = [np.empty(k_arr.shape) for _ in range(6)]
     for start in range(0, len(k_arr), _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -197,7 +206,11 @@ class TimescaleRecord:
 
 
 def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
-    """Evaluate the width quadruple and T/R at wavenumber(s) k > 0."""
+    """Evaluate the width quadruple and T/R at wavenumber(s) k > 0.
+
+    Where k^2 and kappa0^4 d^2 both underflow (k and kappa0^2 d below about
+    1e-162) every width is 0/0: NumericInvariantError names it instead.
+    """
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(require_wavenumbers(k))
     fields = (k_arr, *_quadruple(k_arr, barrier.kappa0 ** 2, barrier.beta, barrier.width))
@@ -344,7 +357,8 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
 
     Orders whose incident wavenumber would be imaginary (wells deeper than
     the interior momentum n*pi/d allows) are listed in ``omitted`` with a
-    reason instead of producing a record.
+    reason instead of producing a record; one past float range ((n pi/d)^2
+    overflows below d ~ 2.3e-154 n nm) raises NumericInvariantError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -356,6 +370,10 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     for n in range(1, n_max + 1):
         q = n * math.pi / d
         k2 = beta * k02 + q * q
+        if k2 == math.inf:
+            raise NumericInvariantError(
+                "resonance wavenumber of order %d at d = %.3g nm lies past float range"
+                % (n, d), quantity="k_res", value=math.inf)
         if k2 <= 0.0:
             omitted.append(
                 (n, f"k_res would be imaginary (k_res^2 = {k2:.6g} <= 0)")

@@ -6,7 +6,8 @@ dense_synthesis is the direct O(N_x N_k) double-precision spectral sum that
 the package replaces with chirp-z transforms.
 
 stationary_value is the general-potential reference evaluator of one
-stationary state at any x, built on the package's interior_table.
+stationary state at any x, and amplitudes the t, r and det_defect at scalar
+or array k, both built on the package's interior_table.
 dwell_norm and x_start_from_gamma are not independent solvers: they are
 cross-checks built on the package's own states (stationary_value and
 amplitudes), integrated by adaptive quadrature or differentiated by ddk,
@@ -23,7 +24,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from tunneltimes.scattering import amplitudes, interior_table
+from tunneltimes.scattering import Amplitudes, interior_table
 from tunneltimes.timescales import evaluate_widths
 
 
@@ -219,6 +220,15 @@ def stationary_value(x, k, potential, kinetic_coeff):
         if m.any():
             out[m] = reg.superpose(x[m], np.ones(1))
     return complex(out[0]) if scalar else out
+
+
+def amplitudes(k, potential, kinetic_coeff):
+    """interior_table's Amplitudes at k: scalars for a scalar k."""
+    amp = interior_table(np.atleast_1d(np.asarray(k, dtype=float)), potential,
+                         kinetic_coeff)[0]
+    if np.ndim(k):
+        return amp
+    return Amplitudes(*(field[0].item() for field in vars(amp).values()))
 
 
 def dwell_norm(k, potential, kinetic_coeff, x_min=None, x_max=None):

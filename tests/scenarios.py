@@ -129,6 +129,10 @@ SCENARIOS = (
     Scenario("limits-underflow", {"barrier": {"height": -0.00108, "width": 1e-300}},
              (["limits"],), exit_code=3, rerun=False,
              gates=(stderr_has("long-wave phase ratio"),)),
+    # d = 1e-154 nm: (pi/d)^2 overflows, so k_r lies past float range
+    Scenario("resonance-overflow", {"barrier": {"height": 0.25, "width": 1e-154}},
+             (["resonance"],), exit_code=3, rerun=False,
+             gates=(stderr_has("resonance wavenumber of order 1"),)),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}
 

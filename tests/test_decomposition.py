@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from diagnostics import interface_mismatch
-from oracles import ddk, mp_stationary, stationary_value, x_start_from_gamma
+from oracles import amplitudes, ddk, mp_stationary, stationary_value, x_start_from_gamma
 from tunneltimes import decomposition, kernels
 from tunneltimes.decomposition import (
     channel_amplitudes,
@@ -16,7 +16,6 @@ from tunneltimes.decomposition import (
 )
 from tunneltimes.model import BarrierSpec
 from tunneltimes.packets import PacketSpec, gaussian_spectrum
-from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import evaluate_widths, resonance_table
 
 BARRIER = BarrierSpec(height=0.25, width=0.5)

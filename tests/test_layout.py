@@ -70,12 +70,19 @@ def test_readme_quick_start_runs():
 
 def test_package_import_leaves_numpy_polynomial_unloaded():
     # the kernels' series run on their own Horner loop; numpy.polynomial
-    # would add its import time to every CLI start
+    # would add its import time to every CLI start, and so would building the
+    # CSV renderer's lookup tables or loading a test dependency
     code = ("import sys, numpy; eager = 'numpy.polynomial' in sys.modules; "
             "import tunneltimes, tunneltimes.cli; "
-            "sys.exit(0 if eager or 'numpy.polynomial' not in sys.modules else 1)")
+            "assert eager or 'numpy.polynomial' not in sys.modules; "
+            "assert tunneltimes.cli._float_tables.cache_info().currsize == 0; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'mpmath', 'hypothesis')]; "
+            "assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_ci_runs_cli_scenarios_only_through_the_table():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from tunneltimes import BarrierSpec, evaluate_widths
-from tunneltimes.scattering import amplitudes
 
 K_MAX = 30.0
 
@@ -41,7 +40,7 @@ def _strict(fn, *args):
 @given(barrier=barriers, k=wavenumbers)
 def test_closed_forms_agree_with_transfer_matrix(barrier, k):
     rec = _strict(evaluate_widths, barrier, k)
-    amps = _strict(amplitudes, k, barrier.potential(), barrier.kinetic_coeff)
+    amps = _strict(oracles.amplitudes, k, barrier.potential(), barrier.kinetic_coeff)
     values = [getattr(rec, f.name) for f in dataclasses.fields(rec)]
     assert np.all(np.isfinite(values))
     assert np.isfinite(amps.t) and np.isfinite(amps.r)

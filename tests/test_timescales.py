@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from oracles import ddk, dwell_norm
+from oracles import amplitudes, ddk, dwell_norm
 from tunneltimes import timescales
 from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec, group_velocity
-from tunneltimes.scattering import amplitudes
 from tunneltimes.timescales import (
     evaluate_widths,
     longwave_limits,
@@ -283,6 +282,24 @@ def test_scaling_limit_names_a_non_finite_lam(lam):
         scaling_limit(BARRIER, lam)
 
 
+def test_widths_raise_where_their_denominator_underflows():
+    # k^2 and kappa0^4 d^2 both underflow to 0: every width would be 0/0,
+    # for a scalar k and for one element of an array alike
+    for k in (4e-170, np.array([1.0, 4e-170, 2.0])):
+        with pytest.raises(NumericInvariantError, match="width denominator") as info:
+            evaluate_widths(BarrierSpec(0.25, 1e-170), k)
+        assert info.value.quantity == "width denominator"
+    # k^2 underflowing alone leaves T = 0 and finite widths
+    rec = evaluate_widths(BarrierSpec(0.25, 1.0), 4e-170)
+    assert rec.transmission == 0.0 and math.isfinite(rec.phase_width)
+
+
+def test_scaling_limit_raises_where_the_width_denominator_underflows():
+    # k = d/lam^2 = 4e-300 and kappa0 d ~ 4.4e-302
+    with pytest.raises(NumericInvariantError, match="width denominator"):
+        scaling_limit(BarrierSpec(-0.00108, 1e-300), 0.5)
+
+
 def test_resonance_records_match_evaluator():
     bar = barrier_for(2.0)
     table = resonance_table(bar, 4)
@@ -340,6 +357,14 @@ def test_resonance_omission_for_deep_well():
     assert [r.n for r in table.records] == [3, 4]
     with pytest.raises(ValueError):
         resonance_table(well, 0)
+
+
+@pytest.mark.parametrize("height", [0.0, 0.25, -0.25])
+def test_resonance_wavenumber_past_float_range_raises(height):
+    # (pi/d)^2 overflows below d ~ 2.3e-154 nm: k_res would print as inf
+    with pytest.raises(NumericInvariantError, match="resonance wavenumber") as info:
+        resonance_table(BarrierSpec(height, 1e-154), 1)
+    assert info.value.quantity == "k_res"
 
 
 def test_lorentz_width_matches_starting_point():
