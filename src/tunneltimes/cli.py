@@ -8,8 +8,9 @@ Five subcommands:
 * ``resonance``  transparency points with width ratios -> resonance.csv
 * ``limits``     long-wavelength limits of the four ratios -> limits.csv
 
-Configuration comes from a JSON file (--config); command-line flags override
-config values; unknown keys are rejected.  Output files are written atomically
+Configuration comes from a JSON file (--config), loaded once with the barrier
+built from it before a subcommand runs; command-line flags override config
+values; unknown keys are rejected.  Output files are written atomically
 (temp file + rename) with 17-significant-digit floats, '.' decimal separators,
 '\\n' line endings and no timestamps, so a rerun with the same inputs is
 byte-identical.  CSV cells print infinities as inf/-inf.
@@ -22,8 +23,9 @@ fixed NUL-filled field; a block's fields in row order are its rows, which one
 translate squeezes.  Only infinities, |x| <= 1e-290 or >= 1e290, possible
 exact rounding ties and limits.csv (four rows, two label columns) go through
 '%.17g' % x one cell at a time.  Exit codes: 0
-success, 2 configuration error (NaN and infinite inputs too), 3 numeric
-invariant violation (a NaN in any output, or an infinity in JSON, too).
+success, 2 configuration error (NaN and infinite inputs, and an output
+directory that cannot be created, too), 3 numeric invariant violation (a NaN
+in any output, an infinity in JSON, or widths past float range, too).
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from dataclasses import replace
 import numpy as np
 
 from .larmor import FieldLayout, extrapolate_start
-from .model import BarrierSpec, NumericInvariantError, ParticleSpec, wavenumber
+from .model import (DEFAULT_MASS_RATIO, BarrierSpec, NumericInvariantError, ParticleSpec,
+                    wavenumber)
 from .packets import N_X_DEFAULT, PacketSpec, evolve, starting_point_packet
 from .timescales import evaluate_widths, longwave_limits, resonance_table
 
@@ -320,7 +323,8 @@ def _reject_unknown(mapping, allowed, context):
                           % (context, ", ".join(unknown), ", ".join(allowed)))
 
 
-def _section(cfg, name, required=False):
+def _section(cfg, name, keys, required=True):
+    """cfg's JSON object name, which may hold only keys; {} when optional and absent."""
     value = cfg.get(name)
     if value is None:
         if required:
@@ -328,35 +332,27 @@ def _section(cfg, name, required=False):
         return {}
     if not isinstance(value, dict):
         raise ConfigError("config section '%s' must be a JSON object" % name)
+    _reject_unknown(value, keys, name)
     return value
 
 
-def _number(section, key, context, default=None):
+def _number(section, key, context, default=None, kind=float):
+    """section[key] as kind (float or int), or default when absent; required
+    when default is None.  JSON true/false is not a number."""
     if key not in section:
         if default is None:
             raise ConfigError("%s section needs '%s'" % (context, key))
-        return float(default)
+        return kind(default)
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s.%s must be a number" % (context, key))
-    return float(value)
-
-
-def _integer(section, key, context, default):
-    if key not in section:
-        return int(default)
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("%s.%s must be an integer" % (context, key))
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ConfigError("%s.%s must be %s"
+                          % (context, key, "an integer" if kind is int else "a number"))
+    return kind(value)
 
 
 def _barrier_from(cfg) -> BarrierSpec:
-    section = _section(cfg, "barrier", required=True)
-    _reject_unknown(section, ("height", "width", "left_edge", "mass_ratio"),
-                    "barrier")
-    particle = ParticleSpec(_number(section, "mass_ratio", "barrier",
-                                    ParticleSpec().mass_ratio))
+    section = _section(cfg, "barrier", ("height", "width", "left_edge", "mass_ratio"))
+    particle = ParticleSpec(_number(section, "mass_ratio", "barrier", DEFAULT_MASS_RATIO))
     return BarrierSpec.for_particle(
         _number(section, "height", "barrier"),
         _number(section, "width", "barrier"),
@@ -366,42 +362,37 @@ def _barrier_from(cfg) -> BarrierSpec:
 
 
 def _packet_from(cfg, barrier: BarrierSpec) -> PacketSpec:
-    section = _section(cfg, "packet", required=True)
-    _reject_unknown(section, ("l0", "x0", "k0", "e_mean", "n_k", "k_span"),
-                    "packet")
+    section = _section(cfg, "packet", ("l0", "x0", "k0", "e_mean", "n_k", "k_span"))
     if ("k0" in section) == ("e_mean" in section):
         raise ConfigError("packet section needs exactly one of 'k0', 'e_mean'")
-    common = dict(
-        l0=_number(section, "l0", "packet"),
-        x0=_number(section, "x0", "packet"),
-        n_k=_integer(section, "n_k", "packet", PacketSpec.__dataclass_fields__["n_k"].default),
-        k_span=_number(section, "k_span", "packet",
-                       PacketSpec.__dataclass_fields__["k_span"].default),
-    )
+    l0 = _number(section, "l0", "packet")
+    x0 = _number(section, "x0", "packet")
+    # PacketSpec holds the grid defaults: only the keys the config gives go in
+    grid = {key: _number(section, key, "packet", kind=kind)
+            for key, kind in (("n_k", int), ("k_span", float)) if key in section}
     if "k0" in section:
-        return PacketSpec(k0=_number(section, "k0", "packet"), **common)
+        return PacketSpec(l0=l0, x0=x0, k0=_number(section, "k0", "packet"), **grid)
     e_mean = _number(section, "e_mean", "packet")
     if not 0.0 < e_mean < math.inf:
         raise ConfigError("packet.e_mean must be positive and finite")
-    return PacketSpec(k0=wavenumber(e_mean, barrier.kinetic_coeff), **common)
+    return PacketSpec(l0=l0, x0=x0, k0=wavenumber(e_mean, barrier.kinetic_coeff), **grid)
 
 
 def _field_from(cfg) -> FieldLayout:
-    section = _section(cfg, "field", required=True)
-    _reject_unknown(section, ("margin", "detector_offset", "omega_larmor"),
-                    "field")
-    return FieldLayout(
-        margin=_number(section, "margin", "field"),
-        detector_offset=_number(section, "detector_offset", "field"),
-        omega_larmor=_number(section, "omega_larmor", "field"),
-    )
+    keys = ("margin", "detector_offset", "omega_larmor")
+    section = _section(cfg, "field", keys)
+    return FieldLayout(**{key: _number(section, key, "field") for key in keys})
 
 
 def _resolve_out(args, cfg):
     out = args.out if args.out is not None else cfg.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("'out' must be a directory path string")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output directory %r: %s"
+                          % (out, exc.strerror or exc))
     return out
 
 
@@ -423,25 +414,25 @@ def _parse_float_list(text, flag):
 # subcommands
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    barrier = _barrier_from(cfg)
-    section = _section(cfg, "sweep")
-    _reject_unknown(section, ("points", "emax"), "sweep")
-    points = args.points if args.points is not None else _integer(
-        section, "points", "sweep", DEFAULT_SWEEP_POINTS)
+def cmd_sweep(args, cfg, barrier) -> int:
+    section = _section(cfg, "sweep", ("points", "emax"), required=False)
+    points = args.points if args.points is not None else _number(
+        section, "points", "sweep", DEFAULT_SWEEP_POINTS, int)
     emax = args.emax if args.emax is not None else _number(
         section, "emax", "sweep", DEFAULT_SWEEP_EMAX)
     if points < 1:
         raise ConfigError("sweep needs at least one point")
     if not 0.0 < emax < math.inf:
         raise ConfigError("sweep emax must be positive and finite")
-    out = _resolve_out(args, cfg)
-
     # Uniform E/V0 grid on (0, emax]; a free barrier has no height scale, so
     # its sweep uses a 1 eV reference to keep the grid meaningful.
-    ratios = np.linspace(emax / points, emax, points)
     scale = abs(barrier.height) if barrier.height != 0.0 else 1.0
+    if not math.isfinite(emax * scale / barrier.kinetic_coeff):
+        raise ConfigError("sweep emax %g takes k^2 = E / kinetic_coeff past float range"
+                          % emax)
+    out = _resolve_out(args, cfg)
+
+    ratios = np.linspace(emax / points, emax, points)
     ks = np.sqrt(ratios * scale / barrier.kinetic_coeff)
     record = evaluate_widths(barrier, ks)
     d = barrier.width
@@ -459,9 +450,7 @@ def _snapshot_columns(state):
             np.abs(state.psi_tr) ** 2, np.abs(state.psi_ref) ** 2)
 
 
-def cmd_packet(args) -> int:
-    cfg = _load_config(args.config)
-    barrier = _barrier_from(cfg)
+def cmd_packet(args, cfg, barrier) -> int:
     spec = _packet_from(cfg, barrier)
     if args.snapshot_times is not None:
         times = _parse_float_list(args.snapshot_times, "--snapshot-times")
@@ -474,7 +463,7 @@ def cmd_packet(args) -> int:
         times = [float(t) for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise ConfigError("snapshot times must be non-negative and finite")
-    n_x = _integer(cfg, "n_x", "config", N_X_DEFAULT)
+    n_x = _number(cfg, "n_x", "config", N_X_DEFAULT, int)
     if n_x < 16:
         raise ConfigError("n_x must be at least 16")
     out = _resolve_out(args, cfg)
@@ -527,9 +516,7 @@ def _top_omega(args, layout: FieldLayout):
     return values[0]
 
 
-def cmd_larmor(args) -> int:
-    cfg = _load_config(args.config)
-    barrier = _barrier_from(cfg)
+def cmd_larmor(args, cfg, barrier) -> int:
     spec = _packet_from(cfg, barrier)
     layout = _field_from(cfg)
     top = _top_omega(args, layout)
@@ -560,10 +547,8 @@ def cmd_larmor(args) -> int:
     return 0
 
 
-def cmd_resonance(args) -> int:
-    cfg = _load_config(args.config)
-    barrier = _barrier_from(cfg)
-    n_max = _integer(cfg, "n_max", "config", DEFAULT_RESONANCE_NMAX)
+def cmd_resonance(args, cfg, barrier) -> int:
+    n_max = _number(cfg, "n_max", "config", DEFAULT_RESONANCE_NMAX, int)
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     out = _resolve_out(args, cfg)
@@ -580,9 +565,7 @@ def cmd_resonance(args) -> int:
     return 0
 
 
-def cmd_limits(args) -> int:
-    cfg = _load_config(args.config)
-    barrier = _barrier_from(cfg)
+def cmd_limits(args, cfg, barrier) -> int:
     out = _resolve_out(args, cfg)
 
     limits = longwave_limits(barrier)
@@ -652,7 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every command reads the barrier, and reads it first
+        cfg = _load_config(args.config)
+        return args.func(args, cfg, _barrier_from(cfg))
     except NumericInvariantError as exc:
         print("numeric invariant violated: %s" % exc, file=sys.stderr)
         return 3

@@ -45,9 +45,7 @@ from .model import (
     group_velocity,
     require_finite,
 )
-# the one private import across modules: the benchmark counts syntheses per
-# clock rung by swapping larmor._synthesize, so the binding stays until it moves
-from .packets import PacketSpec, _synthesize, solve_packet
+from .packets import PacketSpec, solve_packet
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,24 @@ def _crossing_time(start, speed, x_pos, label):
     return t_cross
 
 
+def _synthesize(solve, t, spin):
+    """Synthesize spin component spin's solve at time t on its own measured grid."""
+    grid = solve.grid(t)
+    try:
+        solve.synthesize(t, grid)
+    except NumericInvariantError as exc:
+        # keep the finding, drop packet's hint: the clock takes no n_x
+        # or extent, it derives both from the spectrum and the solve
+        raise NumericInvariantError(
+            "spin-%s component: %s; the clock sizes its grid from the spectrum's "
+            "k_max %.4g 1/nm (step at most pi / (2 k_max)) and the measured "
+            "packet extent %.4g nm (%d points), both set by the packet (l0, "
+            "n_k, k_span) and the detector offset"
+            % (spin, str(exc).split("; ", 1)[0], solve.spectrum.k[-1],
+               grid[-1] - grid[0], grid.size),
+            quantity=exc.quantity, value=exc.value, bound=exc.bound) from exc
+
+
 def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> SpinReadout:
     """Evolve both spin components, detect the transmitted CM, read the clock.
 
@@ -244,19 +260,7 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
                            detector, "detector")
 
     for spin, solve in zip(("up", "down"), solves):
-        grid = solve.grid(t_det)
-        try:
-            _synthesize(solve, t_det, grid)
-        except NumericInvariantError as exc:
-            # keep the finding, drop packet's hint: the clock takes no n_x
-            # or extent, it derives both from the spectrum and the solve
-            raise NumericInvariantError(
-                "spin-%s component: %s; the clock sizes its grid from the spectrum's "
-                "k_max %.4g 1/nm (step at most pi / (2 k_max)) and the measured "
-                "packet extent %.4g nm (%d points), both set by the packet (l0, "
-                "n_k, k_span) and the detector offset"
-                % (spin, str(exc).split("; ", 1)[0], qs[-1], grid[-1] - grid[0], grid.size),
-                quantity=exc.quantity, value=exc.value, bound=exc.bound) from exc
+        _synthesize(solve, t_det, spin)
 
     # channel residence inside [a - l, b + l]: entry and exit are CM
     # crossings of the channel asymptotes (incidence-side wave at a - l,

@@ -11,9 +11,9 @@ of the potential.
 evolve, default_grid and the Larmor clock build every solve through
 solve_packet, a PacketSolve of the spectrum, one potential's interior_table
 solve and the channel weight of its own T and R, which measures its grids.
-One checked synthesis (_synthesize) sums it on the caller's grid: it
-rejects an aliasing step before the sum and a grid norm off 1 after it,
-asking for more grid points or a wider grid.
+One checked synthesis, PacketSolve.synthesize, sums it on the caller's
+grid: it rejects an aliasing step before the sum and a grid norm off 1
+after it, asking for more grid points or a wider grid.
 
 Synthesis cost: outside the support of the potential every psi_k is a sum
 of plane waves, and on the uniform k grid and a uniform x grid the spectral
@@ -124,10 +124,11 @@ class PacketSpec:
         return 0.5 / self.l0
 
     @classmethod
-    def for_energy(cls, l0, x0, e_mean, particle=ParticleSpec(), n_k=4096, k_span=6.0):
-        """Spec with the carrier fixed by the mean kinetic energy in eV."""
+    def for_energy(cls, l0, x0, e_mean, particle=ParticleSpec(), **options):
+        """Spec with the carrier fixed by the mean kinetic energy in eV; options
+        (n_k, k_span) go to the spec by keyword."""
         k0 = wavenumber(e_mean, particle.kinetic_coeff)
-        return cls(l0=l0, x0=x0, k0=float(k0), n_k=n_k, k_span=k_span)
+        return cls(l0=l0, x0=x0, k0=float(k0), **options)
 
 
 @dataclass(frozen=True)
@@ -259,6 +260,60 @@ class PacketSolve:
             n_x = math.ceil(2.0 * ks[-1] * (hi - lo) / math.pi) + 1
         return np.linspace(lo, hi, n_x)
 
+    def synthesize(self, t, x):
+        """(psi_full, psi_tr, n_full) of this solve at time t on the uniform ascending grid x.
+
+        A grid whose step aliases the spectrum's largest k (k_max dx >= pi) is
+        rejected before the sum, asking for more points.  Otherwise the
+        spectral weights at t go through _spectral_sums with the solve's
+        channel weight c_tr, and n_full, the grid norm, must be 1 to
+        CONTAINMENT_TOL.  Too much norm asks for more points, and so does too
+        little on a grid whose end densities are both below CONTAINMENT_TOL /
+        extent: the packet has decayed inside the grid, so the shortfall is
+        quadrature error, not norm past the ends.  Too little on any other grid
+        gives the extent that would have sufficed.  Each message reads
+        "finding; hint", with |n_full - 1| in %.3g; the clock keeps the finding
+        and names its own grid inputs instead of the hint.
+        """
+        ks = self.spectrum.k
+        extent = float(x[-1] - x[0])
+        step = extent / (x.size - 1)
+        if ks[-1] * step >= math.pi:
+            raise NumericInvariantError(
+                "grid step %.4g nm aliases the spectrum's k_max %.4g 1/nm at t=%g ps; "
+                "raise n_x (current %d points; the step must stay below %.4g nm)"
+                % (step, ks[-1], t, x.size, math.pi / ks[-1]),
+                quantity="k_max step", value=float(ks[-1] * step), bound=math.pi,
+            )
+        u_full = self.weights(t) / math.sqrt(2.0 * math.pi)
+        psi_full, psi_tr = _spectral_sums(
+            x, ks, u_full, u_full * self.c_tr, self.amplitudes, self.tables, self.support)
+        n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
+        # |n_full - 1| in %.3g: %.9f would print a 7e-11 shortfall as 1.000000000
+        held = "grid holds %s %.3g of the norm at t=%g ps" % (
+            "1 +" if n_full > 1.0 else "only 1 -", abs(n_full - 1.0), t)
+        if n_full > 1.0 + CONTAINMENT_TOL:
+            raise NumericInvariantError(
+                "%s; raise n_x (current %d points undersample the packet)" % (held, x.size),
+                quantity="n_full", value=n_full, bound=1.0 + CONTAINMENT_TOL,
+            )
+        if n_full < 1.0 - CONTAINMENT_TOL:
+            ends = (abs(psi_full[0]) ** 2, abs(psi_full[-1]) ** 2)
+            if max(ends) < CONTAINMENT_TOL / extent:
+                raise NumericInvariantError(
+                    "%s; raise n_x (current %d points; the end densities %.2g and %.2g "
+                    "1/nm are below %.2g 1/nm, so the packet is inside the grid and the "
+                    "shortfall is quadrature error)" % (held, x.size, ends[0], ends[1],
+                                                        CONTAINMENT_TOL / extent),
+                    quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
+                )
+            raise NumericInvariantError(
+                "%s; widen the grid (current extent %.4g nm, try %.4g nm)"
+                % (held, extent, 2.0 * extent),
+                quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
+            )
+        return psi_full, psi_tr, n_full
+
 
 def solve_packet(spec: PacketSpec, barrier: BarrierSpec, potential=None, spectrum=None):
     """PacketSolve of potential (default the barrier's) under spectrum.
@@ -362,61 +417,6 @@ def _spectral_sums(x, ks, u_full, u_tr, amps, tables, support):
     return psi_full, psi_tr
 
 
-def _synthesize(solve, t, x):
-    """(psi_full, psi_tr, n_full) of solve at time t on the uniform ascending grid x.
-
-    A grid whose step aliases the spectrum's largest k (k_max dx >= pi) is
-    rejected before the sum, asking for more points.  Otherwise the
-    spectral weights at t go through _spectral_sums with the solve's
-    channel weight c_tr, and n_full, the grid norm, must be 1 to
-    CONTAINMENT_TOL.  Too much norm asks for more points, and so does too
-    little on a grid whose end densities are both below CONTAINMENT_TOL /
-    extent: the packet has decayed inside the grid, so the shortfall is
-    quadrature error, not norm past the ends.  Too little on any other grid
-    gives the extent that would have sufficed.  Each message reads
-    "finding; hint", with |n_full - 1| in %.3g; the clock keeps the finding
-    and names its own grid inputs instead of the hint.
-    """
-    ks = solve.spectrum.k
-    extent = float(x[-1] - x[0])
-    step = extent / (x.size - 1)
-    if ks[-1] * step >= math.pi:
-        raise NumericInvariantError(
-            "grid step %.4g nm aliases the spectrum's k_max %.4g 1/nm at t=%g ps; "
-            "raise n_x (current %d points; the step must stay below %.4g nm)"
-            % (step, ks[-1], t, x.size, math.pi / ks[-1]),
-            quantity="k_max step", value=float(ks[-1] * step), bound=math.pi,
-        )
-    u_full = solve.weights(t) / math.sqrt(2.0 * math.pi)
-    psi_full, psi_tr = _spectral_sums(
-        x, ks, u_full, u_full * solve.c_tr, solve.amplitudes, solve.tables, solve.support)
-    n_full = float(np.trapezoid(np.abs(psi_full) ** 2, x))
-    # |n_full - 1| in %.3g: %.9f would print a 7e-11 shortfall as 1.000000000
-    held = "grid holds %s %.3g of the norm at t=%g ps" % (
-        "1 +" if n_full > 1.0 else "only 1 -", abs(n_full - 1.0), t)
-    if n_full > 1.0 + CONTAINMENT_TOL:
-        raise NumericInvariantError(
-            "%s; raise n_x (current %d points undersample the packet)" % (held, x.size),
-            quantity="n_full", value=n_full, bound=1.0 + CONTAINMENT_TOL,
-        )
-    if n_full < 1.0 - CONTAINMENT_TOL:
-        ends = (abs(psi_full[0]) ** 2, abs(psi_full[-1]) ** 2)
-        if max(ends) < CONTAINMENT_TOL / extent:
-            raise NumericInvariantError(
-                "%s; raise n_x (current %d points; the end densities %.2g and %.2g "
-                "1/nm are below %.2g 1/nm, so the packet is inside the grid and the "
-                "shortfall is quadrature error)" % (held, x.size, ends[0], ends[1],
-                                                    CONTAINMENT_TOL / extent),
-                quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
-            )
-        raise NumericInvariantError(
-            "%s; widen the grid (current extent %.4g nm, try %.4g nm)"
-            % (held, extent, 2.0 * extent),
-            quantity="n_full", value=n_full, bound=1.0 - CONTAINMENT_TOL,
-        )
-    return psi_full, psi_tr, n_full
-
-
 def _check_grid(x):
     """Reject a caller grid that is not uniform and ascending to rounding."""
     if x.ndim != 1 or x.size < 2:
@@ -437,7 +437,7 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     ascending grid (ValueError otherwise) and serves every time; the default
     is each time's n_x-point grid measured on the same solve_packet, so it
     equals default_grid(spec, barrier, t, n_x).  psi_full and
-    psi_tr come from the checked _synthesize, which raises
+    psi_tr come from the checked PacketSolve.synthesize, which raises
     NumericInvariantError when the grid norm is off 1 by more than 1e-6.
     """
     times, scalar = _times(t, n_x)
@@ -448,7 +448,7 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     states = []
     for t in times:
         grid = solve.grid(t, n_x) if x is None else x
-        psi_full, psi_tr, n_full = _synthesize(solve, t, grid)
+        psi_full, psi_tr, n_full = solve.synthesize(t, grid)
         psi_ref = psi_full - psi_tr
         dens_tr = np.abs(psi_tr) ** 2
         n_tr = float(np.trapezoid(dens_tr, grid))

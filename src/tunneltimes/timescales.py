@@ -144,15 +144,6 @@ def _quadruple(k_arr, k02, beta, d):
     if k02 == 0.0:
         # free particle: every width is exactly d, transmission is total
         return [np.full(k_arr.shape, val) for val in (d, d, d, 0.0, 1.0, 0.0)]
-    # the kernel branch's den = 4 k^2 + k0^4 d^2 f1^2 is 0 only where k^2
-    # underflows, so if anywhere then at the smallest k
-    k = float(k_arr.min(initial=math.inf))
-    v = (k * k - beta * k02) * (d * d)
-    if (k * k == 0.0 and v >= -_DEEP_SWITCH
-            and (k02 * k02) * (d * d) * sinc_sqrt(v) * sinc_sqrt(v) == 0.0):
-        raise NumericInvariantError(
-            "width denominator 4k^2 + kappa0^4 d^2 f1^2 underflows to 0 at k = %.3g" % k,
-            quantity="width denominator", value=0.0)
     out = [np.empty(k_arr.shape) for _ in range(6)]
     for start in range(0, len(k_arr), _CHUNK):
         part = slice(start, start + _CHUNK)
@@ -208,12 +199,24 @@ class TimescaleRecord:
 def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
     """Evaluate the width quadruple and T/R at wavenumber(s) k > 0.
 
-    Where k^2 and kappa0^4 d^2 both underflow (k and kappa0^2 d below about
-    1e-162) every width is 0/0: NumericInvariantError names it instead.
+    Past float range, where k^2 and kappa0^4 d^2 both underflow (k and
+    kappa0^2 d below about 1e-162) or a term overflows (k above about 1e154),
+    NumericInvariantError names the width denominator instead of NaN widths.
     """
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(require_wavenumbers(k))
-    fields = (k_arr, *_quadruple(k_arr, barrier.kappa0 ** 2, barrier.beta, barrier.width))
+    # numpy scalars, so that the errstate sees their products too: Python
+    # floats overflow to inf, and inf * 0 to NaN, without a flag
+    k02, d = np.float64(barrier.kappa0 ** 2), np.float64(barrier.width)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            quadruple = _quadruple(k_arr, k02, barrier.beta, d)
+    except FloatingPointError as exc:
+        raise NumericInvariantError(
+            "widths leave float range for k in [%.3g, %.3g]: the width denominator "
+            "4k^2 + kappa0^4 d^2 f1^2 or a term of it is 0 or inf (%s)"
+            % (k_arr.min(), k_arr.max(), exc), quantity="width denominator") from exc
+    fields = (k_arr, *quadruple)
     if scalar:
         fields = tuple(float(f[0]) for f in fields)
     return TimescaleRecord(*fields, barrier.width, barrier.kinetic_coeff)

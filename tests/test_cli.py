@@ -138,6 +138,19 @@ def test_invalid_barrier_values_exit_2(tmp_path, capsys):
     assert "width" in capsys.readouterr().err
 
 
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path):
+    # an empty path, an existing file and a path through a file
+    cfg = write_config(tmp_path, {"barrier": BARRIER})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in ("", str(blocker), str(blocker / "sub")):
+        code, err = scenarios.invoke_main(["limits", "--config", cfg, "--out", out])
+        assert code == 2 and "cannot create output directory %r" % out in err, err
+    cfg = write_config(tmp_path, {"barrier": BARRIER, "out": ""}, "empty_out.json")
+    code, err = scenarios.invoke_main(["limits", "--config", cfg])
+    assert code == 2 and "cannot create output directory ''" in err, err
+
+
 def test_unparseable_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--points", "many"])
@@ -536,6 +549,22 @@ def test_sweep_rejects_bad_grid(tmp_path):
                      "--emax", "-1.0"]) == 2
 
 
+@pytest.mark.parametrize("height,code,message", [
+    # k^2 = emax / kinetic_coeff overflows before numpy sees it
+    (0.0, 2, "past float range"),
+    # k ~ 9e153: 4 k^2 overflows the width denominator, where the widths
+    # used to print as 0 with only RuntimeWarnings
+    (0.25, 3, "width denominator"),
+], ids=["free", "barrier"])
+def test_sweep_emax_past_float_range_fails_without_output(tmp_path, height, code, message):
+    cfg = write_config(tmp_path, {"barrier": {"height": height, "width": 0.5},
+                                  "sweep": {"points": 3, "emax": 1.7e308}})
+    out = tmp_path / "out"
+    got, err = scenarios.invoke_main(["sweep", "--config", cfg, "--out", str(out)])
+    assert got == code and message in err, err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"barrier": BARRIER})
     for sub in ("a", "b"):
@@ -792,19 +821,50 @@ def test_limits_well_at_half_pi_phase_ratio_vanishes(tmp_path):
 # ---------------------------------------------------------------------------
 # the closed-form commands inside a fuzzed config box
 
-box_heights = st.one_of(
-    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
-    st.builds(lambda sign, power: sign * 10.0**power,
-              st.sampled_from([1.0, -1.0]), st.floats(-6.0, 3.0)))
+def box_heights(top):
+    """0, subnormal and tiny heights, and +-1e-6 eV up to +-10**top eV."""
+    return st.one_of(
+        st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+        st.builds(lambda sign, power: sign * 10.0**power,
+                  st.sampled_from([1.0, -1.0]), st.floats(-6.0, top)))
+
+
+box_widths = st.floats(-300.0, math.log10(5000.0)).map(lambda power: 10.0**power)
 box_configs = st.fixed_dictionaries({
-    "barrier": st.fixed_dictionaries({
-        "height": box_heights,
-        "width": st.floats(-300.0, math.log10(5000.0)).map(lambda power: 10.0**power)}),
+    "barrier": st.fixed_dictionaries({"height": box_heights(300.0), "width": box_widths}),
     "sweep": st.fixed_dictionaries({
         "points": st.integers(1, 64),
-        "emax": st.floats(-6.0, 6.0).map(lambda power: 10.0**power)}),
+        "emax": st.floats(-6.0, math.log10(1.7e308)).map(lambda power: 10.0**power)}),
     "n_max": st.integers(1, 8),
 })
+
+
+@st.composite
+def packet_box_configs(draw):
+    """Small packets (n_k 16-64, n_x 16-1024) on the box's barriers up to
+    1 keV, with the clock's pads, left edge and detector built from l0 so
+    that most draws pass the clock's layout checks.  A packet solve cuts a
+    barrier into kappa0 d / 300 transfer-matrix pieces, so the closed-form
+    box's heights up to 1e300 eV would ask for up to 1e150 of them."""
+    l0 = 10.0 ** draw(st.floats(0.0, 2.0))
+    k_span = draw(st.floats(1.0, 6.0))
+    margin, gap, reach = (5.0 * l0 * draw(st.floats(1.0, 2.0)) for _ in range(3))
+    return {
+        "barrier": {"height": draw(box_heights(3.0)), "left_edge": margin + gap,
+                    "width": 10.0 ** draw(st.floats(-12.0, math.log10(5000.0)))},
+        "packet": {"l0": l0, "x0": 0.0, "n_k": draw(st.sampled_from([16, 32, 64])),
+                   "k_span": k_span,
+                   "k0": k_span * 0.5 / l0 * 10.0 ** draw(st.floats(0.1, 1.5))},
+        "field": {"margin": margin, "detector_offset": margin + reach,
+                  "omega_larmor": 10.0 ** draw(st.floats(-3.0, -0.5))},
+        "n_x": draw(st.integers(16, 1024)),
+        "snapshot_times": [0.0, 10.0 ** draw(st.floats(-3.0, 1.0))],
+    }
+
+
+BOX_FILES = {"sweep": ["sweep.csv"], "resonance": ["resonance.csv"],
+             "limits": ["limits.csv"], "larmor": ["larmor.json"],
+             "packet": ["packet_summary.json", "packet_t0.csv", "packet_t1.csv"]}
 
 
 def box_failures(name, text):
@@ -825,20 +885,31 @@ def box_failures(name, text):
     return wrong
 
 
-@settings(max_examples=300, deadline=None)
-@given(box_configs)
-def test_closed_form_commands_exit_cleanly_across_the_config_box(payload):
+def assert_box_runs_clean(payload, commands):
     # a RuntimeWarning exits 1 under invoke_main; 2 and 3 write no file
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "config.json")
         with open(cfg, "w") as handle:
             json.dump(payload, handle)
-        for command in ("sweep", "resonance", "limits"):
+        for command in commands:
             out = os.path.join(tmp, command)
             code, err = scenarios.invoke_main([command, "--config", cfg, "--out", out])
             assert code in (0, 2, 3), err
             names = sorted(os.listdir(out)) if os.path.isdir(out) else []
-            assert names == ([command + ".csv"] if code == 0 else []), (code, err)
+            assert names == (BOX_FILES[command] if code == 0 else []), (code, err)
             for name in names:
-                with open(os.path.join(out, name)) as handle:
-                    assert box_failures(name, handle.read()) == [], name
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name)) as handle:
+                        assert box_failures(name, handle.read()) == [], name
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_configs)
+def test_closed_form_commands_exit_cleanly_across_the_config_box(payload):
+    assert_box_runs_clean(payload, ("sweep", "resonance", "limits"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packet_box_configs())
+def test_packet_and_larmor_exit_cleanly_across_the_config_box(payload):
+    assert_box_runs_clean(payload, ("packet", "larmor"))

@@ -24,7 +24,7 @@ from tunneltimes import (
     starting_point_packet,
 )
 from tunneltimes import kernels, larmor, packets
-from tunneltimes.packets import _spectral_sums, _synthesize, solve_packet
+from tunneltimes.packets import PacketSolve, _spectral_sums, solve_packet
 from tunneltimes.scattering import RegionTable, interior_table
 
 BARRIER = BarrierSpec(0.25, 0.5, left_edge=2200.0)
@@ -137,13 +137,14 @@ def test_packet_must_launch_inside_left_field():
 def _recorded_syntheses(monkeypatch, barrier, layout):
     """(x, psi_full, psi_tr) of each synthesis run_clock performs."""
     calls = []
+    synthesize = PacketSolve.synthesize
 
     def recording(solve, t, x):
-        psi_full, psi_tr, n_full = _synthesize(solve, t, x)
+        psi_full, psi_tr, n_full = synthesize(solve, t, x)
         calls.append((x, psi_full, psi_tr))
         return psi_full, psi_tr, n_full
 
-    monkeypatch.setattr(larmor, "_synthesize", recording)
+    monkeypatch.setattr(PacketSolve, "synthesize", recording)
     run_clock(SPEC, barrier, layout)
     return calls
 
@@ -201,13 +202,14 @@ def test_clock_grids_hold_each_spin_to_the_tail_rule(monkeypatch, spec, barrier,
     # grid, so every spin synthesis on every rung holds the norm to 2e-10;
     # the bare barrier's grid lost up to 1.7e-8 on the free clock
     norms = []
+    synthesize = PacketSolve.synthesize
 
     def recording(*args):
-        result = _synthesize(*args)
+        result = synthesize(*args)
         norms.append(result[-1])
         return result
 
-    monkeypatch.setattr(larmor, "_synthesize", recording)
+    monkeypatch.setattr(PacketSolve, "synthesize", recording)
     extrapolate_start(spec, barrier, layout)
     assert len(norms) == 6
     assert max(abs(1.0 - n_full) for n_full in norms) <= 2e-10
@@ -239,12 +241,13 @@ def test_clock_grid_has_the_fewest_points_within_half_the_aliasing_step(
     # k_max step <= pi / 2 on every spin grid, and one point fewer would
     # break it
     spans = []
+    synthesize = PacketSolve.synthesize
 
     def recording(solve, t, x):
         spans.append((solve.spectrum.k[-1] * (x[-1] - x[0]), x.size))
-        return _synthesize(solve, t, x)
+        return synthesize(solve, t, x)
 
-    monkeypatch.setattr(larmor, "_synthesize", recording)
+    monkeypatch.setattr(PacketSolve, "synthesize", recording)
     run_clock(spec, barrier, layout)
     assert len(spans) == 2
     for k_extent, n_x in spans:

@@ -14,13 +14,6 @@ import tunneltimes
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tunneltimes"
 
-# larmor binds packets' checked _synthesize, the one synthesis path it shares
-# with evolve, next to solve_packet, through which it builds both spin
-# solves: the benchmark counts syntheses per clock rung by swapping
-# larmor._synthesize, so dropping the binding means moving that counter too
-ALLOWED_PRIVATE = {("larmor", "packets", "_synthesize")}
-
-
 def _private_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
@@ -31,9 +24,9 @@ def _private_imports(path):
 
 
 def test_no_private_imports_across_modules():
-    found = {hit for path in sorted(PACKAGE.glob("*.py"))
-             for hit in _private_imports(path)}
-    assert found <= ALLOWED_PRIVATE, sorted(found - ALLOWED_PRIVATE)
+    found = sorted(hit for path in sorted(PACKAGE.glob("*.py"))
+                   for hit in _private_imports(path))
+    assert found == [], found
 
 
 def test_larmor_builds_its_solves_only_through_packets():

@@ -27,7 +27,6 @@ from tunneltimes.packets import (
     starting_point_packet,
     _fast_len,
     _spectral_sums,
-    _synthesize,
 )
 from tunneltimes.scattering import RegionTable, interior_table
 from tunneltimes.timescales import evaluate_widths
@@ -348,13 +347,13 @@ def test_evolve_splits_with_the_transmission_it_synthesizes(monkeypatch):
     # the deep well's segment is fl(70 + d) - 70 wide, not d, so the
     # closed-form T of width d and the transfer matrix's |t|^2 differ
     weights = []
-    synthesize = packets._synthesize
+    synthesize = packets.PacketSolve.synthesize
 
     def recording(solve, t, x):
         weights.append(solve.c_tr)
         return synthesize(solve, t, x)
 
-    monkeypatch.setattr(packets, "_synthesize", recording)
+    monkeypatch.setattr(packets.PacketSolve, "synthesize", recording)
     evolve(DEEP_SPEC, DEEP_WELL, 0.0)
     ks = gaussian_spectrum(DEEP_SPEC).k
     amps, _ = interior_table(ks, DEEP_WELL.potential(), DEEP_WELL.kinetic_coeff)
@@ -408,7 +407,7 @@ def test_second_central_moment_gaussian():
 
 
 def _spectral_weights(solve, t):
-    """The column weights _synthesize sums at time t."""
+    """The column weights PacketSolve.synthesize sums at time t."""
     return solve.weights(t) / math.sqrt(2.0 * math.pi)
 
 
@@ -514,7 +513,7 @@ def test_clock_synthesis_transient_memory_stays_near_one_phase_table():
     assert grid.size == 1830 and t_det == pytest.approx(2.717, abs=1e-3)
     tracemalloc.start()
     try:
-        _synthesize(solve, t_det, grid)
+        solve.synthesize(t_det, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

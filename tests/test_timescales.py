@@ -294,6 +294,17 @@ def test_widths_raise_where_their_denominator_underflows():
     assert rec.transmission == 0.0 and math.isfinite(rec.phase_width)
 
 
+def test_widths_raise_where_a_width_denominator_term_overflows():
+    # 4 k^2 past float range, and kappa0^4 past it for a 1e200 eV barrier:
+    # the widths came out 0 or NaN with RuntimeWarnings; kappa0^4 = inf
+    # times d^2 = 0 for a 6e264 eV well 4.6e-198 nm wide gave NaN silently
+    for barrier, k in ((BarrierSpec(0.25, 0.5), 1.05e154), (BarrierSpec(1e200, 1.0), 1.0),
+                       (BarrierSpec(-6.1e264, 4.6e-198), 4.1e131)):
+        with pytest.raises(NumericInvariantError, match="width denominator") as info:
+            evaluate_widths(barrier, k)
+        assert info.value.quantity == "width denominator"
+
+
 def test_scaling_limit_raises_where_the_width_denominator_underflows():
     # k = d/lam^2 = 4e-300 and kappa0 d ~ 4.4e-302
     with pytest.raises(NumericInvariantError, match="width denominator"):
