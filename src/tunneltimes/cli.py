@@ -347,7 +347,11 @@ def _number(section, key, context, default=None, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ConfigError("%s.%s must be %s"
                           % (context, key, "an integer" if kind is int else "a number"))
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer past float range
+        raise ConfigError("%s.%s must be finite, got an integer past float range"
+                          % (context, key)) from None
 
 
 def _barrier_from(cfg) -> BarrierSpec:
@@ -456,11 +460,9 @@ def cmd_packet(args, cfg, barrier) -> int:
         times = _parse_float_list(args.snapshot_times, "--snapshot-times")
     else:
         times = cfg.get("snapshot_times", [0.0])
-        if (not isinstance(times, list) or not times
-                or not all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                           for t in times)):
+        if not isinstance(times, list) or not times:
             raise ConfigError("snapshot_times must be a non-empty list of numbers")
-        times = [float(t) for t in times]
+        times = [_number({"snapshot_times": t}, "snapshot_times", "config") for t in times]
     if not all(0.0 <= t < math.inf for t in times):
         raise ConfigError("snapshot times must be non-negative and finite")
     n_x = _number(cfg, "n_x", "config", N_X_DEFAULT, int)
@@ -487,16 +489,12 @@ def cmd_packet(args, cfg, barrier) -> int:
         "mean_start_shift": starting_point_packet(spec, barrier) - spec.x0,
     }
     text = _json_text(summary)
-    written = []
-    for name, state in zip(names, states):
-        path = os.path.join(out, name)
+    paths = [os.path.join(out, name) for name in names]
+    for path, state in zip(paths, states):
         write_atomic(path, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state)))
-        written.append(path)
-    path = os.path.join(out, "packet_summary.json")
-    write_atomic(path, text)
-    written.append(path)
-    for item in written:
-        print(item)
+    paths.append(os.path.join(out, "packet_summary.json"))
+    write_atomic(paths[-1], text)
+    print("\n".join(paths))
     return 0
 
 
@@ -524,13 +522,8 @@ def cmd_larmor(args, cfg, barrier) -> int:
 
     # only the top rung comes from the ladder: extrapolate_start halves it
     result = extrapolate_start(spec, barrier, replace(layout, omega_larmor=top))
-    rungs = [{
-        "omega_larmor": omega,
-        "t_det": readout.t_det,
-        "sx": readout.sx,
-        "sy": readout.sy,
-        "x_start_est": readout.x_start_est,
-    } for omega, readout in zip(result.omegas, result.readouts)]
+    rungs = [dict(vars(readout), omega_larmor=omega)
+             for omega, readout in zip(result.omegas, result.readouts)]
     report = {
         "omega_ladder": list(result.omegas),
         "rungs": rungs,

@@ -438,7 +438,8 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
     is each time's n_x-point grid measured on the same solve_packet, so it
     equals default_grid(spec, barrier, t, n_x).  psi_full and
     psi_tr come from the checked PacketSolve.synthesize, which raises
-    NumericInvariantError when the grid norm is off 1 by more than 1e-6.
+    NumericInvariantError when the grid norm is off 1 by more than 1e-6;
+    a transmitted channel of zero norm, whose cm_tr would be 0/0, raises too.
     """
     times, scalar = _times(t, n_x)
     if x is not None:
@@ -452,6 +453,10 @@ def evolve(spec: PacketSpec, barrier: BarrierSpec, t, x=None, n_x=N_X_DEFAULT):
         psi_ref = psi_full - psi_tr
         dens_tr = np.abs(psi_tr) ** 2
         n_tr = float(np.trapezoid(dens_tr, grid))
+        if n_tr == 0.0:
+            raise NumericInvariantError(
+                "transmitted channel carries no norm at t = %g ps (T underflows), so "
+                "it has no centre of mass" % t, quantity="n_tr", value=n_tr)
         states.append(PacketState(
             t=t,
             grid=grid,

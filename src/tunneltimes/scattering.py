@@ -13,7 +13,8 @@ Region propagators act on real (psi, psi') Cauchy data and have unit
 determinant.  A region at level V > 0 is cut into equal pieces of
 kappa0 L <= 300, kappa0 = sqrt(V / kinetic_coeff) bounding kappa at every
 k, so no propagator entry exceeds cosh(300) and the state continued
-across each piece stays representable however opaque the barrier.
+across each piece stays representable however opaque the barrier, up to
+a bound on the pieces x wavenumbers of one table (_MAX_PIECE_CELLS).
 
 interior_table pulls a transmitted wave back through the pieces once,
 giving t, r and each piece's Cauchy data, from which decomposition
@@ -26,12 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import require_wavenumbers
+from .model import NumericInvariantError, require_wavenumbers
 
 # largest kappa0*L of one piece: every propagator entry stays below
 # cosh(300) ~ 1e130, and the pulled-back data are renormalised after every
 # piece, so continuing a table across a piece stays far from overflow
 _PIECE_KAPPA_L = 300.0
+
+# bound on one interior_table's pieces x wavenumbers, a piece counting as at
+# least 512 wavenumbers.  A piece costs about 40 us of Python, the time of
+# about 400 wavenumbers, plus 0.1 us and 64 B of tables per wavenumber
+# (2-core Xeon, numpy 2.4).  So 2**22 cells allow 8192 pieces at n_k <= 512
+# (0.3 s) and 256 MiB of tables at larger n_k (0.4 s): kappa0*d up to 2.4e6
+# at small n_k and 3e5 at n_k = 4096
+_MAX_PIECE_CELLS = 2**22
 
 
 def _region_propagator(z, length):
@@ -44,13 +53,24 @@ def _region_propagator(z, length):
 
 
 def _propagators(ks, potential, kinetic_coeff):
-    """[(x_left, x_right, z, (c, f, g)), ...] per piece, arrays over ks."""
+    """[(x_left, x_right, z, (c, f, g)), ...] per piece, arrays over ks;
+    NumericInvariantError before any is built past _MAX_PIECE_CELLS."""
+    regions = [(xl, xr, lev, (xr - xl) * math.sqrt(max(lev, 0.0) / kinetic_coeff))
+               for xl, xr, lev in potential.filled_regions()]
+    # capped, so that an infinite kappa0*L counts past the bound, not into ceil
+    counts = [max(1, math.ceil(min(kl / _PIECE_KAPPA_L, _MAX_PIECE_CELLS)))
+              for *_, kl in regions]
+    cells = sum(counts) * max(ks.size, 512)
+    if cells > _MAX_PIECE_CELLS:
+        raise NumericInvariantError(
+            "kappa0*d = %.3g cuts into more than %d transfer-matrix pieces x "
+            "max(wavenumbers, 512) at %d wavenumbers"
+            % (sum(kl for *_, kl in regions), _MAX_PIECE_CELLS, ks.size),
+            quantity="transfer-matrix pieces", value=cells, bound=_MAX_PIECE_CELLS)
     e = kinetic_coeff * ks * ks
     out = []
-    for xl, xr, lev in potential.filled_regions():
+    for (xl, xr, lev, _), n in zip(regions, counts):
         z = (e - lev) / kinetic_coeff
-        kappa0_length = (xr - xl) * math.sqrt(max(lev, 0.0) / kinetic_coeff)
-        n = max(1, math.ceil(kappa0_length / _PIECE_KAPPA_L))
         edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
         for pl, pr in zip(edges, edges[1:]):
             out.append((pl, pr, z, _region_propagator(z, pr - pl)))

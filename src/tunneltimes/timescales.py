@@ -19,6 +19,11 @@ rectangular barrier or well of signed height V0 and width d,
 The four satisfy ``phase_width == effective_width - starting_point``
 identically; tests enforce this to near machine precision.
 
+At the transparency points q*d = n*pi (q the interior wavenumber),
+:func:`resonance_table` gives the width ratios in closed form, and
+:func:`lorentz_width` the Lorentzian length a0 of each peak,
+R/T = a0^2 (k - k_n)^2, which equals |x_start(k_n)|.
+
 Numerics
 --------
 Everything is written in terms of ``v = (k^2 - beta*kappa0^2) * d^2`` and the
@@ -73,10 +78,6 @@ _LONGWAVE_SWITCH = 703.9191965020692
 # Flag long-wave well limits as divergent when kappa0*d sits this close to a
 # multiple of pi (transparency pole of the k -> 0 ratios).
 _POLE_WINDOW = 1e-8
-
-# Largest relative disagreement of the two Lorentzian stencil fits (delta and
-# delta/2) that lorentz_width accepts.
-_LORENTZ_CONSISTENCY_TOL = 1e-4
 
 
 def _quadruple_kernel(k2, v, k02, beta, d):
@@ -397,42 +398,22 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     return ResonanceTable(records=tuple(records), omitted=tuple(omitted))
 
 
-def lorentz_width(barrier: BarrierSpec, n: int, delta: float | None = None) -> float:
-    """Fit the Lorentzian length a0 of the n-th transparency peak.
+def lorentz_width(barrier: BarrierSpec, n: int) -> float:
+    """Lorentzian length a0 of the n-th transparency peak, in closed form.
 
-    Near a transparent point, T(k) = 1/(1 + a0^2 (k - k_res)^2).  The fit
-    samples R/T at k_res +- delta and +- delta/2, solves for a0 on each
-    stencil and averages the two sides (killing the odd-order error).  delta
-    defaults to 1e-3 k_res and must be positive and finite.  If the two
-    stencil sizes disagree by more than _LORENTZ_CONSISTENCY_TOL relative, the
-    peak is not Lorentzian at this resolution and the fit aborts.
+    Near k_n, R/T = a0^2 (k - k_n)^2 with a0 = |V0| d^3 / (2 K n^2 pi^2),
+    from 1/T = 1 + V0^2 sin^2(q d) / (4 E (E - V0)) at q d = n pi.  That is
+    the starting-point shift |x_start(k_n)| = |starting_ratio| d of the
+    order's ResonanceRecord.  ValueError when order n has no transparency
+    point; NumericInvariantError when a0 lies past float range.
     """
-    if delta is not None and not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     table = resonance_table(barrier, n)
-    record = next((r for r in table.records if r.n == n), None)
-    if record is None:
-        reason = dict(table.omitted).get(n, "order not present")
-        raise ValueError(f"no transparency point of order n={n}: {reason}")
-    k_res = record.k_res
-    if delta is None:
-        delta = 1e-3 * k_res
-
-    def a0_squared(step: float) -> float:
-        acc = 0.0
-        for kk in (k_res - step, k_res + step):
-            rec = evaluate_widths(barrier, kk)
-            acc += (rec.reflection / rec.transmission) / (kk - k_res) ** 2
-        return 0.5 * acc
-
-    coarse = math.sqrt(a0_squared(delta))
-    fine = math.sqrt(a0_squared(0.5 * delta))
-    if abs(coarse - fine) > _LORENTZ_CONSISTENCY_TOL * abs(fine):
+    # k_res^2 grows with the order, so a well omits a prefix of them
+    if not table.records:
+        raise ValueError(f"no transparency point of order n={n}: {table.omitted[-1][1]}")
+    a0 = abs(table.records[-1].starting_ratio) * barrier.width
+    if not math.isfinite(a0):
         raise NumericInvariantError(
-            "Lorentzian fit did not converge: a0 estimates "
-            f"{coarse:.9g} (delta) and {fine:.9g} (delta/2) disagree beyond "
-            f"{_LORENTZ_CONSISTENCY_TOL:g} relative; reduce delta={delta:g}",
-            quantity="a0 estimate spread", value=abs(coarse - fine),
-            bound=_LORENTZ_CONSISTENCY_TOL * abs(fine),
-        )
-    return fine
+            "Lorentzian length of order %d at kappa0*d = %.3g lies past float range"
+            % (n, barrier.kappa0 * barrier.width), quantity="a0", value=a0)
+    return a0

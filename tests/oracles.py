@@ -13,6 +13,8 @@ cross-checks built on the package's own states (stationary_value and
 amplitudes), integrated by adaptive quadrature or differentiated by ddk,
 to test the closed forms against a different route through the same
 scattering core.
+lorentz_fit is criterion 8's check of the closed-form Lorentzian length: a
+stencil fit of the transmission peak, not its formula.
 
 csv_text_per_cell is the CLI's earlier table formatter, one Python call per
 cell, kept as the byte-for-byte reference for the block-wise formatter.
@@ -283,6 +285,25 @@ def x_start_from_gamma(barrier, k, h=None):
     kernel_sign = 1.0 if v <= 0.0 else math.copysign(1.0, math.sin(math.sqrt(v)))
     beta = 1.0 if barrier.height >= 0.0 else -1.0
     return beta * kernel_sign * ddk(angle, k, h=h)
+
+
+def lorentz_fit(barrier, k_res, delta):
+    """Lorentzian length a0 of the transparency peak at k_res, fitted from R/T.
+
+    Near a transparent point R/T = a0^2 (k - k_res)^2.  The fit samples R/T
+    at k_res +- delta and solves for a0 on each side, averaging the two so
+    the odd-order error cancels; it returns the estimates at delta and
+    delta/2, whose spread shows whether the stencil resolves the peak.  A
+    stencil of 1e-3 min(k_res, 1/a0) is sized to the peak's width 1/a0.
+    """
+    def estimate(step):
+        acc = 0.0
+        for kk in (k_res - step, k_res + step):
+            rec = evaluate_widths(barrier, kk)
+            acc += (rec.reflection / rec.transmission) / (kk - k_res) ** 2
+        return math.sqrt(0.5 * acc)
+
+    return estimate(delta), estimate(0.5 * delta)
 
 
 def csv_text_per_cell(header, rows):

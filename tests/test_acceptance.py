@@ -17,7 +17,7 @@ import pytest
 
 import scenarios
 from diagnostics import second_central_moment, synthetic_precession
-from oracles import _solve, mp_dwell
+from oracles import _solve, lorentz_fit, mp_dwell
 from tunneltimes import (
     BarrierSpec,
     FieldLayout,
@@ -233,7 +233,9 @@ def test_criterion_08_resonances():
                 worst_odd = max(worst_odd, abs(rec.effective_ratio - 1.0))
             a0 = lorentz_width(barrier, rec.n)
             x_mag = abs(evaluate_widths(barrier, k_r).starting_point)
-            worst_lorentz = max(worst_lorentz, abs(a0 - x_mag) / x_mag)
+            coarse, fine = lorentz_fit(barrier, k_r, 1e-3 * min(k_r, 1.0 / a0))
+            worst_lorentz = max(worst_lorentz, abs(a0 - x_mag) / x_mag,
+                                abs(a0 - fine) / fine, abs(coarse - fine) / fine)
     ok = (worst_closed <= 1e-9 and worst_odd <= 1e-12
           and worst_lorentz <= 1e-3)
     report(8, ok, "ratio err %.3g, odd-n d_eff dev %.3g, Lorentz err %.3g"

@@ -643,6 +643,18 @@ def test_packet_rejects_bad_snapshot_times(tmp_path, times):
     assert cli.main(["packet", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command,payload,name", [
+    ("limits", {"barrier": dict(BARRIER, height=10**400)}, "barrier.height"),
+    ("packet", dict(PACKET_CFG, snapshot_times=[0, 10**400]), "config.snapshot_times"),
+], ids=["height", "snapshot_time"])
+def test_integer_past_float_range_exits_2(tmp_path, capsys, command, payload, name):
+    # json.dumps writes the int's 401 digits; float() of it overflows
+    cfg = write_config(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert name + " must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_packet_requires_exactly_one_carrier(tmp_path):
     packet = dict(PACKET_CFG["packet"], k0=0.5)
     cfg = write_config(tmp_path, dict(PACKET_CFG, packet=packet))
@@ -842,15 +854,14 @@ box_configs = st.fixed_dictionaries({
 @st.composite
 def packet_box_configs(draw):
     """Small packets (n_k 16-64, n_x 16-1024) on the box's barriers up to
-    1 keV, with the clock's pads, left edge and detector built from l0 so
-    that most draws pass the clock's layout checks.  A packet solve cuts a
-    barrier into kappa0 d / 300 transfer-matrix pieces, so the closed-form
-    box's heights up to 1e300 eV would ask for up to 1e150 of them."""
+    1e300 eV, with the clock's pads, left edge and detector built from l0 so
+    that most draws pass the clock's layout checks.  A barrier whose
+    kappa0 d / 300 transfer-matrix pieces pass the solver's bound exits 3."""
     l0 = 10.0 ** draw(st.floats(0.0, 2.0))
     k_span = draw(st.floats(1.0, 6.0))
     margin, gap, reach = (5.0 * l0 * draw(st.floats(1.0, 2.0)) for _ in range(3))
     return {
-        "barrier": {"height": draw(box_heights(3.0)), "left_edge": margin + gap,
+        "barrier": {"height": draw(box_heights(300.0)), "left_edge": margin + gap,
                     "width": 10.0 ** draw(st.floats(-12.0, math.log10(5000.0)))},
         "packet": {"l0": l0, "x0": 0.0, "n_k": draw(st.sampled_from([16, 32, 64])),
                    "k_span": k_span,

@@ -17,7 +17,6 @@ from tunneltimes.model import (
     wavenumber,
 )
 from tunneltimes.packets import PacketSpec, default_grid
-from tunneltimes.timescales import lorentz_width
 
 BAR = BarrierSpec(0.25, 0.5, left_edge=60.0)
 SPEC = PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=256)
@@ -163,10 +162,6 @@ def test_records_reject_non_finite_values(make, bad):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,match", [
-    (lambda: lorentz_width(BAR, 1, delta=0.0), "delta"),
-    (lambda: lorentz_width(BAR, 1, delta=-1e-3), "delta"),
-    (lambda: lorentz_width(BAR, 1, delta=math.nan), "delta"),
-    (lambda: lorentz_width(BAR, 1, delta=math.inf), "delta"),
     (lambda: invert_precession(*SPIN, 0.0, BAR.kinetic_coeff), "omega_larmor"),
     (lambda: invert_precession(*SPIN, -0.2, BAR.kinetic_coeff), "omega_larmor"),
     (lambda: invert_precession(*SPIN, math.nan, BAR.kinetic_coeff), "omega_larmor"),
@@ -178,8 +173,7 @@ def test_records_reject_non_finite_values(make, bad):
     (lambda: PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=4096.0), "power of two"),
     (lambda: stationary_channels(BAR, np.array([0.3]), 60.2), "one wavenumber"),
     (lambda: stationary_channels(BAR, [0.3], 60.2), "one wavenumber"),
-], ids=["delta_zero", "delta_negative", "delta_nan", "delta_inf", "omega_zero",
-        "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
+], ids=["omega_zero", "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
         "four_estimates", "t_empty", "n_k_float", "k_array", "k_list"])
 def test_bad_scalars_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):

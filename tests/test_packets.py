@@ -575,6 +575,17 @@ def test_evolve_through_opaque_barrier_stays_finite():
         assert abs(state.n_tr + state.n_ref - state.n_full) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+def test_evolve_with_an_empty_transmitted_channel_is_an_invariant_error():
+    # kappa0 d = 1325: the channel weight underflows to 0 at every k, and
+    # cm_tr would be 0/0
+    barrier = BarrierSpec(1e6, 1.0, left_edge=10.0)
+    spec = PacketSpec(l0=1.0, x0=0.0, k0=4.74, n_k=64, k_span=3.0)
+    with pytest.raises(NumericInvariantError, match="no norm") as info:
+        evolve(spec, barrier, 0.0, n_x=224)
+    assert (info.value.quantity, info.value.value) == ("n_tr", 0.0)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_evolve_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="finite"):

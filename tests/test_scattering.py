@@ -10,6 +10,7 @@ from tunneltimes.decomposition import stationary_channels
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import (
     BarrierSpec,
+    NumericInvariantError,
     ParticleSpec,
     PiecewisePotential,
     wavenumber,
@@ -137,6 +138,43 @@ def test_det_defect_detects_propagator_drift(monkeypatch):
     assert abs(oracles.amplitudes(k, pot, K).det_defect) < 1e-12
     monkeypatch.setattr(scattering, "_region_propagator", drifted)
     assert abs(oracles.amplitudes(k, pot, K).det_defect) > 1e-10
+
+
+def barrier_of_pieces(pieces):
+    """A 1 nm barrier cut into the given number of transfer-matrix pieces."""
+    return BarrierSpec(K * (scattering._PIECE_KAPPA_L * (pieces - 0.5)) ** 2, 1.0)
+
+
+def test_pieces_past_the_bound_raise_before_any_propagator(monkeypatch):
+    # one wavenumber counts as 512, so 2**22 cells allow 8192 pieces
+    built = []
+    exact = scattering._region_propagator
+    monkeypatch.setattr(scattering, "_region_propagator",
+                        lambda z, length: built.append(length) or exact(z, length))
+    ks = np.array([0.3])
+    _, tables = scattering.interior_table(ks, barrier_of_pieces(8192).potential(), K)
+    assert len(tables) == len(built) == 8192
+    built.clear()
+    with pytest.raises(NumericInvariantError, match=r"kappa0\*d = 2\.46e\+06") as info:
+        scattering.interior_table(ks, barrier_of_pieces(8193).potential(), K)
+    assert info.value.quantity == "transfer-matrix pieces"
+    assert built == []
+    # kappa0*L past float range counts past the bound, not into math.ceil
+    with pytest.raises(NumericInvariantError, match=r"kappa0\*d = inf"):
+        scattering.interior_table(ks, BarrierSpec(1e308, 1e200).potential(), K)
+
+
+@pytest.mark.parametrize("n_k,pieces", [(1, 8), (512, 8), (1024, 4), (4096, 1)])
+def test_pieces_bound_is_on_pieces_times_wavenumbers(monkeypatch, n_k, pieces):
+    monkeypatch.setattr(scattering, "_MAX_PIECE_CELLS", 4096)
+    ks = np.linspace(0.1, 1.0, n_k)
+    fits = barrier_of_pieces(pieces).potential()
+    assert len(scattering.interior_table(ks, fits, K)[1]) == pieces
+    # one piece more, in a second region
+    past = PiecewisePotential(fits.segments + ((1.0, 2.0, 0.0),))
+    with pytest.raises(NumericInvariantError) as info:
+        scattering.interior_table(ks, past, K)
+    assert info.value.value == (pieces + 1) * max(n_k, 512) > info.value.bound
 
 
 STATE_CASES = [
