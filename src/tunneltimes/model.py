@@ -57,11 +57,6 @@ class ParticleSpec:
         """hbar**2 / (2 m) in eV nm**2."""
         return HBAR2_OVER_2ME / self.mass_ratio
 
-    @property
-    def mass(self):
-        """Mass in eV ps**2 / nm**2."""
-        return HBAR**2 / (2.0 * self.kinetic_coeff)
-
 
 def require_wavenumbers(k):
     """k as a float array; ValueError unless every entry is positive and finite."""
@@ -174,10 +169,6 @@ class BarrierSpec:
     def beta(self):
         """+1 for a barrier (height >= 0), -1 for a well."""
         return 1.0 if self.height >= 0 else -1.0
-
-    @property
-    def mass(self):
-        return HBAR**2 / (2.0 * self.kinetic_coeff)
 
     def potential(self):
         return PiecewisePotential(((self.left_edge, self.right_edge, self.height),))

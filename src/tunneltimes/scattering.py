@@ -14,7 +14,8 @@ determinant.  A region at level V > 0 is cut into equal pieces of
 kappa0 L <= 300, kappa0 = sqrt(V / kinetic_coeff) bounding kappa at every
 k, so no propagator entry exceeds cosh(300) and the state continued
 across each piece stays representable however opaque the barrier, up to
-a bound on the pieces x wavenumbers of one table (_MAX_PIECE_CELLS).
+a bound on the pieces x wavenumbers of one table (_MAX_PIECE_CELLS).  A
+region's pieces share z and length, so they share one propagator.
 
 interior_table pulls a transmitted wave back through the pieces once,
 giving t, r and each piece's Cauchy data, from which decomposition
@@ -35,11 +36,12 @@ from .model import NumericInvariantError, require_wavenumbers
 _PIECE_KAPPA_L = 300.0
 
 # bound on one interior_table's pieces x wavenumbers, a piece counting as at
-# least 512 wavenumbers.  A piece costs about 40 us of Python, the time of
-# about 400 wavenumbers, plus 0.1 us and 64 B of tables per wavenumber
-# (2-core Xeon, numpy 2.4).  So 2**22 cells allow 8192 pieces at n_k <= 512
-# (0.3 s) and 256 MiB of tables at larger n_k (0.4 s): kappa0*d up to 2.4e6
-# at small n_k and 3e5 at n_k = 4096
+# least 512 wavenumbers.  A piece costs about 22 us of Python, the time of
+# about 450 wavenumbers, plus 0.05 us and 40 B of tables per wavenumber
+# (2-core Xeon, numpy 2.4, one BLAS thread).  So 2**22 cells allow 8192
+# pieces at n_k <= 512 (0.2 s at one wavenumber, 0.5 s at 512) and 160 MiB
+# of tables at larger n_k (0.2 s): kappa0*d up to 2.4e6 at small n_k and
+# 3e5 at n_k = 4096
 _MAX_PIECE_CELLS = 2**22
 
 
@@ -52,9 +54,9 @@ def _region_propagator(z, length):
     return kernels.cos_sqrt(v), f, -z * f
 
 
-def _propagators(ks, potential, kinetic_coeff):
-    """[(x_left, x_right, z, (c, f, g)), ...] per piece, arrays over ks;
-    NumericInvariantError before any is built past _MAX_PIECE_CELLS."""
+def _regions(ks, potential, kinetic_coeff):
+    """[(x_left, x_right, z, n), ...] per region, z an array over ks and n
+    its number of equal pieces; NumericInvariantError past _MAX_PIECE_CELLS."""
     regions = [(xl, xr, lev, (xr - xl) * math.sqrt(max(lev, 0.0) / kinetic_coeff))
                for xl, xr, lev in potential.filled_regions()]
     # capped, so that an infinite kappa0*L counts past the bound, not into ceil
@@ -68,13 +70,8 @@ def _propagators(ks, potential, kinetic_coeff):
             % (sum(kl for *_, kl in regions), _MAX_PIECE_CELLS, ks.size),
             quantity="transfer-matrix pieces", value=cells, bound=_MAX_PIECE_CELLS)
     e = kinetic_coeff * ks * ks
-    out = []
-    for (xl, xr, lev, _), n in zip(regions, counts):
-        z = (e - lev) / kinetic_coeff
-        edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
-        for pl, pr in zip(edges, edges[1:]):
-            out.append((pl, pr, z, _region_propagator(z, pr - pl)))
-    return out
+    return [(xl, xr, (e - lev) / kinetic_coeff, n)
+            for (xl, xr, lev, _), n in zip(regions, counts)]
 
 
 @dataclass(frozen=True)
@@ -213,6 +210,7 @@ def interior_table(ks, potential, kinetic_coeff):
     One right-to-left pass over the pieces, all k at once: a unit
     transmitted wave (e^{ikb}, ik e^{ikb}) is pulled back through the
     adjugates, normalised per k into sigma, recording each piece's table.
+    Each region's propagator is built once, as the pass reaches it.
     At the left edge a it splits into incident and reflected parts, A, B =
     (psi +- psi'/(ik)) e^{-+ika} / 2, so t = e^{-sigma}/A and r = B/A; the
     tables go to unit incidence by the phase conj(A)/|A| and -sigma -
@@ -224,15 +222,19 @@ def interior_table(ks, potential, kinetic_coeff):
     dpsi = 1j * ks * psi
     sigma = np.zeros(ks.shape)
     tables = []
-    for xl, xr, z, (c, f, g) in reversed(_propagators(ks, potential, kinetic_coeff)):
-        norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
-        psi = psi / norm
-        dpsi = dpsi / norm
-        sigma = sigma + np.log(norm)
-        tables.append(RegionTable(x_left=xl, x_right=xr, z=z, psi=psi, dpsi=dpsi, sigma=sigma))
-        # adjugate of the unit-determinant propagator pulls the data
-        # back to the region's left edge
-        psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
+    for xl, xr, z, n in reversed(_regions(ks, potential, kinetic_coeff)):
+        c, f, g = _region_propagator(z, (xr - xl) / n)
+        edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
+        for j in reversed(range(n)):
+            norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
+            psi = psi / norm
+            dpsi = dpsi / norm
+            sigma = sigma + np.log(norm)
+            tables.append(RegionTable(x_left=edges[j], x_right=edges[j + 1], z=z,
+                                      psi=psi, dpsi=dpsi, sigma=sigma))
+            # adjugate of the unit-determinant propagator pulls the data
+            # back to the piece's left edge
+            psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
     c = f = g = None  # free the last propagator for the split: 0.7 MB less peak RSS
     ratio = dpsi / (1j * ks)
     inc = 0.5 * (psi + ratio) * np.exp(-1j * ks * a)

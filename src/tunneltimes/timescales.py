@@ -361,8 +361,9 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
 
     Orders whose incident wavenumber would be imaginary (wells deeper than
     the interior momentum n*pi/d allows) are listed in ``omitted`` with a
-    reason instead of producing a record; one past float range ((n pi/d)^2
-    overflows below d ~ 2.3e-154 n nm) raises NumericInvariantError.
+    reason instead of producing a record; one whose k_res or width ratio
+    lies past float range ((n pi/d)^2 overflows below d ~ 2.3e-154 n nm,
+    kappa0^2 d^2 near 1.8e308) raises NumericInvariantError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -384,17 +385,19 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
             )
             continue
         shift = beta * k02 * d * d / (2.0 * n * n * math.pi * math.pi)
-        records.append(
-            ResonanceRecord(
-                n=n,
-                k_res=math.sqrt(k2),
-                phase_ratio=1.0 + shift,
-                dwell_ratio=1.0 + shift,
-                effective_ratio=1.0 if n % 2 == 1 else 1.0 + 2.0 * shift,
-                # + 0.0 turns a zero shift's -0.0 into +0.0 and moves no other bit
-                starting_ratio=(shift if n % 2 == 0 else -shift) + 0.0,
-            )
+        ratios = dict(
+            phase_ratio=1.0 + shift,
+            dwell_ratio=1.0 + shift,
+            effective_ratio=1.0 if n % 2 == 1 else 1.0 + 2.0 * shift,
+            # + 0.0 turns a zero shift's -0.0 into +0.0 and moves no other bit
+            starting_ratio=(shift if n % 2 == 0 else -shift) + 0.0,
         )
+        for name, value in ratios.items():
+            if not math.isfinite(value):
+                raise NumericInvariantError(
+                    "resonance %s of order %d at kappa0*d = %.3g lies past float range"
+                    % (name, n, barrier.kappa0 * d), quantity=name, value=value)
+        records.append(ResonanceRecord(n=n, k_res=math.sqrt(k2), **ratios))
     return ResonanceTable(records=tuple(records), omitted=tuple(omitted))
 
 

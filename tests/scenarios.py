@@ -114,6 +114,14 @@ SCENARIOS = (
                         "n_x": 4096, "snapshot_times": [0.0, 1.0]},
              (["packet"],), exit_code=3, rerun=False,
              gates=(stderr_has("transmission underflows"),)),
+    # kappa0 d ~ 663: three pieces share one propagator, and the spectrum
+    # above the barrier top transmits; no closure gate, since the packet
+    # starts on the barrier edge and its channels overlap at t = 0
+    Scenario("pieces", {"barrier": {"height": 0.25, "width": 1000.0, "left_edge": 400.0},
+                        "packet": {"l0": 40.0, "x0": 0.0, "e_mean": 0.5, "n_k": 2048,
+                                   "k_span": 5.0},
+                        "n_x": 8192, "snapshot_times": [0.0, 1.0]},
+             (["packet"],), PACKET_FILES),
     # criterion 9: slow components start thousands of nm from x0, and the
     # measured default grid still closes the channel norms
     Scenario("deep-well", {"barrier": {"height": -712.0, "width": 1.08e-5, "left_edge": 70.0},
@@ -133,6 +141,11 @@ SCENARIOS = (
     Scenario("resonance-overflow", {"barrier": {"height": 0.25, "width": 1e-154}},
              (["resonance"],), exit_code=3, rerun=False,
              gates=(stderr_has("resonance wavenumber of order 1"),)),
+    # kappa0^2 d^2 overflows: every width ratio of order 1 would print as +-inf
+    Scenario("resonance-ratio-overflow", {"barrier": {"height": 1e300, "width": 1e10},
+                                          "n_max": 2},
+             (["resonance"],), exit_code=3, rerun=False,
+             gates=(stderr_has("phase_ratio of order 1"),)),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}
 

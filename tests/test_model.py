@@ -33,10 +33,8 @@ def test_particle_spec():
     p = ParticleSpec()
     assert p.mass_ratio == 0.067
     assert p.kinetic_coeff == pytest.approx(0.568653731343284, rel=1e-14)
-    # hbar**2 / (2 m) must invert back to the mass
-    assert HBAR**2 / (2.0 * p.mass) == pytest.approx(p.kinetic_coeff, rel=1e-15)
-    bare = ParticleSpec(mass_ratio=1.0)
-    assert bare.mass == pytest.approx(5.68545e-6, rel=1e-4)
+    assert p.kinetic_coeff == HBAR2_OVER_2ME / 0.067
+    assert ParticleSpec(mass_ratio=1.0).kinetic_coeff == HBAR2_OVER_2ME
     with pytest.raises(ValueError):
         ParticleSpec(mass_ratio=-1.0)
 

@@ -146,14 +146,16 @@ def barrier_of_pieces(pieces):
 
 
 def test_pieces_past_the_bound_raise_before_any_propagator(monkeypatch):
-    # one wavenumber counts as 512, so 2**22 cells allow 8192 pieces
+    # one wavenumber counts as 512, so 2**22 cells allow 8192 pieces, which
+    # share their region's one propagator
     built = []
     exact = scattering._region_propagator
     monkeypatch.setattr(scattering, "_region_propagator",
                         lambda z, length: built.append(length) or exact(z, length))
     ks = np.array([0.3])
     _, tables = scattering.interior_table(ks, barrier_of_pieces(8192).potential(), K)
-    assert len(tables) == len(built) == 8192
+    assert len(tables) == 8192
+    assert built == [1.0 / 8192]
     built.clear()
     with pytest.raises(NumericInvariantError, match=r"kappa0\*d = 2\.46e\+06") as info:
         scattering.interior_table(ks, barrier_of_pieces(8193).potential(), K)
@@ -175,6 +177,31 @@ def test_pieces_bound_is_on_pieces_times_wavenumbers(monkeypatch, n_k, pieces):
     with pytest.raises(NumericInvariantError) as info:
         scattering.interior_table(ks, past, K)
     assert info.value.value == (pieces + 1) * max(n_k, 512) > info.value.bound
+
+
+# 0.25 eV x 20000 nm: kappa0 d ~ 13261, 45 pieces sharing one propagator
+THICK_45 = BarrierSpec(0.25, 20000.0, 13.25)
+
+
+def test_piece_edges_split_each_region_evenly():
+    pot = PiecewisePotential(THICK_45.potential().segments + ((20100.0, 20101.0, 0.3),))
+    _, tables = scattering.interior_table(np.array([0.3, 0.7]), pot, K)
+    want = []
+    for xl, xr, n in [(13.25, 20013.25, 45), (20013.25, 20100.0, 1), (20100.0, 20101.0, 1)]:
+        edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
+        want += list(zip(edges, edges[1:]))
+    assert [(tab.x_left, tab.x_right) for tab in tables] == want
+
+
+def test_many_pieces_match_matching_solver():
+    pot = THICK_45.potential()
+    ks = wavenumber(np.linspace(1.2, 3.0, 7) * THICK_45.height, K)
+    amps, tables = scattering.interior_table(ks, pot, K)
+    assert len(tables) == 45
+    for k, t, r in zip(ks, amps.t, amps.r):
+        r0, t0 = oracles.mp_scatter(k, pot.filled_regions(), K, dps=60)
+        assert t == pytest.approx(t0, rel=1e-10)
+        assert r == pytest.approx(r0, rel=1e-10)
 
 
 STATE_CASES = [

@@ -378,6 +378,13 @@ def test_resonance_wavenumber_past_float_range_raises(height):
     assert info.value.quantity == "k_res"
 
 
+def test_resonance_ratio_past_float_range_raises():
+    # kappa0^2 d^2 overflows: every ratio of order 1 would print as +-inf
+    with pytest.raises(NumericInvariantError, match="phase_ratio of order 1") as info:
+        resonance_table(BarrierSpec(1e300, 1e10), 2)
+    assert (info.value.quantity, info.value.value) == ("phase_ratio", math.inf)
+
+
 def test_lorentz_width_matches_starting_point():
     bar = barrier_for(2.0)
     table = resonance_table(bar, 2)
@@ -418,10 +425,13 @@ def test_lorentz_width_is_finite_on_thick_barriers(barrier):
 
 
 def test_lorentz_width_past_float_range_raises():
-    # k_res is finite, but kappa0^2 d^2 and so a0 overflow
+    # the starting ratio (8.9e298) is finite, but a0 = ratio x d overflows
     with pytest.raises(NumericInvariantError, match="Lorentzian length") as info:
-        lorentz_width(BarrierSpec(1e300, 1e10), 1)
+        lorentz_width(BarrierSpec(1e280, 1e10), 1)
     assert info.value.quantity == "a0"
+    # once kappa0^2 d^2 overflows, the ratio itself raises first
+    with pytest.raises(NumericInvariantError, match="phase_ratio of order 1"):
+        lorentz_width(BarrierSpec(1e300, 1e10), 1)
 
 
 def test_opaque_branch_continuous_at_switch():
