@@ -3,6 +3,10 @@
 Unit system used throughout the package: energies in eV, lengths in nm,
 times in ps.  With these units hbar = 6.582119569e-4 eV ps and the free
 dispersion is E = kinetic_coeff * k**2 with kinetic_coeff in eV nm**2.
+
+:func:`split` is the one mask split of the piecewise closed forms: the
+kernels' series window and sign of v, and the widths' opaque branch, each
+run one branch per side of a boolean mask through it.
 """
 
 import math
@@ -64,6 +68,30 @@ def require_wavenumbers(k):
     if not np.all(np.isfinite(k) & (k > 0.0)):
         raise ValueError("wavenumber k must be positive and finite")
     return k
+
+
+def split(mask, inside, outside, *args):
+    """Tuple of outputs: inside(*args) where mask holds, outside(*args) elsewhere.
+
+    Each branch returns a tuple of arrays shaped like its args.  A one-sided
+    mask hands the args to its branch uncopied.  Otherwise each side is
+    gathered with ``take`` through one ``flatnonzero`` of its mask and
+    scattered back through a flat view of each C-ordered output, so any
+    input shape or layout works.
+    """
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return inside(*args)
+    if not count:
+        return outside(*args)
+    inner, outer = np.flatnonzero(mask), np.flatnonzero(~mask)
+    lows = inside(*(arg.take(inner) for arg in args))
+    highs = outside(*(arg.take(outer) for arg in args))
+    outs = tuple(np.empty(mask.shape) for _ in lows)
+    for out, low, high in zip(outs, lows, highs):
+        flat = out.reshape(-1)
+        flat[inner], flat[outer] = low, high
+    return outs
 
 
 def wavenumber(energy, kinetic_coeff):

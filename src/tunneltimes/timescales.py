@@ -32,21 +32,23 @@ below-barrier (v < 0), above-barrier (v > 0) and edge (v = 0) cases without
 cancellation.  For opaque barriers (kappa*d > 20) an algebraically equivalent
 form scaled by 1/sinh^2(kappa*d) avoids overflow; it stays finite beyond
 kappa*d = 700 where sinh itself cannot be represented.  An array of k runs in
-fixed chunks, one :func:`tunneltimes.kernels.width_kernels` pass each, written
-into the six preallocated result arrays.  A chunk on one branch is passed
-uncopied; a chunk mixing the deep and kernel branches is gathered and
-scattered through one integer index array per branch.
+fixed chunks, one :func:`tunneltimes.kernels.width_kernels` pass each.
+:func:`tunneltimes.model.split` picks each chunk's deep and kernel branches,
+passing a one-branch chunk uncopied, and the chunk's six values are copied
+into the preallocated result arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kernels import cos_sqrt, sinc_sqrt, width_kernels
-from .model import BarrierSpec, NumericInvariantError, group_velocity, require_wavenumbers
+from .model import (BarrierSpec, NumericInvariantError, group_velocity,
+                    require_wavenumbers, split)
 
 __all__ = [
     "TimescaleRecord",
@@ -74,6 +76,9 @@ _CHUNK = 8192
 # 1 to double precision, so the phase and effective ratios are 2/u and the
 # starting ratio -2/(u sinh u) is -4 exp(-u)/u.
 _LONGWAVE_SWITCH = 703.9191965020692
+
+# Orders resonance_table builds at most, one record each: 1e5 take about 1 s
+_MAX_ORDERS = 100_000
 
 # Flag long-wave well limits as divergent when kappa0*d sits this close to a
 # multiple of pi (transparency pole of the k -> 0 ratios).
@@ -128,32 +133,19 @@ def _quadruple_deep(k2, v, k02, d):
     return d_phase, d_dwell, d_eff, x_start, t_coef, r_coef
 
 
-def _fill(views, mask, branch, k2, v, *consts):
-    """Write branch(k2, v, *consts) into views where mask holds.
-
-    A mixed chunk goes through one flat index array per side, gathered and
-    scattered by integer indices; a chunk all on this side passes uncopied.
-    """
-    count = np.count_nonzero(mask)
-    if count:
-        key = Ellipsis if count == mask.size else np.flatnonzero(mask)
-        for view, val in zip(views, branch(k2[key], v[key], *consts)):
-            view[key] = val
-
-
 def _quadruple(k_arr, k02, beta, d):
     if k02 == 0.0:
         # free particle: every width is exactly d, transmission is total
         return [np.full(k_arr.shape, val) for val in (d, d, d, 0.0, 1.0, 0.0)]
+    deep = partial(_quadruple_deep, k02=k02, d=d)
+    kernel = partial(_quadruple_kernel, k02=k02, beta=beta, d=d)
     out = [np.empty(k_arr.shape) for _ in range(6)]
     for start in range(0, len(k_arr), _CHUNK):
         part = slice(start, start + _CHUNK)
         k2 = k_arr[part] * k_arr[part]
         v = (k2 - beta * k02) * (d * d)
-        deep = v < -_DEEP_SWITCH
-        views = [slot[part] for slot in out]
-        _fill(views, ~deep, _quadruple_kernel, k2, v, k02, beta, d)
-        _fill(views, deep, _quadruple_deep, k2, v, k02, d)
+        for slot, value in zip(out, split(v < -_DEEP_SWITCH, deep, kernel, k2, v)):
+            slot[part] = value
     return out
 
 
@@ -363,10 +355,11 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     the interior momentum n*pi/d allows) are listed in ``omitted`` with a
     reason instead of producing a record; one whose k_res or width ratio
     lies past float range ((n pi/d)^2 overflows below d ~ 2.3e-154 n nm,
-    kappa0^2 d^2 near 1.8e308) raises NumericInvariantError.
+    kappa0^2 d^2 near 1.8e308) raises NumericInvariantError.  ValueError
+    unless 1 <= n_max <= 100000, before any record is built.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= n_max <= _MAX_ORDERS:
+        raise ValueError("n_max must be 1 to %d orders, got %d" % (_MAX_ORDERS, n_max))
     d = barrier.width
     k02 = barrier.kappa0 ** 2
     beta = barrier.beta

@@ -146,6 +146,11 @@ SCENARIOS = (
                                           "n_max": 2},
              (["resonance"],), exit_code=3, rerun=False,
              gates=(stderr_has("phase_ratio of order 1"),)),
+    # one record per order: the table stops at its order bound
+    Scenario("resonance-orders-past-bound", {"barrier": {"height": 0.25, "width": 0.5},
+                                             "n_max": 100001},
+             (["resonance"],), exit_code=2, rerun=False,
+             gates=(stderr_has("1 to 100000 orders, got 100001"),)),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}
 

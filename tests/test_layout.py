@@ -41,6 +41,23 @@ def test_larmor_builds_its_solves_only_through_packets():
     assert sources.isdisjoint({"scattering", "decomposition"}), sources
 
 
+def test_kernels_and_widths_split_only_through_model_split():
+    # model.split is the one mask split of the piecewise closed forms: the
+    # kernels and the widths gather no indices and run no where= masked
+    # ufunc of their own
+    from tunneltimes import kernels, model, timescales
+    assert kernels.split is timescales.split is model.split
+    for name in ("kernels", "timescales"):
+        calls = [node for node in ast.walk(ast.parse((PACKAGE / (name + ".py")).read_text()))
+                 if isinstance(node, ast.Call)]
+        gathers = [call.lineno for call in calls
+                   if getattr(call.func, "attr", getattr(call.func, "id", None))
+                   == "flatnonzero"]
+        masked = [call.lineno for call in calls
+                  if any(keyword.arg == "where" for keyword in call.keywords)]
+        assert not gathers and not masked, (name, gathers, masked)
+
+
 def test_every_export_is_in_readme():
     readme = (ROOT / "README.md").read_text()
     missing = [name for name in tunneltimes.__all__

@@ -14,6 +14,7 @@ from tunneltimes.model import (
     PiecewisePotential,
     energy,
     group_velocity,
+    split,
     wavenumber,
 )
 from tunneltimes.packets import PacketSpec, default_grid
@@ -176,3 +177,56 @@ def test_records_reject_non_finite_values(make, bad):
 def test_bad_scalars_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# split against one branch call per entry; the branches use only correctly
+# rounded operations, so an entry's bits do not depend on its array
+def _inside(x, y):
+    return x * y + 1.0, np.sqrt(np.abs(x)) / y
+
+
+def _outside(x, y):
+    return x - y, x / (y * y)
+
+
+_RNG = np.random.default_rng(2)
+_XY = (_RNG.uniform(-3.0, 3.0, (12, 10)), _RNG.uniform(0.5, 3.0, (12, 10)))
+LAYOUTS = {
+    "0-d-inside": lambda a: np.asarray(a.flat[np.argmax(_XY[0])]),
+    "0-d-outside": lambda a: np.asarray(a.flat[np.argmin(_XY[0])]),
+    "1-d": lambda a: a[3],
+    "c": lambda a: a,
+    "transposed": lambda a: a.T,
+    "strided": lambda a: a[::2, 1::2],
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_split_matches_per_entry_calls(layout):
+    x, y = (LAYOUTS[layout](a) for a in _XY)
+    mask = x > 0.0
+    if x.ndim:
+        assert 0 < np.count_nonzero(mask) < mask.size
+    got = split(mask, _inside, _outside, x, y)
+    want = [np.empty(x.shape) for _ in got]
+    for index in np.ndindex(x.shape):
+        side = _inside if mask[index] else _outside
+        for out, value in zip(want, side(x[index], y[index])):
+            out[index] = value
+    for g, w in zip(got, want):
+        assert g.shape == x.shape
+        assert np.array_equal(g, w)
+
+
+def test_split_hands_a_one_sided_mask_the_callers_arrays():
+    x, y = _XY
+    for mask, side in ((x == x, "inside"), (x != x, "outside")):
+        got = split(mask, lambda *a: ("inside",) + a, lambda *a: ("outside",) + a, x, y)
+        assert got[0] == side and got[1] is x and got[2] is y
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_split_takes_size_zero_input(shape):
+    x = np.empty(shape)
+    got = split(x > 0.0, _inside, _outside, x, x + 1.0)
+    assert [g.shape for g in got] == [shape, shape]

@@ -385,6 +385,12 @@ def test_resonance_ratio_past_float_range_raises():
     assert (info.value.quantity, info.value.value) == ("phase_ratio", math.inf)
 
 
+def test_resonance_orders_past_the_bound_raise():
+    assert len(resonance_table(barrier_for(2.0), 100_000).records) == 100_000
+    with pytest.raises(ValueError, match="1 to 100000 orders, got 100001"):
+        resonance_table(barrier_for(2.0), 100_001)
+
+
 def test_lorentz_width_matches_starting_point():
     bar = barrier_for(2.0)
     table = resonance_table(bar, 2)
