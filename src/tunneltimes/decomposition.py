@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SERIES_WINDOW
 from .model import BarrierSpec
 from .scattering import interior_table
 from .timescales import evaluate_widths
@@ -58,14 +57,13 @@ class ChannelAmplitudes:
 
 
 def _phase_sign(barrier: BarrierSpec, k):
-    # s = -beta * sign(F1(v)).  F1 > 0 below the band edge and inside the
-    # series window (its series is 1 - v/6 + ...); past the window F1 is
-    # sin(sqrt v)/sqrt v, whose sign is that of sin(sqrt v).  No double is a
-    # multiple of pi, so s is never 0
+    # s = -beta * sign(F1(v)): F1 > 0 for v <= 0, and for v > 0 F1 is
+    # sin(sqrt v)/sqrt v, with the sign of sin(sqrt v) on either side of the
+    # kernels' series window.  No double is a multiple of pi, so s is never 0
     k2 = np.asarray(k, dtype=float) ** 2
     v = (k2 - barrier.beta * barrier.kappa0**2) * barrier.width**2
-    sign = np.sign(np.sin(np.sqrt(np.maximum(v, SERIES_WINDOW))))
-    return -barrier.beta * np.where(v > SERIES_WINDOW, sign, 1.0)
+    sign = np.sign(np.sin(np.sqrt(np.maximum(v, 0.0))))
+    return -barrier.beta * np.where(v > 0.0, sign, 1.0)
 
 
 def channel_weight(barrier: BarrierSpec, k, transmission, reflection):
@@ -114,29 +112,23 @@ def stationary_channels(barrier: BarrierSpec, k, x):
     """
     if np.ndim(k):
         raise ValueError("stationary_channels takes one wavenumber k, not an array")
-    x = np.asarray(x, dtype=float)
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError("position x must be finite")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     potential = barrier.potential()
     k = float(k)
     amps, tables = interior_table(np.array([k]), potential, barrier.kinetic_coeff)
     a, b = potential.support
-    left = x <= a
-    right = x >= b
-    psi_full = np.empty(x.shape, dtype=complex)
-    psi_full[left] = np.exp(1j * k * x[left]) + amps.r[0] * np.exp(-1j * k * x[left])
-    psi_full[right] = amps.t[0] * np.exp(1j * k * x[right])
-    mid = ~(left | right)
+    forward = np.exp(1j * k * x)
+    psi_full = np.where(x <= a, forward + amps.r[0] * np.conj(forward), amps.t[0] * forward)
+    mid = (x > a) & (x < b)
     for reg in tables:
         inside = mid & (x >= reg.x_left) & (x < reg.x_right)
         if inside.any():
             psi_full[inside] = reg.superpose(x[inside], np.ones(1))
     c_tr = channel_weight(barrier, k, amps.transmission[0], amps.reflection[0])
-    psi_tr = np.array(psi_full, copy=True)
-    incidence = x < barrier.left_edge
-    psi_tr[incidence] = c_tr * np.exp(1j * k * x[incidence])
+    psi_tr = np.where(x < barrier.left_edge, c_tr * forward, psi_full)
     psi_ref = psi_full - psi_tr
     if scalar:
         return complex(psi_tr[0]), complex(psi_ref[0])

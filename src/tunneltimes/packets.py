@@ -63,6 +63,15 @@ from .timescales import evaluate_widths
 # evaluating the kernels holds about six of them at once.
 N_X_DEFAULT = 8192
 _X_CHUNK = 128
+# bound on the points of one grid, a caller's n_x or one the clock derives:
+# 2**20 points took 4.3 s and 234 MiB for the two-snapshot Fig-1 packet,
+# 7.5 s and 347 MiB for the 60 nm barrier's, and 3.9 s and 194 MiB for the
+# clock's six syntheses at 1042327 derived points (2-core Xeon, numpy 2.4)
+_MAX_X_POINTS = 2**20
+# bound on the spectrum's n_k: 2**16 nodes took 1.9 s and 380 MiB for the
+# 60 nm barrier's two 8192-point snapshots, whose 224 interior points run
+# the kernels in 128-row chunks of 2**16 columns
+_MAX_K_NODES = 2**16
 # largest norm a synthesis grid may lose or gain before the snapshot is
 # rejected
 CONTAINMENT_TOL = 1e-6
@@ -109,8 +118,9 @@ class PacketSpec:
         if self.k0 <= 0.0:
             raise ValueError("k0 must be positive")
         if (not isinstance(self.n_k, (int, np.integer)) or self.n_k < 2
-                or self.n_k & (self.n_k - 1)):
-            raise ValueError("n_k must be an integer power of two, got %r" % (self.n_k,))
+                or self.n_k & (self.n_k - 1) or self.n_k > _MAX_K_NODES):
+            raise ValueError("n_k must be an integer power of two from 2 to %d, got %r"
+                             % (_MAX_K_NODES, self.n_k))
         if self.k_span <= 0.0:
             raise ValueError("k_span must be positive")
         if self.k0 <= self.k_span * self.sigma_k:
@@ -199,8 +209,8 @@ def _times(t, n_x):
         raise ValueError("t must be one time or a non-empty 1-d sequence of times")
     if not np.isfinite(times).all():
         raise ValueError("t must be finite, got %r" % (t,))
-    if not isinstance(n_x, (int, np.integer)) or n_x < 2:
-        raise ValueError("n_x must be an integer >= 2, got %r" % (n_x,))
+    if not isinstance(n_x, (int, np.integer)) or not 2 <= n_x <= _MAX_X_POINTS:
+        raise ValueError("n_x must be an integer from 2 to %d, got %r" % (_MAX_X_POINTS, n_x))
     return tuple(float(v) for v in times.ravel()), times.ndim == 0
 
 
@@ -237,7 +247,8 @@ class PacketSolve:
         the forward sum of conj(A r)).  Counting the first three left of a
         and the last right of b, the grid leaves at most _TAIL_MASS / 2 of
         each past either end and spans [a, b].  n_x None takes the fewest
-        points whose step is at most pi / (2 k_max), half the aliasing limit.
+        points whose step is at most pi / (2 k_max), half the aliasing limit,
+        and raises NumericInvariantError past the bound of 2**20 points.
         """
         spec, amps = self.spec, self.amplitudes
         a, b = self.barrier.left_edge, self.barrier.right_edge
@@ -257,7 +268,14 @@ class PacketSolve:
         lo = np.min((first - 0.5) * step, where=held, initial=a)
         hi = np.max((last + 0.5) * step, where=held, initial=b)
         if n_x is None:
-            n_x = math.ceil(2.0 * ks[-1] * (hi - lo) / math.pi) + 1
+            span = 2.0 * ks[-1] * (hi - lo) / math.pi
+            if not span <= _MAX_X_POINTS - 1:
+                raise NumericInvariantError(
+                    "the measured extent %.4g nm needs %.4g grid points at a step of "
+                    "pi / (2 k_max), past the bound of %d points"
+                    % (hi - lo, span + 1.0, _MAX_X_POINTS),
+                    quantity="grid points", value=span + 1.0, bound=_MAX_X_POINTS)
+            n_x = math.ceil(span) + 1
         return np.linspace(lo, hi, n_x)
 
     def synthesize(self, t, x):
@@ -333,7 +351,7 @@ def default_grid(spec: PacketSpec, barrier: BarrierSpec, t, n_x=N_X_DEFAULT):
 
     t is one finite time, or a 1-d sequence of them for a tuple of grids
     from one solve_packet of the barrier, each measured by its grid method.
-    n_x must be an integer >= 2 (ValueError otherwise).
+    n_x must be an integer from 2 to 2**20 (ValueError otherwise).
     """
     times, scalar = _times(t, n_x)
     solve = solve_packet(spec, barrier)

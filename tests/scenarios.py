@@ -2,9 +2,9 @@
 
 Each row gives a config, the subcommands run on it (each with ``--config``
 and ``--out`` added), the exit code every command must return, the exact
-files the out dir must then hold (each non-empty; none: it stays empty),
-whether a rerun into a fresh dir writes the same bytes, and extra gates:
-``gate(files, stderr)`` returns a failure message or None.
+files the out dir must then hold (each non-empty; none: it stays empty, if
+it is made at all), whether a rerun into a fresh dir writes the same bytes,
+and extra gates: ``gate(files, stderr)`` returns a failure message or None.
 
 ``python tests/scenarios.py`` runs every row through the installed
 ``tunneltimes`` entry point, with ``PYTHONWARNINGS=error::RuntimeWarning``,
@@ -32,7 +32,7 @@ from pathlib import Path
 Scenario = namedtuple("Scenario", "name config commands files exit_code rerun gates",
                       defaults=((), 0, True, ()))
 
-# each command's exit code, their stderr, the out dir's {name: bytes} (None: no dir)
+# each command's exit code, their stderr, the out dir's {name: bytes} ({}: no dir)
 Run = namedtuple("Run", "codes stderr files")
 
 
@@ -72,22 +72,22 @@ def x_start_within_1e_4(files, stderr):
 
 PACKET_FILES = ("packet_summary.json", "packet_t0.csv", "packet_t1.csv")
 FIELD = {"margin": 500.0, "detector_offset": 1100.0, "omega_larmor": 0.2}
+RUN = {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
+       "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 1024, "k_span": 5.0},
+       "sweep": {"points": 200, "emax": 3.0},
+       "n_x": 2048, "snapshot_times": [0.0, 0.4]}
+CLOCK = {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 1100.0},
+         "packet": {"l0": 100.0, "x0": 0.0, "k0": 0.4688469119692836, "n_k": 2048},
+         "field": FIELD}
 
 SCENARIOS = (
     # the Fig-1 barrier with a light packet: the four non-clock commands
-    Scenario("run", {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 60.0},
-                     "packet": {"l0": 15.0, "x0": 0.0, "e_mean": 0.125, "n_k": 1024,
-                                "k_span": 5.0},
-                     "sweep": {"points": 200, "emax": 3.0},
-                     "n_x": 2048, "snapshot_times": [0.0, 0.4]},
-             (["sweep"], ["packet"], ["resonance"], ["limits"]),
+    Scenario("run", RUN, (["sweep"], ["packet"], ["resonance"], ["limits"]),
              ("limits.csv", "resonance.csv", "sweep.csv") + PACKET_FILES,
              gates=(finite_cells_are_own_17g,)),
     # the light criterion-11 clock: every margin at its validation floor
-    Scenario("clock", {"barrier": {"height": 0.25, "width": 0.5, "left_edge": 1100.0},
-                       "packet": {"l0": 100.0, "x0": 0.0, "k0": 0.4688469119692836,
-                                  "n_k": 2048}, "field": FIELD},
-             (["larmor", "--omega-ladder", "0.2,0.1,0.05"],), ("larmor.json",)),
+    Scenario("clock", CLOCK, (["larmor", "--omega-ladder", "0.2,0.1,0.05"],),
+             ("larmor.json",)),
     # the Fig-2 well: the non-pole well branch of every closed-form command
     Scenario("well", {"barrier": {"height": -0.25, "width": 0.5}},
              (["sweep"], ["resonance"], ["limits"]),
@@ -151,6 +151,23 @@ SCENARIOS = (
                                              "n_max": 100001},
              (["resonance"],), exit_code=2, rerun=False,
              gates=(stderr_has("1 to 100000 orders, got 100001"),)),
+    # each grid size a config sets has a bound; these sizes would ask numpy
+    # for 75 GiB to 473 GiB at once
+    Scenario("packet-points-past-bound", dict(RUN, n_x=10**10),
+             (["packet"],), exit_code=2, rerun=False,
+             gates=(stderr_has("n_x must be an integer from 2 to 1048576, got 10000000000"),)),
+    Scenario("packet-nodes-past-bound", dict(RUN, packet=dict(RUN["packet"], n_k=2**34)),
+             (["packet"],), exit_code=2, rerun=False,
+             gates=(stderr_has("power of two from 2 to 65536, got 17179869184"),)),
+    # a detector 1e11 nm out: the clock's measured grid needs about 6e10 points
+    Scenario("clock-grid-past-bound",
+             dict(CLOCK, field=dict(FIELD, detector_offset=1e11, omega_larmor=1e-9)),
+             (["larmor"],), exit_code=3, rerun=False,
+             gates=(stderr_has("past the bound of 1048576 points"),)),
+    Scenario("sweep-points-past-bound", {"barrier": {"height": 0.25, "width": 0.5},
+                                         "sweep": {"points": 10**10}},
+             (["sweep"],), exit_code=2, rerun=False,
+             gates=(stderr_has("sweep needs 1 to 4194304 points, got 10000000000"),)),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}
 
@@ -167,7 +184,7 @@ def run_row(row, workdir, invoke):
         done = [invoke([argv[0], "--config", str(config), "--out", str(out)] + argv[1:])
                 for argv in row.commands]
         files = ({path.name: path.read_bytes() for path in out.iterdir()}
-                 if out.is_dir() else None)
+                 if out.is_dir() else {})
         runs.append(Run([code for code, _ in done], "".join(err for _, err in done), files))
     return runs
 
@@ -179,8 +196,8 @@ def failures(row, runs):
         if any(code != row.exit_code for code in run.codes):
             found.append("run %d: exit codes %r, expected %d; stderr ends %r"
                          % (attempt, run.codes, row.exit_code, run.stderr[-300:]))
-        sizes = None if run.files is None else {n: len(d) for n, d in run.files.items()}
-        if sizes is None or sorted(sizes) != sorted(row.files) or 0 in sizes.values():
+        sizes = {name: len(data) for name, data in run.files.items()}
+        if sorted(sizes) != sorted(row.files) or 0 in sizes.values():
             found.append("run %d: out dir holds %r, expected %r, none empty"
                          % (attempt, sizes, sorted(row.files)))
     if len(runs) == 2 and not found and runs[0].files != runs[1].files:

@@ -58,6 +58,22 @@ def test_kernels_and_widths_split_only_through_model_split():
         assert not gathers and not masked, (name, gathers, masked)
 
 
+def test_only_kernels_read_the_series_window():
+    # SERIES_WINDOW is where the kernels switch to their series; no other
+    # module's decision depends on it, by import or by attribute
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else
+                     [getattr(node, "id", getattr(node, "attr", None))])
+            if "SERIES_WINDOW" in names:
+                readers.append((path.name, node.lineno))
+    assert readers == [], readers
+
+
 def test_every_export_is_in_readme():
     readme = (ROOT / "README.md").read_text()
     missing = [name for name in tunneltimes.__all__

@@ -281,7 +281,7 @@ def test_default_grid_skips_an_underflowed_transmitted_wave():
         assert grid[0] < spec.x0 and grid[-1] == barrier.right_edge
 
 
-@pytest.mark.parametrize("n_x", [0, 1, 100.5, True, "2048"])
+@pytest.mark.parametrize("n_x", [0, 1, 100.5, True, "2048", 2**20 + 1])
 def test_default_grid_rejects_bad_point_count(n_x):
     with pytest.raises(ValueError, match="n_x"):
         default_grid(FREE_SPEC, FREE, 0.0, n_x=n_x)

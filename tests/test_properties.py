@@ -3,7 +3,9 @@
 Barriers and wells are drawn log-uniformly over |V0| in [1e-6, 1e3] eV,
 d in [1e-4, 1e2] nm and k in [1e-5, 30] 1/nm, which spans opaque barriers
 (kappa d in the thousands), k -> 0, E ~ V0, deep wells near transparency
-poles and large k.  Every package call runs with warnings raised as errors.
+poles and large k.  The stationary channel split has its own box,
+kappa0*d in [1e-2, 50] with resonant k, checked against the mpmath matching
+solution.  Every package call runs with warnings raised as errors.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tunneltimes import (BarrierSpec, ParticleSpec, evaluate_widths, lorentz_width,
-                         resonance_table)
+                         resonance_table, stationary_channels)
 
 K_MAX = 30.0
 K = ParticleSpec().kinetic_coeff
@@ -80,3 +82,45 @@ def test_lorentz_width_is_the_starting_point_shift(sign, log_kd, log_width, n):
     x_start = _strict(evaluate_widths, barrier, record.k_res).starting_point
     conditioning = (record.k_res * width / (n * math.pi)) ** 2
     assert abs(a0 - abs(x_start)) <= max(1e-9, 4.0 * 2.0**-52 * conditioning) * a0
+
+
+@st.composite
+def channel_cases(draw):
+    """(barrier, k, x): a barrier or well with kappa0*d in [1e-2, 50], k in
+    [1e-2, 3] kappa0, half the time on a transmission resonance there when
+    one exists, and 8 unsorted x: 3 left of the support, 2 inside, 3 right,
+    edges included."""
+    width = 10.0 ** draw(st.floats(-1.0, 2.0))
+    kd = 10.0 ** draw(st.floats(-2.0, math.log10(50.0)))
+    barrier = BarrierSpec(draw(st.sampled_from([1.0, -1.0])) * K * (kd / width) ** 2,
+                          width, draw(st.floats(-10.0, 10.0)))
+    lo, hi = 1e-2 * barrier.kappa0, 3.0 * barrier.kappa0
+    poles = [r.k_res for r in resonance_table(barrier, 50).records if lo <= r.k_res <= hi]
+    if poles and draw(st.booleans()):
+        k = draw(st.sampled_from(poles))
+    else:
+        k = lo * 10.0 ** draw(st.floats(0.0, math.log10(300.0)))
+    sides = [st.lists(st.floats(first, last), min_size=size, max_size=size)
+             for first, last, size in ((-3.0, 0.0, 3), (0.0, 1.0, 2), (1.0, 4.0, 3))]
+    u = draw(st.permutations(sum((draw(side) for side in sides), [])))
+    return barrier, k, np.array([barrier.left_edge + v * width for v in u])
+
+
+# the benchmark's STATE_TOL form, |psi_tr + psi_ref - psi| <= tol max(1, |psi|),
+# 100 times tighter: 2000 draws of this box erred by at most 8.9e-14
+CHANNEL_TOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(channel_cases())
+def test_stationary_channels_sum_to_the_matching_solution(case):
+    barrier, k, x = case
+    psi_tr, psi_ref = _strict(stationary_channels, barrier, k, x)
+    regions = barrier.potential().filled_regions()
+    # the matching system's conditioning grows like exp(2 kappa0 d)
+    dps = 40 + int(barrier.kappa0 * barrier.width)
+    want = np.array([oracles.mp_stationary(v, k, regions, barrier.kinetic_coeff, dps=dps)
+                     for v in x])
+    error = np.abs(psi_tr + psi_ref - want) / np.maximum(1.0, np.abs(want))
+    assert np.max(error) <= CHANNEL_TOL
+    assert np.all(psi_ref[x >= barrier.left_edge] == 0.0)
