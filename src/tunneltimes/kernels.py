@@ -15,6 +15,7 @@ pass: one ``|v|``, one mask per window and, off the series, one
 sin/cos or sinh/cosh pair unmasked: one sine of s and 2s, one cosine of s,
 and the sine of s/2 only past the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|``
 and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
+:func:`propagator_kernels` pairs cos_sqrt and sinc_sqrt, growth split off.
 Every split goes through :func:`tunneltimes.model.split`, which passes a
 one-sided input uncopied and gathers and scatters mixed input, of any
 shape, by integer indices.
@@ -31,6 +32,11 @@ from .model import split
 # at |v| = 0.3 that is ~4e-15, and the truncated series at the window edge
 # is still good to ~1e-17, so every kernel is uniformly ~5e-15 accurate
 SERIES_WINDOW = 0.3
+
+# past -v = SCALE_SWITCH**2, e^{-2u} < 1e-260 with u = sqrt(-v): the scaled
+# pair (cosh u, sinh(u)/u) e^{-u} of propagator_kernels is (1/2, 1/(2u)) to
+# double precision, while cosh u itself overflows from u ~ 710
+SCALE_SWITCH = 300.0
 
 _SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
 _COS_COEF = np.array([(-1.0) ** n / factorial(2 * n) for n in range(10)])
@@ -84,6 +90,22 @@ def cos_sqrt(v):
     """cos(sqrt(v)) for v > 0, cosh(sqrt(-v)) for v < 0."""
     return _piecewise(v, lambda v, a: (_horner(v, _COS_COEF),),
                       lambda sin, cos, v, s, a: (cos(s),))[0]
+
+
+def _propagator_direct(sin, cos, v, s, a):
+    # only the evanescent side grows: v > 0 keeps the mask whole
+    return split(v >= -SCALE_SWITCH**2,
+                 lambda s: (cos(s), sin(s) / s, np.broadcast_to(0.0, s.shape)),
+                 lambda s: (np.full_like(s, 0.5), 0.5 / s, s), s)
+
+
+def propagator_kernels(v):
+    """(cos_sqrt(v) e^{-u}, sinc_sqrt(v) e^{-u}, u) in one pass over v, with
+    u = sqrt(-v) where -v > SCALE_SWITCH**2 and 0 elsewhere (u may be a
+    read-only view): every entry stays O(1), and the first two keep their
+    kernels' bits where u = 0."""
+    return _piecewise(v, lambda v, a: (_horner(v, _COS_COEF), _horner(v, _SINC_COEF),
+                                       np.broadcast_to(0.0, v.shape)), _propagator_direct)
 
 
 def _widths_series(v, a):

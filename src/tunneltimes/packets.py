@@ -59,8 +59,8 @@ from .timescales import evaluate_widths
 # wavelength even on the widest late-time grids used by the deep-well
 # scenario.  Points of a region summed through the interior kernels (the
 # regions that are not plane-wave sums, such as barriers) go in chunks of
-# _X_CHUNK rows so the (points x k) kernel matrices stay a few MB each:
-# evaluating the kernels holds about six of them at once.
+# _X_CHUNK rows so the (points x k) kernel matrices stay a few MB each: the
+# propagator kernels hold about eight at once (17.4 MB traced for 128 x 2048).
 N_X_DEFAULT = 8192
 _X_CHUNK = 128
 # bound on the points of one grid, a caller's n_x or one the clock derives:
@@ -123,11 +123,15 @@ class PacketSpec:
                              % (_MAX_K_NODES, self.n_k))
         if self.k_span <= 0.0:
             raise ValueError("k_span must be positive")
-        if self.k0 <= self.k_span * self.sigma_k:
-            raise ValueError(
-                "k0 must exceed k_span*sigma_k, otherwise the sampled spectrum "
-                "reaches k <= 0 (negative-momentum content)"
-            )
+        half = self.k_span * self.sigma_k
+        if self.k0 <= half:
+            raise ValueError("k0 must exceed k_span*sigma_k, otherwise the sampled spectrum "
+                             "reaches k <= 0 (negative-momentum content)")
+        if not (math.isfinite(half * half)
+                and 2.0 * half / (self.n_k - 1) > math.ulp(self.k0 + half)):
+            raise ValueError("k0 = %r, l0 = %r and n_k = %d give k nodes that are not distinct "
+                             "doubles, or a (k_span sigma_k)^2 past float range"
+                             % (self.k0, self.l0, self.n_k))
 
     @property
     def sigma_k(self):

@@ -10,15 +10,13 @@ with (x_min, x_max) the support of the potential.  Inside a uniform
 region at level V the squared local wavenumber is z = (E - V) /
 kinetic_coeff; z < 0 marks a classically forbidden (evanescent) region.
 Region propagators act on real (psi, psi') Cauchy data and have unit
-determinant.  A region at level V > 0 is cut into equal pieces of
-kappa0 L <= 300, kappa0 = sqrt(V / kinetic_coeff) bounding kappa at every
-k, so no propagator entry exceeds cosh(300) and the state continued
-across each piece stays representable however opaque the barrier, up to
-a bound on the pieces x wavenumbers of one table (_MAX_PIECE_CELLS).  A
-region's pieces share z and length, so they share one propagator.
+determinant.  Each carries its growth apart, as exp(u) times a matrix of
+O(1) entries (kernels.propagator_kernels): u = kappa L once kappa L passes
+kernels.SCALE_SWITCH, and 0 below it, so one propagator spans a region
+however opaque.
 
-interior_table pulls a transmitted wave back through the pieces once,
-giving t, r and each piece's Cauchy data, from which decomposition
+interior_table pulls a transmitted wave back through the regions once,
+giving t, r and each region's Cauchy data, from which decomposition
 evaluates stationary states and packets synthesizes packets.
 """
 
@@ -29,49 +27,6 @@ import numpy as np
 
 from . import kernels
 from .model import NumericInvariantError, require_wavenumbers
-
-# largest kappa0*L of one piece: every propagator entry stays below
-# cosh(300) ~ 1e130, and the pulled-back data are renormalised after every
-# piece, so continuing a table across a piece stays far from overflow
-_PIECE_KAPPA_L = 300.0
-
-# bound on one interior_table's pieces x wavenumbers, a piece counting as at
-# least 512 wavenumbers.  A piece costs about 22 us of Python, the time of
-# about 450 wavenumbers, plus 0.05 us and 40 B of tables per wavenumber
-# (2-core Xeon, numpy 2.4, one BLAS thread).  So 2**22 cells allow 8192
-# pieces at n_k <= 512 (0.2 s at one wavenumber, 0.5 s at 512) and 160 MiB
-# of tables at larger n_k (0.2 s): kappa0*d up to 2.4e6 at small n_k and
-# 3e5 at n_k = 4096
-_MAX_PIECE_CELLS = 2**22
-
-
-def _region_propagator(z, length):
-    """Unit-determinant (psi, psi') propagator [[c, f], [g, c]] over one
-    uniform region, arrays over k: (c, f, g) = (cos_sqrt(v), L sinc_sqrt(v),
-    -z f) with v = z L^2."""
-    v = z * length * length
-    f = length * kernels.sinc_sqrt(v)
-    return kernels.cos_sqrt(v), f, -z * f
-
-
-def _regions(ks, potential, kinetic_coeff):
-    """[(x_left, x_right, z, n), ...] per region, z an array over ks and n
-    its number of equal pieces; NumericInvariantError past _MAX_PIECE_CELLS."""
-    regions = [(xl, xr, lev, (xr - xl) * math.sqrt(max(lev, 0.0) / kinetic_coeff))
-               for xl, xr, lev in potential.filled_regions()]
-    # capped, so that an infinite kappa0*L counts past the bound, not into ceil
-    counts = [max(1, math.ceil(min(kl / _PIECE_KAPPA_L, _MAX_PIECE_CELLS)))
-              for *_, kl in regions]
-    cells = sum(counts) * max(ks.size, 512)
-    if cells > _MAX_PIECE_CELLS:
-        raise NumericInvariantError(
-            "kappa0*d = %.3g cuts into more than %d transfer-matrix pieces x "
-            "max(wavenumbers, 512) at %d wavenumbers"
-            % (sum(kl for *_, kl in regions), _MAX_PIECE_CELLS, ks.size),
-            quantity="transfer-matrix pieces", value=cells, bound=_MAX_PIECE_CELLS)
-    e = kinetic_coeff * ks * ks
-    return [(xl, xr, (e - lev) / kinetic_coeff, n)
-            for (xl, xr, lev, _), n in zip(regions, counts)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +55,7 @@ class Amplitudes:
 
 @dataclass(frozen=True)
 class RegionTable:
-    """Right-edge Cauchy data for one region or piece, arrays over k.
+    """Right-edge Cauchy data for one region, arrays over k.
 
     The true data at x_right is (psi, dpsi) * exp(sigma).  Wavefunction
     values inside the region must be continued from the right edge: that
@@ -118,14 +73,20 @@ class RegionTable:
     def superpose(self, x, weights):
         """sum_n weights[n] psi_{k_n}(x) at points x inside the region.
 
-        The kernel matrices are real, so the sums run as real matrix
-        products.
+        Each column's largest growth U moves into its weight as exp(sigma +
+        U), so a column without growth keeps its bits.  The kernel matrices
+        are real, so the sums run as real matrix products.
         """
         dx = x - self.x_right
-        v = np.outer(dx * dx, self.z)
-        scale = np.exp(self.sigma) * weights
-        return (_real_matmul(kernels.cos_sqrt(v), self.psi * scale)
-                + dx * _real_matmul(kernels.sinc_sqrt(v), self.dpsi * scale))
+        c, sinc, u = kernels.propagator_kernels(np.outer(dx * dx, self.z))
+        top = u.max(axis=0)
+        if top.any():
+            grow = np.exp(u - top)
+            c *= grow
+            sinc *= grow
+        scale = np.exp(self.sigma + top) * weights
+        return (_real_matmul(c, self.psi * scale)
+                + dx * _real_matmul(sinc, self.dpsi * scale))
 
     def splits_into_plane_waves(self, ks):
         """True when every node is oscillatory with z >= k^2/100.
@@ -207,35 +168,44 @@ def _real_matmul(mat, vec):
 def interior_table(ks, potential, kinetic_coeff):
     """(Amplitudes, [RegionTable, ...]) for stationary-state evaluation.
 
-    One right-to-left pass over the pieces, all k at once: a unit
+    One right-to-left pass over the regions, all k at once: a unit
     transmitted wave (e^{ikb}, ik e^{ikb}) is pulled back through the
-    adjugates, normalised per k into sigma, recording each piece's table.
-    Each region's propagator is built once, as the pass reaches it.
+    adjugates, normalised per k into sigma, recording each region's table;
+    each propagator's growth u joins sigma after its pull-back.
     At the left edge a it splits into incident and reflected parts, A, B =
     (psi +- psi'/(ik)) e^{-+ika} / 2, so t = e^{-sigma}/A and r = B/A; the
     tables go to unit incidence by the phase conj(A)/|A| and -sigma -
     log|A| added to their sigma, and stay finite where t underflows.
+    NumericInvariantError when a region's z L^2 leaves float range.
     """
     ks = require_wavenumbers(ks)
     a, b = potential.support
+    e = kinetic_coeff * ks * ks
     psi = np.exp(1j * ks * b)
     dpsi = 1j * ks * psi
     sigma = np.zeros(ks.shape)
     tables = []
-    for xl, xr, z, n in reversed(_regions(ks, potential, kinetic_coeff)):
-        c, f, g = _region_propagator(z, (xr - xl) / n)
-        edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
-        for j in reversed(range(n)):
-            norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
-            psi = psi / norm
-            dpsi = dpsi / norm
-            sigma = sigma + np.log(norm)
-            tables.append(RegionTable(x_left=edges[j], x_right=edges[j + 1], z=z,
-                                      psi=psi, dpsi=dpsi, sigma=sigma))
-            # adjugate of the unit-determinant propagator pulls the data
-            # back to the piece's left edge
-            psi, dpsi = c * psi - f * dpsi, -g * psi + c * dpsi
-    c = f = g = None  # free the last propagator for the split: 0.7 MB less peak RSS
+    for xl, xr, lev in reversed(potential.filled_regions()):
+        length = xr - xl
+        z = (e - lev) / kinetic_coeff
+        if not math.isfinite(float(np.abs(z).max(initial=0.0)) * length * length):
+            raise NumericInvariantError(
+                "kappa0*L = %.3g, k*L up to %.3g: z L^2 leaves float range"
+                % (length * math.sqrt(abs(lev) / kinetic_coeff), length * float(np.max(ks))),
+                quantity="float range")
+        c, sinc, u = kernels.propagator_kernels(z * length * length)
+        f = length * sinc
+        norm = np.maximum(np.abs(psi), np.abs(dpsi) / ks)
+        psi = psi / norm
+        dpsi = dpsi / norm
+        sigma = sigma + np.log(norm)
+        tables.append(RegionTable(x_left=xl, x_right=xr, z=z, psi=psi, dpsi=dpsi,
+                                  sigma=sigma))
+        # the adjugate of the region's unit-determinant propagator
+        # exp(u) [[c, f], [-z f, c]] pulls the data back to its left edge
+        psi, dpsi = c * psi - f * dpsi, z * f * psi + c * dpsi
+        sigma = sigma + u
+    c = f = u = sinc = None  # free the last propagator for the split: 0.7 MB less peak RSS
     ratio = dpsi / (1j * ks)
     inc = 0.5 * (psi + ratio) * np.exp(-1j * ks * a)
     flux = -np.imag(psi * np.conj(dpsi)) / ks

@@ -122,9 +122,12 @@ def _psi(x, k, regions, r, t, coef):
 
 
 def mp_stationary(x, k, regions, kinetic_coeff, dps=60):
-    """Stationary state at x (python complex), unit incidence from the left."""
+    """Stationary state at x (python complex), unit incidence from the left;
+    a sequence of x gives a list, from one solve."""
     with mp.workdps(dps):
         r, t, coef = _solve(k, regions, kinetic_coeff)
+        if np.ndim(x):
+            return [complex(_psi(one, k, regions, r, t, coef)) for one in x]
         return complex(_psi(x, k, regions, r, t, coef))
 
 

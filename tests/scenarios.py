@@ -114,8 +114,8 @@ SCENARIOS = (
                         "n_x": 4096, "snapshot_times": [0.0, 1.0]},
              (["packet"],), exit_code=3, rerun=False,
              gates=(stderr_has("transmission underflows"),)),
-    # kappa0 d ~ 663: three pieces share one propagator, and the spectrum
-    # above the barrier top transmits; no closure gate, since the packet
+    # kappa0 d ~ 663: one propagator past the kernels' scale switch, and the
+    # spectrum above the barrier top transmits; no closure gate, since the packet
     # starts on the barrier edge and its channels overlap at t = 0
     Scenario("pieces", {"barrier": {"height": 0.25, "width": 1000.0, "left_edge": 400.0},
                         "packet": {"l0": 40.0, "x0": 0.0, "e_mean": 0.5, "n_k": 2048,
@@ -164,6 +164,28 @@ SCENARIOS = (
              dict(CLOCK, field=dict(FIELD, detector_offset=1e11, omega_larmor=1e-9)),
              (["larmor"],), exit_code=3, rerun=False,
              gates=(stderr_has("past the bound of 1048576 points"),)),
+    # k0 1e20: the nodes 2 k_span sigma_k / (n_k - 1) apart round onto each other
+    Scenario("packet-k-nodes-coincide",
+             dict(RUN, packet={"l0": 15.0, "x0": 0.0, "k0": 1e20, "n_k": 64}),
+             (["packet"],), exit_code=2, rerun=False,
+             gates=(stderr_has("k0 = 1e+20, l0 = 15.0 and n_k = 64"),)),
+    Scenario("larmor-k-nodes-coincide", dict(CLOCK, packet=dict(CLOCK["packet"], k0=1e20)),
+             (["larmor"],), exit_code=2, rerun=False,
+             gates=(stderr_has("k0 = 1e+20, l0 = 100.0 and n_k = 2048"),)),
+    # (k_span sigma_k)^2 = (3e300)^2 overflows in the spectrum's Gaussian
+    Scenario("packet-spectrum-overflow",
+             dict(RUN, packet={"l0": 1e-300, "x0": 0.0, "k0": 1e302, "n_k": 64}),
+             (["packet"],), exit_code=2, rerun=False,
+             gates=(stderr_has("k0 = 1e+302, l0 = 1e-300 and n_k = 64"),)),
+    # (kappa0 d)^2 ~ 1.8e310: one scaled propagator spans any finite kappa0 d,
+    # but v = z d^2 would overflow
+    Scenario("packet-float-range",
+             {"barrier": {"height": 1e300, "width": 1e5, "left_edge": 400.0},
+              "packet": {"l0": 40.0, "x0": 0.0, "e_mean": 0.2, "n_k": 64, "k_span": 5.0},
+              "n_x": 256, "snapshot_times": [0.0, 1.0]},
+             (["packet"],), exit_code=3, rerun=False,
+             gates=(stderr_has("kappa0*L = 1.33e+155, k*L up to 6.56e+04: z L^2 leaves "
+                               "float range"),)),
     Scenario("sweep-points-past-bound", {"barrier": {"height": 0.25, "width": 0.5},
                                          "sweep": {"points": 10**10}},
              (["sweep"],), exit_code=2, rerun=False,

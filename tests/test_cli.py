@@ -855,8 +855,8 @@ box_configs = st.fixed_dictionaries({
 def packet_box_configs(draw):
     """Small packets (n_k 16-64, n_x 16-1024) on the box's barriers up to
     1e300 eV, with the clock's pads, left edge and detector built from l0 so
-    that most draws pass the clock's layout checks.  A barrier whose
-    kappa0 d / 300 transfer-matrix pieces pass the solver's bound exits 3."""
+    that most draws pass the clock's layout checks.  Every region is one
+    scaled propagator: (kappa0 d)^2 stays below 4.4e307, inside float range."""
     l0 = 10.0 ** draw(st.floats(0.0, 2.0))
     k_span = draw(st.floats(1.0, 6.0))
     margin, gap, reach = (5.0 * l0 * draw(st.floats(1.0, 2.0)) for _ in range(3))

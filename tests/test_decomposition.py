@@ -251,7 +251,7 @@ def test_stationary_channels_split_with_their_own_transmission():
 def test_opaque_barrier_states_match_matching_solver(width):
     # kappa d = 769 and 1183 at k = 0.3: one region's cosh overflows past
     # kappa d ~ 710 and t itself underflows past ~745, so the state is
-    # continued across pieces and scaled to unit incidence in logs
+    # continued by the scaled propagator and scaled to unit incidence in logs
     barrier, k = BarrierSpec(0.25, width), 0.3
     x = np.concatenate([np.linspace(-20.0, 0.0, 5), np.linspace(0.0, width, 41),
                         [width + 1.0]])

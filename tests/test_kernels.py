@@ -290,3 +290,39 @@ def test_width_kernels_match_prefusion_kernels_bitwise():
     want = _prefusion_width_kernels(DENSE_V)
     for index, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g, w), index
+
+
+# ---------------------------------------------------------------------------
+# propagator_kernels: cos_sqrt and sinc_sqrt to the bit up to the scale
+# switch, and their e^{-u}-scaled values past it, with u = sqrt(-v)
+
+SWITCH_V = -kernels.SCALE_SWITCH**2
+
+
+def test_propagator_kernels_are_cos_and_sinc_up_to_the_switch():
+    v = np.concatenate([DENSE_V, -np.linspace(1e4, -SWITCH_V, 2001)])
+    c, sinc, u = kernels.propagator_kernels(v)
+    assert np.array_equal(c, kernels.cos_sqrt(v))
+    assert np.array_equal(sinc, kernels.sinc_sqrt(v))
+    assert not u.any()
+
+
+@pytest.mark.parametrize("v", [np.nextafter(SWITCH_V, -np.inf), -1e5, -1e6, -4e6,
+                               -1e12, -1e300])
+def test_propagator_kernels_past_the_switch_match_mpmath(v):
+    c, sinc, u = kernels.propagator_kernels(v)
+    s = mp.sqrt(-mp.mpf(v))
+    assert u == np.sqrt(-v)
+    assert c == pytest.approx(float(mp.cosh(s) * mp.exp(-s)), rel=1e-15)
+    assert sinc == pytest.approx(float(mp.sinh(s) / s * mp.exp(-s)), rel=1e-15)
+
+
+def test_propagator_kernels_mixed_input_matches_per_entry_calls():
+    # every branch in one 2-d input: the series, both signs and the scaled side
+    v = np.concatenate([_superpose_v(), -np.logspace(4.5, 6.5, 37)[:, None] * [1.0, 2.0]],
+                       axis=1)
+    got = kernels.propagator_kernels(v)
+    want = np.array([kernels.propagator_kernels(float(x)) for x in v.ravel()])
+    for out, column in zip(got, want.T):
+        assert out.shape == v.shape
+        assert np.array_equal(out.ravel(), column)

@@ -286,7 +286,7 @@ def test_clock_kernel_work_stays_off_the_pad_grid(monkeypatch):
     # the region tables and the barrier's few grid points, not every pad
     # point times every k node (about 4.4 M elements before)
     elements = []
-    for name in ("cos_sqrt", "sinc_sqrt"):
+    for name in ("cos_sqrt", "sinc_sqrt", "propagator_kernels"):
         original = getattr(kernels, name)
 
         def counting(v, original=original):

@@ -58,9 +58,9 @@ def test_kernels_and_widths_split_only_through_model_split():
         assert not gathers and not masked, (name, gathers, masked)
 
 
-def test_only_kernels_read_the_series_window():
-    # SERIES_WINDOW is where the kernels switch to their series; no other
-    # module's decision depends on it, by import or by attribute
+def _readers_outside_kernels(*wanted):
+    """(module file, line) of each import, name or attribute among wanted in
+    the package's modules but kernels.py."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "kernels.py":
@@ -69,8 +69,22 @@ def test_only_kernels_read_the_series_window():
             names = ([alias.name for alias in node.names]
                      if isinstance(node, ast.ImportFrom) else
                      [getattr(node, "id", getattr(node, "attr", None))])
-            if "SERIES_WINDOW" in names:
+            if any(name in wanted for name in names):
                 readers.append((path.name, node.lineno))
+    return readers
+
+
+def test_only_kernels_read_the_series_window():
+    # SERIES_WINDOW is where the kernels switch to their series and
+    # SCALE_SWITCH where they split off a propagator's growth; no other
+    # module's decision depends on either, by import or by attribute
+    readers = _readers_outside_kernels("SERIES_WINDOW", "SCALE_SWITCH")
+    assert readers == [], readers
+
+
+def test_only_kernels_take_hyperbolic_functions():
+    # every hyperbolic growth goes through the kernels that own its scale
+    readers = _readers_outside_kernels("sinh", "cosh")
     assert readers == [], readers
 
 

@@ -566,8 +566,8 @@ def test_evolve_rejects_non_uniform_grid(x):
 
 
 def test_evolve_through_opaque_barrier_stays_finite():
-    # kappa d = 769 at k0: the interior tables are continued across pieces
-    # of kappa L <= 300, so no kernel overflows inside the barrier
+    # kappa d = 769 at k0: the interior table carries the growth past
+    # kappa L = 300 in its weights, so no kernel overflows inside the barrier
     barrier = BarrierSpec(0.25, 1300.0)
     spec = PacketSpec(l0=15.0, x0=-100.0, k0=0.3, n_k=256)
     for state in evolve(spec, barrier, [0.0, 0.5], n_x=2048):

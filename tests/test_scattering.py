@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from tunneltimes import scattering
+from tunneltimes import kernels, scattering
 from tunneltimes.decomposition import stationary_channels
 from tunneltimes.larmor import FieldLayout, spin_potentials
 from tunneltimes.model import (
@@ -89,8 +91,8 @@ def test_multi_region_amplitudes():
 
 
 def test_opaque_barrier_stays_finite():
-    # kappa * width ~ 636: naive cosh/sinh products overflow, the pieces of
-    # kappa0 L <= 300 must deliver the textbook opaque asymptote
+    # kappa * width ~ 636: naive cosh/sinh products overflow, the region's
+    # scaled propagator must deliver the textbook opaque asymptote
     e = 0.02
     k = wavenumber(e, K)
     kap = math.sqrt((0.25 - e) / K)
@@ -104,8 +106,8 @@ def test_opaque_barrier_stays_finite():
     assert abs(amp.det_defect) < 1e-12
 
 
-# a thin barrier, a thin well and an opaque barrier of three pieces
-# (kappa0 d ~ 862)
+# a thin barrier, a thin well and an opaque barrier past the kernels' scale
+# switch (kappa0 d ~ 862)
 @pytest.mark.parametrize("height,width", [(0.25, 0.5), (-0.25, 0.5), (0.25, 1300.0)],
                          ids=["0.25", "-0.25", "opaque"])
 def test_unitarity_and_determinant_over_sweep(height, width):
@@ -127,81 +129,115 @@ def test_unitarity_and_determinant_over_sweep(height, width):
 def test_det_defect_detects_propagator_drift(monkeypatch):
     # det_defect follows the Wronskian of the pulled-back wave, which each
     # propagator's determinant scales: a 1e-9 drift must show
-    exact = scattering._region_propagator
+    exact = kernels.propagator_kernels
 
-    def drifted(z, length):
-        c, f, g = exact(z, length)
+    def drifted(v):
+        c, sinc, u = exact(v)
         s = math.sqrt(1.0 + 1e-9)
-        return c * s, f * s, g * s
+        return c * s, sinc * s, u
 
     k, pot = wavenumber(0.125, K), BarrierSpec(0.25, 0.5).potential()
     assert abs(oracles.amplitudes(k, pot, K).det_defect) < 1e-12
-    monkeypatch.setattr(scattering, "_region_propagator", drifted)
+    monkeypatch.setattr(kernels, "propagator_kernels", drifted)
     assert abs(oracles.amplitudes(k, pot, K).det_defect) > 1e-10
 
 
-def barrier_of_pieces(pieces):
-    """A 1 nm barrier cut into the given number of transfer-matrix pieces."""
-    return BarrierSpec(K * (scattering._PIECE_KAPPA_L * (pieces - 0.5)) ** 2, 1.0)
-
-
-def test_pieces_past_the_bound_raise_before_any_propagator(monkeypatch):
-    # one wavenumber counts as 512, so 2**22 cells allow 8192 pieces, which
-    # share their region's one propagator
-    built = []
-    exact = scattering._region_propagator
-    monkeypatch.setattr(scattering, "_region_propagator",
-                        lambda z, length: built.append(length) or exact(z, length))
-    ks = np.array([0.3])
-    _, tables = scattering.interior_table(ks, barrier_of_pieces(8192).potential(), K)
-    assert len(tables) == 8192
-    assert built == [1.0 / 8192]
-    built.clear()
-    with pytest.raises(NumericInvariantError, match=r"kappa0\*d = 2\.46e\+06") as info:
-        scattering.interior_table(ks, barrier_of_pieces(8193).potential(), K)
-    assert info.value.quantity == "transfer-matrix pieces"
-    assert built == []
-    # kappa0*L past float range counts past the bound, not into math.ceil
-    with pytest.raises(NumericInvariantError, match=r"kappa0\*d = inf"):
-        scattering.interior_table(ks, BarrierSpec(1e308, 1e200).potential(), K)
-
-
-@pytest.mark.parametrize("n_k,pieces", [(1, 8), (512, 8), (1024, 4), (4096, 1)])
-def test_pieces_bound_is_on_pieces_times_wavenumbers(monkeypatch, n_k, pieces):
-    monkeypatch.setattr(scattering, "_MAX_PIECE_CELLS", 4096)
-    ks = np.linspace(0.1, 1.0, n_k)
-    fits = barrier_of_pieces(pieces).potential()
-    assert len(scattering.interior_table(ks, fits, K)[1]) == pieces
-    # one piece more, in a second region
-    past = PiecewisePotential(fits.segments + ((1.0, 2.0, 0.0),))
-    with pytest.raises(NumericInvariantError) as info:
-        scattering.interior_table(ks, past, K)
-    assert info.value.value == (pieces + 1) * max(n_k, 512) > info.value.bound
-
-
-# 0.25 eV x 20000 nm: kappa0 d ~ 13261, 45 pieces sharing one propagator
+# 0.25 eV x 20000 nm: kappa0 d ~ 13261, one scaled propagator
 THICK_45 = BarrierSpec(0.25, 20000.0, 13.25)
-
-
-def test_piece_edges_split_each_region_evenly():
-    pot = PiecewisePotential(THICK_45.potential().segments + ((20100.0, 20101.0, 0.3),))
-    _, tables = scattering.interior_table(np.array([0.3, 0.7]), pot, K)
-    want = []
-    for xl, xr, n in [(13.25, 20013.25, 45), (20013.25, 20100.0, 1), (20100.0, 20101.0, 1)]:
-        edges = [xl + (xr - xl) * j / n for j in range(n)] + [xr]
-        want += list(zip(edges, edges[1:]))
-    assert [(tab.x_left, tab.x_right) for tab in tables] == want
 
 
 def test_many_pieces_match_matching_solver():
     pot = THICK_45.potential()
     ks = wavenumber(np.linspace(1.2, 3.0, 7) * THICK_45.height, K)
     amps, tables = scattering.interior_table(ks, pot, K)
-    assert len(tables) == 45
+    assert len(tables) == 1
     for k, t, r in zip(ks, amps.t, amps.r):
         r0, t0 = oracles.mp_scatter(k, pot.filled_regions(), K, dps=60)
         assert t == pytest.approx(t0, rel=1e-10)
         assert r == pytest.approx(r0, rel=1e-10)
+
+
+def thick_errors(pot, k):
+    """Errors against the mpmath solver at dps 30 + 0.9 kappa0 d: |t - t0|
+    relative to |t0| (absolute below 1e-280), |r - r0|, |T + R - 1| and the
+    worst of psi at 9 points across the support, relative to their max|psi0|."""
+    regions = pot.filled_regions()
+    dps = 30 + int(0.9 * sum((xr - xl) * math.sqrt(max(lev, 0.0) / K)
+                             for xl, xr, lev in regions))
+    amp = oracles.amplitudes(k, pot, K)
+    r0, t0 = oracles.mp_scatter(k, regions, K, dps=dps)
+    a, b = pot.support
+    xs = np.linspace(a, b, 11)[1:-1]
+    want = np.array(oracles.mp_stationary(xs, k, regions, K, dps=dps))
+    got = oracles.stationary_value(xs, k, pot, K)
+    return (abs(amp.t - t0) / max(abs(t0), 1e-280), abs(amp.r - r0),
+            abs(amp.transmission + amp.reflection - 1.0),
+            np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def z_rounding(pot, k):
+    """What rounding z = (E - V)/K to a double moves t, r and psi by: an
+    error eps (E + |V|)/K L^2 in v = z L^2 per region, over max(1, sqrt|v|),
+    which reaches 1e-9 where E ~ V across kappa0 L = 1500."""
+    e = K * k * k
+    return sum(np.finfo(float).eps * (e + abs(lev)) / K * (xr - xl) ** 2
+               / max(1.0, math.sqrt(abs(e - lev) / K) * (xr - xl))
+               for xl, xr, lev in pot.filled_regions())
+
+
+@st.composite
+def thick_regions(draw):
+    """A barrier, a well, or a barrier next to a well (with or without a
+    zero-level gap), each region of kappa0 L from 100 to 1500 across the
+    kernels' scale switch at 300, and k from 0.05 to 2 kappa0."""
+    height = 10.0 ** draw(st.floats(-3.0, 1.0))
+    kappa0 = math.sqrt(height / K)
+    gap = draw(st.one_of(st.just(0.0), st.floats(1.0, 100.0))) / kappa0
+    segments, x = [], draw(st.floats(-50.0, 50.0))
+    for sign in draw(st.sampled_from([(1.0,), (-1.0,), (1.0, -1.0)])):
+        length = draw(st.floats(100.0, 1500.0)) / kappa0
+        segments.append((x, x + length, sign * height))
+        x += length + gap
+    return PiecewisePotential(tuple(segments)), draw(st.floats(0.05, 2.0)) * kappa0
+
+
+@settings(max_examples=60, deadline=None)
+@given(thick_regions())
+def test_thick_regions_match_matching_solver(case):
+    # 500 draws came to at most half of each bound, and to 1.1e-15 of
+    # unitarity; a flat 1e-10 fails where E ~ V, on the old pieces too
+    t_err, r_err, unitarity, psi_err = thick_errors(*case)
+    bound = 1e-12 + 3.0 * z_rounding(*case)
+    assert t_err <= bound and r_err <= bound and psi_err <= bound
+    assert unitarity <= 4e-15
+
+
+@pytest.mark.parametrize("n_k", [1, 512])
+def test_one_table_per_region_at_any_opacity(n_k):
+    # kappa0 d = 2.46e6: one scaled propagator per region, whatever the
+    # number of wavenumbers
+    ks = np.linspace(0.05, 2.0, n_k) * 2.46e6
+    amps, tables = scattering.interior_table(ks, BarrierSpec(K * 2.46e6**2, 1.0).potential(), K)
+    assert [(tab.x_left, tab.x_right) for tab in tables] == [(0.0, 1.0)]
+    assert np.isfinite([amps.t, amps.r]).all()
+    assert np.all(np.abs(amps.transmission + amps.reflection - 1.0) <= 1e-14)
+
+
+@pytest.mark.parametrize("height", [1e300, -1e300])
+def test_region_past_float_range_raises(height):
+    # (kappa0 L)^2 = 1e308 still answers, 1.8e310 would overflow z L^2 for a
+    # barrier and a well alike, and so would (k L)^2 past float range
+    fits = BarrierSpec(math.copysign(K * 1e298, height), 1e5).potential()
+    amps, _ = scattering.interior_table(np.array([0.1, 0.3]), fits, K)
+    np.testing.assert_allclose(amps.transmission + amps.reflection, 1.0, atol=1e-14)
+    past = BarrierSpec(height, 1e5).potential()
+    with pytest.raises(NumericInvariantError,
+                       match=r"kappa0\*L = 1\.33e\+155, k\*L up to 3e\+04") as info:
+        scattering.interior_table(np.array([0.3]), past, K)
+    assert info.value.quantity == "float range"
+    fast = BarrierSpec(height * 1e-303, 10.0).potential()
+    with pytest.raises(NumericInvariantError, match=r"kappa0\*L = 0\.419, k\*L up to 1e\+155"):
+        scattering.interior_table(np.array([1e154]), fast, K)
 
 
 STATE_CASES = [
