@@ -15,10 +15,10 @@ pass: one ``|v|``, one mask per window and, off the series, one
 sin/cos or sinh/cosh pair unmasked: one sine of s and 2s, one cosine of s,
 and the sine of s/2 only past the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|``
 and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
-:func:`propagator_kernels` pairs cos_sqrt and sinc_sqrt, growth split off.
-Every split goes through :func:`tunneltimes.model.split`, which passes a
-one-sided input uncopied and gathers and scatters mixed input, of any
-shape, by integer indices.
+Deep on the evanescent side, width_kernels and :func:`propagator_kernels`
+(cos_sqrt, sinc_sqrt) split each kernel's growth off.  Every split goes
+through :func:`tunneltimes.model.split`, which passes a one-sided input
+uncopied and gathers and scatters mixed input, of any shape, by indices.
 """
 
 from functools import partial
@@ -37,6 +37,10 @@ SERIES_WINDOW = 0.3
 # pair (cosh u, sinh(u)/u) e^{-u} of propagator_kernels is (1/2, 1/(2u)) to
 # double precision, while cosh u itself overflows from u ~ 710
 SCALE_SWITCH = 300.0
+
+# the width kernels split off their growth past -v = WIDTH_SWITCH**2; at SCALE_SWITCH
+# f1^2 ~ e^600 would overflow their denominator for widths d below ~1e-20 nm
+WIDTH_SWITCH = 20.0
 
 _SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
 _COS_COEF = np.array([(-1.0) ** n / factorial(2 * n) for n in range(10)])
@@ -124,11 +128,32 @@ def _widths_direct(sin, cos, v, s, a):
     return sinc, (sinc4 - 1.0) / v, half, (sinc - 1.0) / v, (sinc - cos(s)) / v
 
 
+def _widths_scaled(v):
+    # each kernel times e^{-u}, e^{-2u} or e^{-u/2}, its own growth, with
+    # u = sqrt(-v): the sinh and cosh terms become 1 -+ e^{-2u} over 2
+    u = np.sqrt(-v)
+    e = np.exp(-u)
+    e2 = e * e
+    f1 = (1.0 - e2) / (2.0 * u)
+    return (f1, ((1.0 - e2 * e2) / (4.0 * u) - e2) / v, (1.0 - e) / u, (f1 - e) / v,
+            (f1 - 0.5 * (1.0 + e2)) / v, e, e2)
+
+
 def width_kernels(v):
     """The five kernels of the closed-form widths, in one pass over v.
 
     Returns ``(sinc_sqrt(v), (sinc_sqrt(4 v) - 1)/v, sinc_sqrt(v/4),
-    (sinc_sqrt(v) - 1)/v, (sinc_sqrt(v) - cos_sqrt(v))/v)``, the gaps with
-    their removable singularities filled in (-2/3, -1/6 and 1/3 at v = 0).
+    (sinc_sqrt(v) - 1)/v, (sinc_sqrt(v) - cos_sqrt(v))/v, e, e2)``, the gaps
+    with their removable singularities filled in (-2/3, -1/6 and 1/3 at
+    v = 0).  Past -v = WIDTH_SWITCH**2, e = e^{-u} and e2 = e^{-2u} with
+    u = sqrt(-v), and each kernel comes times its growth: the second times
+    e2, the third times e^{-u/2}, the rest times e.  Elsewhere e and e2 are
+    read-only views of 1.0, and the kernels keep their bits.
     """
-    return _piecewise(v, _widths_series, _widths_direct)
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return tuple(float(out[0]) for out in width_kernels(v[None]))
+    # growth first, so the series and sign splits scatter no constant e, e2
+    return split(v >= -WIDTH_SWITCH**2,
+                 lambda v: (*_piecewise(v, _widths_series, _widths_direct),
+                            *[np.broadcast_to(1.0, v.shape)] * 2), _widths_scaled, v)

@@ -176,9 +176,13 @@ def interior_table(ks, potential, kinetic_coeff):
     (psi +- psi'/(ik)) e^{-+ika} / 2, so t = e^{-sigma}/A and r = B/A; the
     tables go to unit incidence by the phase conj(A)/|A| and -sigma -
     log|A| added to their sigma, and stay finite where t underflows.
-    NumericInvariantError when a region's z L^2 leaves float range.
+    NumericInvariantError when K k^2 or a region's z L^2 leaves float range.
     """
     ks = require_wavenumbers(ks)
+    k_max = float(np.max(ks, initial=0.0))
+    if not math.isfinite(kinetic_coeff * k_max * k_max):
+        raise NumericInvariantError("k up to %.3g: the kinetic energy K k^2 leaves float "
+                                    "range" % k_max, quantity="float range")
     a, b = potential.support
     e = kinetic_coeff * ks * ks
     psi = np.exp(1j * ks * b)
@@ -191,7 +195,7 @@ def interior_table(ks, potential, kinetic_coeff):
         if not math.isfinite(float(np.abs(z).max(initial=0.0)) * length * length):
             raise NumericInvariantError(
                 "kappa0*L = %.3g, k*L up to %.3g: z L^2 leaves float range"
-                % (length * math.sqrt(abs(lev) / kinetic_coeff), length * float(np.max(ks))),
+                % (length * math.sqrt(abs(lev) / kinetic_coeff), length * k_max),
                 quantity="float range")
         c, sinc, u = kernels.propagator_kernels(z * length * length)
         f = length * sinc

@@ -29,26 +29,23 @@ Numerics
 Everything is written in terms of ``v = (k^2 - beta*kappa0^2) * d^2`` and the
 even kernels of :mod:`tunneltimes.kernels`, so a single expression covers the
 below-barrier (v < 0), above-barrier (v > 0) and edge (v = 0) cases without
-cancellation.  For opaque barriers (kappa*d > 20) an algebraically equivalent
-form scaled by 1/sinh^2(kappa*d) avoids overflow; it stays finite beyond
-kappa*d = 700 where sinh itself cannot be represented.  An array of k runs in
-fixed chunks, one :func:`tunneltimes.kernels.width_kernels` pass each.
-:func:`tunneltimes.model.split` picks each chunk's deep and kernel branches,
-passing a one-branch chunk uncopied, and the chunk's six values are copied
-into the preallocated result arrays.
+cancellation.  Past kappa*d = 20 the kernels come scaled by their own growth
+and the closed form puts e^{-kappa d} or e^{-2 kappa d} on its other terms,
+so one quotient stays finite beyond kappa*d = 700, where sinh overflows; below
+the switch those factors are exactly 1.  An array of k runs in fixed chunks,
+one :func:`tunneltimes.kernels.width_kernels` pass each, copied into the
+preallocated result arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .kernels import cos_sqrt, sinc_sqrt, width_kernels
-from .model import (BarrierSpec, NumericInvariantError, group_velocity,
-                    require_wavenumbers, split)
+from .model import BarrierSpec, NumericInvariantError, group_velocity, require_wavenumbers
 
 __all__ = [
     "TimescaleRecord",
@@ -63,10 +60,6 @@ __all__ = [
     "lorentz_width",
 ]
 
-# Switch to the 1/sinh^2-scaled evanescent form once -v = (kappa*d)^2 exceeds
-# this; at the seam both forms agree to rounding.
-_DEEP_SWITCH = 400.0
-
 # k per pass of _quadruple: its ~40 temporaries (64 KiB each, under malloc's
 # mmap threshold) stay in cache; 8192 to 32768 timed alike, 2048 slower
 _CHUNK = 8192
@@ -80,56 +73,24 @@ _LONGWAVE_SWITCH = 703.9191965020692
 # Orders resonance_table builds at most, one record each: 1e5 take about 1 s
 _MAX_ORDERS = 100_000
 
-# Flag long-wave well limits as divergent when kappa0*d sits this close to a
-# multiple of pi (transparency pole of the k -> 0 ratios).
+# Flag long-wave well limits as divergent when |sin(kappa0*d)| is below this:
+# kappa0*d sits that close to a multiple of pi, a pole of the k -> 0 ratios.
 _POLE_WINDOW = 1e-8
 
 
 def _quadruple_kernel(k2, v, k02, beta, d):
-    """Width quadruple plus (T, R) on the kernel branch; array friendly."""
+    """Width quadruple plus (T, R), each term times its kernels' growth."""
     d2 = d * d
-    f1, g1, half, gap, cos_gap = width_kernels(v)
-    den = 4.0 * k2 + (k02 * k02) * d2 * f1 * f1
-    d_phase = 2.0 * d * (2.0 * k2 + beta * k02 - (k02 * k02) * d2 * g1) / den
-    d_dwell = 2.0 * d * k2 * (2.0 - beta * k02 * d2 * g1) / den
-    b1 = k2 - beta * k02 * (0.25 * v) * half * half
-    d_eff = 4.0 * d * b1 * (1.0 - beta * k02 * d2 * gap) / den
-    x_start = -2.0 * beta * k02 * d * (f1 + k2 * d2 * cos_gap) / den
-    t_coef = 4.0 * k2 / den
-    r_coef = (k02 * k02) * d2 * f1 * f1 / den
-    return d_phase, d_dwell, d_eff, x_start, t_coef, r_coef
-
-
-def _quadruple_deep(k2, v, k02, d):
-    """Same quadruple for opaque barriers, scaled by 1/sinh^2(kappa*d).
-
-    Only the below-barrier branch of a positive barrier can reach here
-    (v < -_DEEP_SWITCH requires beta = +1 and kappa^2 = k02 - k2 > 0).
-    """
-    us = np.sqrt(-v)  # kappa * d > 20
-    kap2 = k02 - k2
-    e1 = np.exp(-us)
-    e2 = e1 * e1
-    om = 1.0 - e2
-    s2 = 4.0 * e2 / (om * om)          # 1/sinh^2(us)
-    inv_sinh = 2.0 * e1 / om           # 1/sinh(us)
-    coth = (1.0 + e2) / om
-    r2 = k02 / kap2
-    den = 4.0 * k2 * s2 + k02 * k02 / kap2
-    grow = coth / us
-    d_phase = 2.0 * d * (k2 * (kap2 - k2) / kap2 * s2 + (k02 * k02 / kap2) * grow) / den
-    d_dwell = 2.0 * d * k2 * ((kap2 - k2) / kap2 * s2 + (k02 / kap2) * grow) / den
-    onep = 1.0 + e1
-    b1_s2 = k2 * s2 + k02 * e1 / (onep * onep)            # B1/sinh^2
-    b1_us = (k2 * inv_sinh + 0.5 * k02 * (1.0 - e1) / onep) / us  # B1/(us*sinh)
-    d_eff = 4.0 * d * (r2 * b1_us - (k2 / kap2) * b1_s2) / den
-    x_start = (
-        -2.0 * k02 * d
-        * (((kap2 - k2) / kap2) * inv_sinh / us + (k2 / kap2) * coth * inv_sinh)
-        / den
-    )
-    t_coef = 4.0 * k2 * s2 / den
-    r_coef = (k02 * k02 / kap2) / den
+    f1, g1, half, gap, cos_gap, e, e2 = width_kernels(v)
+    t_num, r_num = 4.0 * k2 * e2, (k02 * k02) * d2 * f1 * f1
+    den = t_num + r_num
+    d_phase = 2.0 * d * ((2.0 * k2 + beta * k02) * e2 - (k02 * k02) * d2 * g1) / den
+    d_dwell = 2.0 * d * k2 * (2.0 * e2 - beta * k02 * d2 * g1) / den
+    b1 = k2 * e - beta * k02 * (0.25 * v) * half * half
+    d_eff = 4.0 * d * b1 * (e - beta * k02 * d2 * gap) / den
+    x_start = -2.0 * beta * k02 * d * (f1 + k2 * d2 * cos_gap) * e / den
+    t_coef = t_num / den
+    r_coef = r_num / den
     return d_phase, d_dwell, d_eff, x_start, t_coef, r_coef
 
 
@@ -137,15 +98,18 @@ def _quadruple(k_arr, k02, beta, d):
     if k02 == 0.0:
         # free particle: every width is exactly d, transmission is total
         return [np.full(k_arr.shape, val) for val in (d, d, d, 0.0, 1.0, 0.0)]
-    deep = partial(_quadruple_deep, k02=k02, d=d)
-    kernel = partial(_quadruple_kernel, k02=k02, beta=beta, d=d)
     out = [np.empty(k_arr.shape) for _ in range(6)]
     for start in range(0, len(k_arr), _CHUNK):
         part = slice(start, start + _CHUNK)
         k2 = k_arr[part] * k_arr[part]
         v = (k2 - beta * k02) * (d * d)
-        for slot, value in zip(out, split(v < -_DEEP_SWITCH, deep, kernel, k2, v)):
+        for slot, value in zip(out, _quadruple_kernel(k2, v, k02, beta, d)):
             slot[part] = value
+    # the scaled gap kernels, ~1/(kappa d)^3, turn subnormal past kappa*d ~ 1e102
+    kappa_d = np.sqrt(max(beta * k02 - k_arr.min() ** 2, 0.0) * (d * d))
+    if kappa_d > 1e100:
+        raise NumericInvariantError("widths leave float range: kappa*d = %.3g lies past "
+                                    "1e100" % kappa_d, quantity="kappa*d")
     return out
 
 
@@ -192,9 +156,9 @@ class TimescaleRecord:
 def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
     """Evaluate the width quadruple and T/R at wavenumber(s) k > 0.
 
-    Past float range, where k^2 and kappa0^4 d^2 both underflow (k and
-    kappa0^2 d below about 1e-162) or a term overflows (k above about 1e154),
-    NumericInvariantError names the width denominator instead of NaN widths.
+    Where k^2 and kappa0^4 d^2 both underflow (k and kappa0^2 d below about
+    1e-162), a term overflows (k above about 1e154, or kappa0^4 d^2) or kappa*d
+    passes 1e100, NumericInvariantError names it instead of NaN widths.
     """
     scalar = np.ndim(k) == 0
     k_arr = np.atleast_1d(require_wavenumbers(k))
@@ -219,9 +183,9 @@ def evaluate_widths(barrier: BarrierSpec, k) -> TimescaleRecord:
 class LongWaveLimits:
     """k -> 0 limits of the four width ratios D/d.
 
-    For wells whose kappa0*d sits within ``_POLE_WINDOW`` of a multiple of pi
-    the diverging entries are reported as signed infinities (sign taken from
-    the approach kappa0*d -> n*pi from below) and ``divergent`` is True.
+    For wells with |sin(kappa0*d)| below ``_POLE_WINDOW``, kappa0*d near
+    ``pole_index``*pi, the diverging entries are reported as signed infinities
+    (sign taken from the approach from below) and ``divergent`` is True.
     """
 
     phase_ratio: float
@@ -237,23 +201,27 @@ def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
 
     Outside a well's pole window every ratio is finite in exact arithmetic;
     one that lies past float range (kappa0*d below ~1e-154, where the phase
-    and starting ratios grow like 2/(kappa0 d)^2) raises NumericInvariantError.
+    and starting ratios grow like 2/(kappa0 d)^2), or a well whose
+    (kappa0 d)^2 overflows, raises NumericInvariantError.
     """
     u0 = barrier.kappa0 * barrier.width
     if u0 == 0.0:
         # Free particle: every width equals d at all k.
         return LongWaveLimits(1.0, 1.0, 1.0, 0.0)
     if barrier.beta < 0.0:
-        near = round(u0 / math.pi)
-        if near >= 1 and abs(u0 - near * math.pi) < _POLE_WINDOW:
-            odd = near % 2 == 1
+        if not math.isfinite(u0 * u0):
+            raise NumericInvariantError("long-wave well ratios at kappa0*d = %.3g lie past "
+                                        "float range" % u0, quantity="(kappa0 d)^2")
+        # sin reduces u0 exactly; u0 - n*pi rounds to 0 for most u0 past 1e16
+        if u0 > 1.0 and abs(math.sin(u0)) < _POLE_WINDOW:
+            odd = math.cos(u0) < 0.0
             return LongWaveLimits(
                 math.inf,
                 0.0,
                 math.inf if odd else 0.0,
                 math.inf if odd else -math.inf,
                 divergent=True,
-                pole_index=near,
+                pole_index=round(u0 / math.pi),
             )
     if barrier.beta > 0.0 and u0 > _LONGWAVE_SWITCH:
         phase = effective = 2.0 / u0

@@ -2,6 +2,8 @@
 
 The mpmath functions solve the piecewise-matching problem from scratch with
 mpmath linear algebra; nothing is shared with the production code paths.
+mp_widths gives the four closed-form quantities (T, dwell, phase and
+starting point) from the same matching solution.
 dense_synthesis is the direct O(N_x N_k) double-precision spectral sum that
 the package replaces with chirp-z transforms.
 
@@ -30,17 +32,31 @@ from tunneltimes.scattering import Amplitudes, interior_table
 from tunneltimes.timescales import evaluate_widths
 
 
+def _basis(x, xl, xr, q):
+    """Values and slopes ((f1, f1'), (f2, f2')) of region (xl, xr)'s basis at x.
+
+    f1 = exp(i q (x - xl)) and f2 = exp(-i q (x - xr)), anchored at the
+    region edges so they stay O(1) for evanescent regions; at q = 0 (E
+    equal to the region's level) the two coincide, and the basis is the
+    linear solution f1 = 1, f2 = x - xl.
+    """
+    if q == 0:
+        return (mp.mpf(1), mp.mpf(0)), (x - xl, mp.mpf(1))
+    f1 = mp.exp(1j * q * (x - xl))
+    f2 = mp.exp(-1j * q * (x - xr))
+    return (f1, 1j * q * f1), (f2, -1j * q * f2)
+
+
 def _solve(k, regions, kinetic_coeff):
     """LU-solve the interface matching equations at current precision.
 
-    Interior basis in region j is anchored at the region edges,
-    f1(x) = exp(i q (x - x_left)) and f2 = exp(-i q (x - x_right)), so
-    all matrix entries stay O(1) for evanescent regions.  Returns
-    (r, t, per-region (A, B, q) in the anchored basis).
+    Region j's interior is A_j f1 + B_j f2 in _basis.  E = K k^2 is formed
+    exactly, so q is 0 exactly when E equals a level.  Returns (r, t,
+    per-region (A, B, q)).
     """
     k = mp.mpf(k)
     K = mp.mpf(kinetic_coeff)
-    e = K * k * k
+    e = mp.fmul(K, mp.fmul(k, k, exact=True), exact=True)
     if not regions:
         return mp.mpc(0), mp.mpc(1), []
     a = mp.mpf(regions[0][0])
@@ -49,51 +65,47 @@ def _solve(k, regions, kinetic_coeff):
     qs = [mp.sqrt(mp.mpc((e - mp.mpf(lev)) / K)) for (_, _, lev) in regions]
 
     def f(j, x):
-        xl, xr = mp.mpf(regions[j][0]), mp.mpf(regions[j][1])
-        return (
-            mp.exp(1j * qs[j] * (x - xl)),
-            mp.exp(-1j * qs[j] * (x - xr)),
-        )
+        return _basis(x, mp.mpf(regions[j][0]), mp.mpf(regions[j][1]), qs[j])
 
     # unknowns: [r, A_1, B_1, ..., A_n, B_n, t]
     m = mp.zeros(2 * n + 2)
     rhs = mp.matrix(2 * n + 2, 1)
     row = 0
-    f1, f2 = f(0, a)
+    (f1, d1), (f2, d2) = f(0, a)
     m[row, 0] = mp.exp(-1j * k * a)
     m[row, 1] = -f1
     m[row, 2] = -f2
     rhs[row] = -mp.exp(1j * k * a)
     row += 1
     m[row, 0] = -1j * k * mp.exp(-1j * k * a)
-    m[row, 1] = -1j * qs[0] * f1
-    m[row, 2] = 1j * qs[0] * f2
+    m[row, 1] = -d1
+    m[row, 2] = -d2
     rhs[row] = -1j * k * mp.exp(1j * k * a)
     row += 1
     for j in range(n - 1):
         xj = mp.mpf(regions[j][1])
-        g1, g2 = f(j, xj)
-        h1, h2 = f(j + 1, xj)
+        (g1, dg1), (g2, dg2) = f(j, xj)
+        (h1, dh1), (h2, dh2) = f(j + 1, xj)
         c = 1 + 2 * j
         m[row, c] = g1
         m[row, c + 1] = g2
         m[row, c + 2] = -h1
         m[row, c + 3] = -h2
         row += 1
-        m[row, c] = 1j * qs[j] * g1
-        m[row, c + 1] = -1j * qs[j] * g2
-        m[row, c + 2] = -1j * qs[j + 1] * h1
-        m[row, c + 3] = 1j * qs[j + 1] * h2
+        m[row, c] = dg1
+        m[row, c + 1] = dg2
+        m[row, c + 2] = -dh1
+        m[row, c + 3] = -dh2
         row += 1
-    g1, g2 = f(n - 1, b)
+    (g1, dg1), (g2, dg2) = f(n - 1, b)
     c = 1 + 2 * (n - 1)
     m[row, c] = g1
     m[row, c + 1] = g2
     m[row, 2 * n + 1] = -mp.exp(1j * k * b)
     rhs[row] = 0
     row += 1
-    m[row, c] = 1j * qs[n - 1] * g1
-    m[row, c + 1] = -1j * qs[n - 1] * g2
+    m[row, c] = dg1
+    m[row, c + 1] = dg2
     m[row, 2 * n + 1] = -1j * k * mp.exp(1j * k * b)
     sol = mp.lu_solve(m, rhs)
     coef = [(sol[1 + 2 * j], sol[2 + 2 * j], qs[j]) for j in range(n)]
@@ -115,9 +127,8 @@ def _psi(x, k, regions, r, t, coef):
         return t * mp.exp(1j * mp.mpf(k) * x)
     for (xl, xr, _), (aj, bj, qj) in zip(regions, coef):
         if x < mp.mpf(xr):
-            return aj * mp.exp(1j * qj * (x - mp.mpf(xl))) + bj * mp.exp(
-                -1j * qj * (x - mp.mpf(xr))
-            )
+            (f1, _), (f2, _) = _basis(x, mp.mpf(xl), mp.mpf(xr), qj)
+            return aj * f1 + bj * f2
     raise AssertionError("unreachable")
 
 
@@ -147,6 +158,53 @@ def mp_dwell(k, regions, kinetic_coeff, dps=60):
                 [mp.mpf(xl), mp.mpf(xr)], method="gauss-legendre",
             )
         return float(total)
+
+
+def mp_widths(barrier, k, dps=40):
+    """(T, D_dwell, D_phase, x_start) of one barrier or well at one k.
+
+    All four come from the matching solution alone: T = |t|^2; D_dwell the
+    integral of |psi|^2 over the barrier, exact for the exponential basis;
+    D_phase = d + d(arg t)/dk; and x_start = -s d(gamma)/dk with the channel
+    angle gamma = arctan(|r|/|t|) and branch s = -beta sign(sinc_sqrt(v)),
+    v = (k^2 - V0/K) d^2, beta the sign of V0.  The derivatives are
+    mpmath's numerical ones at the working precision.
+    """
+    regions = [(barrier.left_edge, barrier.right_edge, barrier.height)]
+    kin = barrier.kinetic_coeff
+    with mp.workdps(dps):
+        k = mp.mpf(k)
+        _, t, coef = _solve(k, regions, kin)
+        (a, b, q), = coef
+        # psi = a e^{iqu} + b e^{-iq(u - L)}, u = x - a: each term of |psi|^2
+        # is an exponential in u, integrated in closed form, or a polynomial
+        length = mp.mpf(barrier.right_edge) - mp.mpf(barrier.left_edge)
+
+        def integral(c):
+            return length if c == 0 else (mp.exp(c * length) - 1) / c
+
+        qc = mp.conj(q)
+        if q == 0:
+            # psi = a + b u at E = V0
+            dwell = (abs(a) ** 2 * length + mp.re(a * mp.conj(b)) * length ** 2
+                     + abs(b) ** 2 * length ** 3 / 3)
+        else:
+            dwell = (abs(a) ** 2 * integral(1j * (q - qc))
+                     + abs(b) ** 2 * integral(-1j * (q - qc)) * mp.exp(1j * (q - qc) * length)
+                     + 2 * mp.re(a * mp.conj(b) * integral(1j * (q + qc))
+                                 * mp.exp(-1j * qc * length)))
+        slope = mp.diff(lambda kk: _solve(kk, regions, kin)[1], k)
+
+        def angle(kk):
+            r_kk, t_kk, _ = _solve(kk, regions, kin)
+            return mp.atan(abs(r_kk) / abs(t_kk))
+
+        v = (k * k - mp.mpf(barrier.height) / kin) * length ** 2
+        kernel_sign = 1 if v <= 0 else mp.sign(mp.sin(mp.sqrt(v)))
+        branch = -barrier.beta * kernel_sign
+        return (float(abs(t) ** 2), float(mp.re(dwell)),
+                float(mp.im(slope / t)) + barrier.width,
+                float(-branch * mp.diff(angle, k)))
 
 
 def dense_synthesis(x, ks, u_full, u_tr, amps, tables, support):

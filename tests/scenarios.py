@@ -137,6 +137,14 @@ SCENARIOS = (
     Scenario("limits-underflow", {"barrier": {"height": -0.00108, "width": 1e-300}},
              (["limits"],), exit_code=3, rerun=False,
              gates=(stderr_has("long-wave phase ratio"),)),
+    # wells whose kappa0 d (1.3e310) or (kappa0 d)^2 (1.8e400) overflows: no
+    # branch of the long-wave ratios is left to tell
+    Scenario("limits-well-past-float-range", {"barrier": {"height": -1e300, "width": 1e160}},
+             (["limits"],), exit_code=3, rerun=False,
+             gates=(stderr_has("kappa0*d = inf lie past float range"),)),
+    Scenario("limits-well-square-overflow", {"barrier": {"height": -1e100, "width": 1e150}},
+             (["limits"],), exit_code=3, rerun=False,
+             gates=(stderr_has("kappa0*d = 1.33e+200 lie past float range"),)),
     # d = 1e-154 nm: (pi/d)^2 overflows, so k_r lies past float range
     Scenario("resonance-overflow", {"barrier": {"height": 0.25, "width": 1e-154}},
              (["resonance"],), exit_code=3, rerun=False,
@@ -186,6 +194,11 @@ SCENARIOS = (
              (["packet"],), exit_code=3, rerun=False,
              gates=(stderr_has("kappa0*L = 1.33e+155, k*L up to 6.56e+04: z L^2 leaves "
                                "float range"),)),
+    # k0 1e160: the nodes are distinct and the spectrum finite, but K k^2 overflows
+    Scenario("packet-energy-overflow",
+             dict(RUN, packet={"l0": 1e-150, "x0": 0.0, "k0": 1e160, "n_k": 16}),
+             (["packet"],), exit_code=3, rerun=False,
+             gates=(stderr_has("k up to 1e+160: the kinetic energy K k^2 leaves float range"),)),
     Scenario("sweep-points-past-bound", {"barrier": {"height": 0.25, "width": 0.5},
                                          "sweep": {"points": 10**10}},
              (["sweep"],), exit_code=2, rerun=False,

@@ -61,15 +61,26 @@ def _width_output(index, name):
     return output
 
 
+def _grown(oracle, power):
+    """oracle(v) times e^{-power u}, u = sqrt(-v), past the width switch:
+    each width kernel there carries its own growth split off."""
+    def scaled(v):
+        v = mp.mpf(v)
+        if -v <= mp.mpf(kernels.WIDTH_SWITCH) ** 2:
+            return oracle(v)
+        return oracle(v) * mp.exp(-power * mp.sqrt(-v))
+    return scaled
+
+
 # width_kernels' five outputs, each named after the kernel it evaluates
 WIDTH_ORACLES = {
-    _width_output(i, name): oracle
-    for i, (name, oracle) in enumerate([
-        ("width_sinc_sqrt", mp_sinc_sqrt),
-        ("sinc4_gap", mp_sinc4_gap),
-        ("width_sinc_sqrt_quarter", mp_sinc_sqrt_quarter),
-        ("sinc_gap", mp_sinc_gap),
-        ("sinc_cos_gap", mp_sinc_cos_gap),
+    _width_output(i, name): _grown(oracle, power)
+    for i, (name, oracle, power) in enumerate([
+        ("width_sinc_sqrt", mp_sinc_sqrt, 1),
+        ("sinc4_gap", mp_sinc4_gap, 2),
+        ("width_sinc_sqrt_quarter", mp_sinc_sqrt_quarter, mp.mpf(1) / 2),
+        ("sinc_gap", mp_sinc_gap, 1),
+        ("sinc_cos_gap", mp_sinc_cos_gap, 1),
     ])
 }
 
@@ -141,8 +152,8 @@ def test_vectorized_matches_scalar(fn):
 def test_known_zero_values():
     assert kernels.sinc_sqrt(0.0) == 1.0
     assert kernels.cos_sqrt(0.0) == 1.0
-    f1, gap4, quarter, gap, cos_gap = kernels.width_kernels(0.0)
-    assert f1 == 1.0 and quarter == 1.0
+    f1, gap4, quarter, gap, cos_gap, e, e2 = kernels.width_kernels(0.0)
+    assert f1 == 1.0 and quarter == 1.0 and e == 1.0 and e2 == 1.0
     assert gap4 == pytest.approx(-2.0 / 3.0, rel=1e-16)
     assert gap == pytest.approx(-1.0 / 6.0, rel=1e-16)
     assert cos_gap == pytest.approx(1.0 / 3.0, rel=1e-16)
@@ -285,11 +296,33 @@ DENSE_V = np.concatenate([
 ])
 
 
+WIDTH_SWITCH_V = -kernels.WIDTH_SWITCH**2
+
+
 def test_width_kernels_match_prefusion_kernels_bitwise():
-    got = kernels.width_kernels(DENSE_V)
-    want = _prefusion_width_kernels(DENSE_V)
+    # up to the width switch every kernel keeps its bits and its growth
+    # factors are exactly 1
+    v = np.concatenate([DENSE_V, _edges(WIDTH_SWITCH_V)])
+    shallow = v >= WIDTH_SWITCH_V
+    assert 0 < shallow.sum() < v.size
+    *got, e, e2 = kernels.width_kernels(v)
+    want = _prefusion_width_kernels(v)
     for index, (g, w) in enumerate(zip(got, want)):
-        assert np.array_equal(g, w), index
+        assert np.array_equal(g[shallow], w[shallow]), index
+    assert (e[shallow] == 1.0).all() and (e2[shallow] == 1.0).all()
+
+
+@pytest.mark.parametrize("v", [np.nextafter(WIDTH_SWITCH_V, -np.inf), -1234.5, -4e4,
+                               -1e12, -1e200])
+def test_width_kernels_past_the_switch_match_mpmath(v):
+    # past it the kernels carry e^{-u}, e^{-2u} or e^{-u/2}, u = sqrt(-v),
+    # and e and e2 are e^{-u} and e^{-2u}
+    got = kernels.width_kernels(v)
+    u = mp.sqrt(-mp.mpf(v))
+    want = [float(oracle(v)) for oracle in WIDTH_ORACLES.values()]
+    want += [float(mp.exp(-u)), float(mp.exp(-2 * u))]
+    for index, (g, w) in enumerate(zip(got, want)):
+        assert g == pytest.approx(w, rel=1e-14, abs=1e-300), index
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ def test_larmor_builds_its_solves_only_through_packets():
 def test_kernels_and_widths_split_only_through_model_split():
     # model.split is the one mask split of the piecewise closed forms: the
     # kernels and the widths gather no indices and run no where= masked
-    # ufunc of their own
+    # ufunc of their own, and the widths need no split of their own
     from tunneltimes import kernels, model, timescales
-    assert kernels.split is timescales.split is model.split
+    assert kernels.split is model.split and not hasattr(timescales, "split")
     for name in ("kernels", "timescales"):
         calls = [node for node in ast.walk(ast.parse((PACKAGE / (name + ".py")).read_text()))
                  if isinstance(node, ast.Call)]
@@ -75,10 +75,11 @@ def _readers_outside_kernels(*wanted):
 
 
 def test_only_kernels_read_the_series_window():
-    # SERIES_WINDOW is where the kernels switch to their series and
-    # SCALE_SWITCH where they split off a propagator's growth; no other
-    # module's decision depends on either, by import or by attribute
-    readers = _readers_outside_kernels("SERIES_WINDOW", "SCALE_SWITCH")
+    # SERIES_WINDOW is where the kernels switch to their series, and
+    # SCALE_SWITCH and WIDTH_SWITCH where they split off a propagator's and
+    # the widths' growth; no other module's decision depends on any of them,
+    # by import or by attribute
+    readers = _readers_outside_kernels("SERIES_WINDOW", "SCALE_SWITCH", "WIDTH_SWITCH")
     assert readers == [], readers
 
 

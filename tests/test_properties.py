@@ -3,7 +3,8 @@
 Barriers and wells are drawn log-uniformly over |V0| in [1e-6, 1e3] eV,
 d in [1e-4, 1e2] nm and k in [1e-5, 30] 1/nm, which spans opaque barriers
 (kappa d in the thousands), k -> 0, E ~ V0, deep wells near transparency
-poles and large k.  The stationary channel split has its own box,
+poles and large k.  The widths have an mpmath box, kappa0*d in [1e-3, 1500]
+with k in [1e-3, 3] kappa0.  The stationary channel split has its own box,
 kappa0*d in [1e-2, 50] with resonant k, checked against the mpmath matching
 solution.  Every package call runs with warnings raised as errors.
 """
@@ -13,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -67,6 +68,33 @@ def test_closed_form_transmission_matches_matching_solver(barrier, k):
 
 
 @settings(max_examples=200, deadline=None)
+@given(sign=st.sampled_from([1.0, -1.0]), log_kd=st.floats(-3.0, math.log10(1500.0)),
+       log_width=st.floats(-1.0, 2.0), log_ratio=st.floats(-3.0, math.log10(3.0)))
+@example(sign=1.0, log_kd=0.0, log_width=0.0, log_ratio=0.0)  # E = V0 exactly
+def test_widths_match_the_matching_solver(sign, log_kd, log_width, log_ratio):
+    # kappa0*d from 1e-3 to 1500 and k from 1e-3 to 3 kappa0: barriers on
+    # both sides of the kernels' growth split at kappa*d = 20, wells, and k
+    # above the top.  Each width is held to 1e-10 of the largest, and T to
+    # 1e-10, plus how far they move as v = (k^2 - kappa0^2) d^2 moves by the
+    # rounding of k^2 and kappa0^2 alone: near a transparency peak of a thick
+    # barrier, k within 1e-4 of kappa0, that spread reaches ~1e-9
+    width = 10.0**log_width
+    barrier = BarrierSpec(sign * K * (10.0**log_kd / width) ** 2, width)
+    k = barrier.kappa0 * 10.0**log_ratio
+    names = ("transmission", "dwell_width", "phase_width", "starting_point")
+    rec = _strict(evaluate_widths, barrier, k)
+    shift = 4.0 * 2.0**-52 * (k * k + barrier.kappa0**2)
+    moved = [_strict(evaluate_widths, barrier, math.sqrt(k * k + s)) for s in (-shift, shift)]
+    want = oracles.mp_widths(barrier, k)
+    scale = max(width, abs(rec.phase_width), abs(rec.effective_width),
+                abs(rec.starting_point))
+    for name, value, unit in zip(names, want, (1.0, scale, scale, scale)):
+        got = getattr(rec, name)
+        spread = max(abs(getattr(other, name) - got) for other in moved)
+        assert abs(got - value) <= 1e-10 * unit + spread, (name, got, value, spread)
+
+
+@settings(max_examples=200, deadline=None)
 @given(sign=st.sampled_from([1.0, -1.0]), log_kd=st.floats(-3.0, 4.0),
        log_width=st.floats(-4.0, 3.0), n=st.integers(1, 8))
 def test_lorentz_width_is_the_starting_point_shift(sign, log_kd, log_width, n):
@@ -113,6 +141,7 @@ CHANNEL_TOL = 1e-12
 
 @settings(max_examples=200, deadline=None)
 @given(channel_cases())
+@example((BarrierSpec(K, 1.0), 1.0, np.linspace(-1.0, 2.0, 8)))  # E = V0 exactly
 def test_stationary_channels_sum_to_the_matching_solution(case):
     barrier, k, x = case
     psi_tr, psi_ref = _strict(stationary_channels, barrier, k, x)

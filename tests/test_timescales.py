@@ -184,6 +184,28 @@ def test_longwave_limits_past_float_range_raise(bar):
         longwave_limits(bar)
 
 
+@pytest.mark.parametrize("well", [BarrierSpec(-1e300, 1e160), BarrierSpec(-1e100, 1e150)],
+                         ids=["kappa0-d-inf", "square-inf"])
+def test_longwave_well_limits_past_float_range_raise(well):
+    # round(inf) raised OverflowError; sin of an infinite v0 warned and gave NaN
+    with pytest.raises(NumericInvariantError, match="past float range"):
+        longwave_limits(well)
+
+
+def test_longwave_well_poles_are_decided_by_the_sine():
+    # past kappa0 d ~ 1e16, u0 - round(u0/pi)*pi rounds to 0 for most u0,
+    # while sin(u0) reduces its argument exactly: a well is flagged only
+    # where |sin(u0)| is below the pole window
+    wells = [BarrierSpec(-1e10, 1e140)]
+    wells += [barrier_for(u, sign=-1.0) for u in np.logspace(16.0, 18.0, 40)]
+    for well in wells:
+        u0 = well.kappa0 * well.width
+        lw = longwave_limits(well)
+        assert lw.divergent == (abs(math.sin(u0)) < timescales._POLE_WINDOW), u0
+        ratios = (lw.phase_ratio, lw.effective_ratio, lw.starting_ratio)
+        assert lw.divergent or all(map(math.isfinite, ratios)), (u0, ratios)
+
+
 def test_longwave_limit_closed_forms():
     # tanh/sinh (barrier) and tan/sin (well) forms of the k -> 0 ratios
     u = 1.3
