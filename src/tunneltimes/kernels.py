@@ -3,10 +3,12 @@
 Scattering off a uniform potential step depends on the local wavenumber q
 only through q**2, so every closed form in this package is written in
 terms of kernels of v = q**2 * L**2 that stay analytic across q**2 = 0
-(oscillating for v > 0, evanescent for v < 0).  Direct evaluation of a
-quotient like (sin(x)/x - 1)/x**2 loses all significant digits as x -> 0,
-so each kernel switches to its Taylor series inside |v| <= SERIES_WINDOW,
-where the truncated series is accurate to full double precision.
+(oscillating for v > 0, evanescent for v < 0).  cos_sqrt and sinc_sqrt
+evaluate directly, as cos(s) and sin(s)/s or cosh(s) and sinh(s)/s with
+s = sqrt|v|, and are (1, 1) at v = 0.  The series window is there for the
+three gap quotients of the widths, such as (sinc_sqrt(v) - 1)/v, which
+lose all significant digits as v -> 0: inside |v| <= SERIES_WINDOW they
+run their Taylor series, accurate there to full double precision.
 
 Numerics: the series run as an in-place Horner loop in ``polyval``'s
 operation order.  :func:`width_kernels` takes the five width kernels in one
@@ -16,9 +18,8 @@ sin/cos or sinh/cosh pair unmasked: one sine of s and 2s, one cosine of s,
 and the sine of s/2 only past the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|``
 and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
 Deep on the evanescent side, width_kernels and :func:`propagator_kernels`
-(cos_sqrt, sinc_sqrt) split each kernel's growth off.  Every split goes
-through :func:`tunneltimes.model.split`, which passes a one-sided input
-uncopied and gathers and scatters mixed input, of any shape, by indices.
+split each kernel's growth off.  Every split is a :func:`tunneltimes.model.split`,
+which passes one-sided input uncopied and mixed input by indices.
 """
 
 from functools import partial
@@ -30,7 +31,7 @@ from .model import split
 
 # direct evaluation of the gap quotients amplifies rounding like eps/|v|;
 # at |v| = 0.3 that is ~4e-15, and the truncated series at the window edge
-# is still good to ~1e-17, so every kernel is uniformly ~5e-15 accurate
+# is still good to ~1e-17, so every width kernel is uniformly ~5e-15 accurate
 SERIES_WINDOW = 0.3
 
 # past -v = SCALE_SWITCH**2, e^{-2u} < 1e-260 with u = sqrt(-v): the scaled
@@ -43,12 +44,9 @@ SCALE_SWITCH = 300.0
 WIDTH_SWITCH = 20.0
 
 _SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
-_COS_COEF = np.array([(-1.0) ** n / factorial(2 * n) for n in range(10)])
 _GAP4_COEF = np.array([(-4.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
 _GAP1_COEF = _SINC_COEF[1:]  # (sinc_sqrt(v) - 1)/v: the sinc chain but its last step
-_GAPD_COEF = np.array(
-    [(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)]
-)
+_GAPD_COEF = np.array([(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)])
 
 
 def _horner(u, coef):
@@ -62,8 +60,8 @@ def _horner(u, coef):
     return out
 
 
-def _piecewise(v, series, direct):
-    """Tuple of kernels: series(v, |v|) inside the window; outside it
+def _piecewise(v, window, near, direct):
+    """Tuple of kernels: near(v, |v|) where |v| <= window; outside it
     direct(sin, cos, v, s, |v|) with s = sqrt|v| and (sin, cos) the pair of
     v's sign, hyperbolic below 0."""
     v = np.asarray(v, dtype=float)
@@ -77,22 +75,24 @@ def _piecewise(v, series, direct):
         return split(v > 0, partial(direct, np.sin, np.cos),
                      partial(direct, np.sinh, np.cosh), v, np.sqrt(a), a)
 
-    outs = split(a <= SERIES_WINDOW, series, outside, v, a)
+    outs = split(a <= window, near, outside, v, a)
     return tuple(float(out[0]) for out in outs) if scalar else outs
 
 
-def sinc_sqrt(v):
-    """sin(sqrt(v))/sqrt(v) for v > 0, sinh(sqrt(-v))/sqrt(-v) for v < 0.
+def _at_zero(v, a):
+    # (cos_sqrt, sinc_sqrt, u) at v = +-0, where sin(s)/s would be 0/0
+    return np.ones_like(v), np.ones_like(v), np.broadcast_to(0.0, v.shape)
 
-    Entire function of v, equal to 1 at v = 0.
-    """
-    return _piecewise(v, lambda v, a: (_horner(v, _SINC_COEF),),
+
+def sinc_sqrt(v):
+    """sin(sqrt(v))/sqrt(v) for v > 0, sinh(sqrt(-v))/sqrt(-v) for v < 0, 1 at v = 0."""
+    return _piecewise(v, 0.0, lambda v, a: _at_zero(v, a)[1:2],
                       lambda sin, cos, v, s, a: (sin(s) / s,))[0]
 
 
 def cos_sqrt(v):
     """cos(sqrt(v)) for v > 0, cosh(sqrt(-v)) for v < 0."""
-    return _piecewise(v, lambda v, a: (_horner(v, _COS_COEF),),
+    return _piecewise(v, 0.0, lambda v, a: _at_zero(v, a)[:1],
                       lambda sin, cos, v, s, a: (cos(s),))[0]
 
 
@@ -108,8 +108,7 @@ def propagator_kernels(v):
     u = sqrt(-v) where -v > SCALE_SWITCH**2 and 0 elsewhere (u may be a
     read-only view): every entry stays O(1), and the first two keep their
     kernels' bits where u = 0."""
-    return _piecewise(v, lambda v, a: (_horner(v, _COS_COEF), _horner(v, _SINC_COEF),
-                                       np.broadcast_to(0.0, v.shape)), _propagator_direct)
+    return _piecewise(v, 0.0, _at_zero, _propagator_direct)
 
 
 def _widths_series(v, a):
@@ -155,5 +154,5 @@ def width_kernels(v):
         return tuple(float(out[0]) for out in width_kernels(v[None]))
     # growth first, so the series and sign splits scatter no constant e, e2
     return split(v >= -WIDTH_SWITCH**2,
-                 lambda v: (*_piecewise(v, _widths_series, _widths_direct),
+                 lambda v: (*_piecewise(v, SERIES_WINDOW, _widths_series, _widths_direct),
                             *[np.broadcast_to(1.0, v.shape)] * 2), _widths_scaled, v)

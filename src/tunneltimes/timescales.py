@@ -233,7 +233,8 @@ def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
         # v0 underflows to 0 once kappa0*d < ~2e-162; NaN then fails below
         denom = v0 * f1 or math.nan
         phase = -2.0 * c0 / denom
-        effective = 2.0 * f1 / (1.0 + c0)
+        # 2 f1/(1 + c0) at half the angle, so 1 + cos u0 does not cancel near odd poles
+        effective = sinc_sqrt(0.25 * v0) / cos_sqrt(0.25 * v0)
         starting = 2.0 / denom
     for name, value in (("phase", phase), ("effective", effective),
                         ("starting", starting)):

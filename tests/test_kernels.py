@@ -97,12 +97,14 @@ def _window(fn):
     return (4 if quarter else 1) * kernels.SERIES_WINDOW
 
 
-# spans both sides of the series windows at 0.3 (and 1.2 for v/4), the
-# branch point at 0, and deep oscillating/evanescent values
+# spans both sides of the series windows at 0.3 (and 1.2 for v/4) to the
+# last bit, the branch point at +-0 and the subnormals beside it, and deep
+# oscillating/evanescent values
 V_GRID = [
-    0.0, 1e-300, -1e-300, 1e-18, -1e-18, 1e-9, -1e-9, 1e-4, -1e-4,
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-18, -1e-18, 1e-9, -1e-9, 1e-4, -1e-4,
     0.2999, -0.2999, 0.3001, -0.3001, 1.0, -1.0, 1.1999, -1.1999, 1.2001, -1.2001,
     9.5, -9.5, 100.0, -100.0, 1234.5, -1234.5, -4e4,
+    *(s * np.nextafter(kernels.SERIES_WINDOW, t) for s in (1.0, -1.0) for t in (0.0, 1.0)),
 ]
 
 
@@ -152,6 +154,12 @@ def test_vectorized_matches_scalar(fn):
 def test_known_zero_values():
     assert kernels.sinc_sqrt(0.0) == 1.0
     assert kernels.cos_sqrt(0.0) == 1.0
+    # sin(s)/s would be 0/0 at v = +-0: the pair takes its limit there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero in (0.0, -0.0):
+            assert kernels.propagator_kernels(zero) == (1.0, 1.0, 0.0)
+            assert kernels.propagator_kernels(np.array([zero, 1.0]))[1][0] == 1.0
     f1, gap4, quarter, gap, cos_gap, e, e2 = kernels.width_kernels(0.0)
     assert f1 == 1.0 and quarter == 1.0 and e == 1.0 and e2 == 1.0
     assert gap4 == pytest.approx(-2.0 / 3.0, rel=1e-16)
@@ -330,6 +338,22 @@ def test_width_kernels_past_the_switch_match_mpmath(v):
 # switch, and their e^{-u}-scaled values past it, with u = sqrt(-v)
 
 SWITCH_V = -kernels.SCALE_SWITCH**2
+
+
+def test_cos_and_sinc_match_mpmath_to_two_ulp_in_the_old_window():
+    # cos_sqrt, sinc_sqrt and the propagator pair evaluate directly next to
+    # v = 0, where they do not cancel: a dense grid over |v| <= SERIES_WINDOW
+    # and a logspace down to 1e-320 on both signs
+    edge = kernels.SERIES_WINDOW
+    tail = np.logspace(-320, np.log10(edge), 500)
+    v = np.concatenate([np.linspace(-edge, edge, 4001), tail, -tail])
+    with mp.workdps(40):
+        want = np.array([[float(mp_cos_sqrt(x)), float(mp_sinc_sqrt(x))] for x in v]).T
+    c, sinc, u = kernels.propagator_kernels(v)
+    for got, value in ((kernels.cos_sqrt(v), want[0]), (kernels.sinc_sqrt(v), want[1]),
+                       (c, want[0]), (sinc, want[1])):
+        assert np.all(np.abs(got - value) <= 2.0 * np.spacing(value))
+    assert not u.any()
 
 
 def test_propagator_kernels_are_cos_and_sinc_up_to_the_switch():

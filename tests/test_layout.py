@@ -75,12 +75,22 @@ def _readers_outside_kernels(*wanted):
 
 
 def test_only_kernels_read_the_series_window():
-    # SERIES_WINDOW is where the kernels switch to their series, and
+    # SERIES_WINDOW is where the width kernels switch to their series, and
     # SCALE_SWITCH and WIDTH_SWITCH where they split off a propagator's and
     # the widths' growth; no other module's decision depends on any of them,
     # by import or by attribute
     readers = _readers_outside_kernels("SERIES_WINDOW", "SCALE_SWITCH", "WIDTH_SWITCH")
     assert readers == [], readers
+    # inside kernels.py the window serves only the width family's gap
+    # quotients, which cancel near v = 0: no other function reads it or
+    # runs a series through _horner
+    series = set()
+    for node in ast.parse((PACKAGE / "kernels.py").read_text()).body:
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+                    and inner.id in ("SERIES_WINDOW", "_horner")):
+                series.add(getattr(node, "name", "<module level>"))
+    assert series == {"width_kernels", "_widths_series", "_widths_direct"}, series
 
 
 def test_only_kernels_take_hyperbolic_functions():
@@ -133,4 +143,4 @@ def test_ci_runs_cli_scenarios_only_through_the_table():
     assert "<<" not in workflow
     assert not re.search(r"\btunneltimes\s+(sweep|packet|larmor|resonance|limits)\b",
                           workflow)
-    assert workflow.count("run: python tests/scenarios.py") == 2
+    assert workflow.count("run: python tests/scenarios.py") == 3

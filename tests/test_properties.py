@@ -6,20 +6,23 @@ d in [1e-4, 1e2] nm and k in [1e-5, 30] 1/nm, which spans opaque barriers
 poles and large k.  The widths have an mpmath box, kappa0*d in [1e-3, 1500]
 with k in [1e-3, 3] kappa0.  The stationary channel split has its own box,
 kappa0*d in [1e-2, 50] with resonant k, checked against the mpmath matching
-solution.  Every package call runs with warnings raised as errors.
+solution.  The long-wave ratios and the scaling limit each have an mpmath
+box against their closed forms.  Every package call runs with warnings
+raised as errors.
 """
 
 import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tunneltimes import (BarrierSpec, ParticleSpec, evaluate_widths, lorentz_width,
-                         resonance_table, stationary_channels)
+from tunneltimes import (BarrierSpec, ParticleSpec, evaluate_widths, longwave_limits,
+                         lorentz_width, resonance_table, scaling_limit, stationary_channels)
 
 K_MAX = 30.0
 K = ParticleSpec().kinetic_coeff
@@ -153,3 +156,85 @@ def test_stationary_channels_sum_to_the_matching_solution(case):
     error = np.abs(psi_tr + psi_ref - want) / np.maximum(1.0, np.abs(want))
     assert np.max(error) <= CHANNEL_TOL
     assert np.all(psi_ref[x >= barrier.left_edge] == 0.0)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0**x)
+
+
+def _relative_error(got, want, floor=0.0):
+    return float(abs(mp.mpf(got) - want) / max(abs(want), floor))
+
+
+@st.composite
+def longwave_barriers(draw):
+    """A barrier with kappa0*d in [1e-150, 1500], both sides of the switch to
+    the exp(-u) forms at ~704, or a well with kappa0*d in [1e-150, 50]: each
+    half the time log-uniform over its range, half uniform from 1."""
+    width = 10.0 ** draw(st.floats(-1.0, 2.0))
+    sign, top = draw(st.sampled_from([(1.0, 1500.0), (-1.0, 50.0)]))
+    kd = draw(st.one_of(_log_uniform(1e-150, top), st.floats(1.0, top)))
+    return BarrierSpec(sign * K * (kd / width) ** 2, width)
+
+
+# over 18000 scratch draws of this box the worst ratio erred by 4.4e-16
+LONGWAVE_TOL = 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(longwave_barriers())
+# 2 f1/(1 + cos u0) cancelled to 3.5e-12 here, next to the pole at 7 pi
+@example(BarrierSpec(-K * 21.987813818671203**2, 1.0))
+def test_longwave_limits_match_their_closed_forms(barrier):
+    # wells keep |sin(kappa0 d)| >= 1e-3.  Each reference is taken at the
+    # package's own float u = kappa0*d, and a starting ratio that underflows
+    # is held to its error at the smallest normal float
+    u0 = barrier.kappa0 * barrier.width
+    assume(barrier.beta > 0.0 or abs(math.sin(u0)) >= 1e-3)
+    lw = _strict(longwave_limits, barrier)
+    with mp.workdps(50):
+        u = mp.mpf(u0)
+        if barrier.beta > 0.0:
+            want = 2 / (u * mp.tanh(u)), 2 * mp.tanh(u / 2) / u, -2 / (u * mp.sinh(u))
+        else:
+            want = -2 / (u * mp.tan(u)), 2 * mp.tan(u / 2) / u, 2 / (u * mp.sin(u))
+        got = lw.phase_ratio, lw.effective_ratio, lw.starting_ratio
+        errors = [_relative_error(g, w, np.finfo(float).tiny) for g, w in zip(got, want)]
+    assert max(errors) <= LONGWAVE_TOL, (u0, errors)
+    assert lw.dwell_ratio == 0.0 and not lw.divergent
+
+
+# over 5000 scratch draws of this box the worst width erred by 8.0e-16 and
+# the worst target by 4.6e-16
+SCALING_TOL = 4e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(sign=st.sampled_from([1.0, -1.0]), kd=_log_uniform(1e-8, 1e-1),
+       lam_kappa0=_log_uniform(1e-1, 1e1), log_width=st.floats(-3.0, 1.0))
+def test_scaling_limit_matches_the_matching_solver(sign, kd, lam_kappa0, log_width):
+    # kappa0*d from 1e-8 to 0.1 and lam*kappa0 from 0.1 to 10.  The widths
+    # at k = d/lam^2 against oracles.mp_widths: T and the dwell width
+    # relative to themselves, the phase width and the starting point, which
+    # a well's phase width can cross 0 between, relative to the larger of
+    # d and the two.  The targets against their closed forms, taken at the
+    # package's own float kappa0, d and lam
+    width = 10.0**log_width
+    barrier = BarrierSpec(sign * K * (kd / width) ** 2, width)
+    lam = lam_kappa0 / barrier.kappa0
+    limit = _strict(scaling_limit, barrier, lam)
+    transmission, dwell, phase, starting = oracles.mp_widths(barrier, limit.k)
+    scale = max(width, abs(limit.phase_width), abs(limit.starting_point))
+    widths = [_relative_error(limit.transmission, transmission),
+              _relative_error(limit.dwell_width, dwell),
+              _relative_error(limit.phase_width, phase, scale),
+              _relative_error(limit.starting_point, starting, scale)]
+    with mp.workdps(50):
+        lam4, k02, d = mp.mpf(lam) ** 4, mp.mpf(barrier.kappa0) ** 2, mp.mpf(width)
+        t_star = 4 / (4 + lam4 * k02**2)
+        phase_star = 2 * barrier.beta * lam4 * k02 * t_star / (4 * d)
+        targets = [_relative_error(getattr(limit, name + "_target"), want)
+                   for name, want in (("transmission", t_star), ("phase", phase_star),
+                                      ("dwell", t_star * d), ("effective", d),
+                                      ("starting", -phase_star))]
+    assert max(widths + targets) <= SCALING_TOL, (widths, targets)
