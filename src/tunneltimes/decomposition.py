@@ -58,8 +58,8 @@ class ChannelAmplitudes:
 
 def _phase_sign(barrier: BarrierSpec, k):
     # s = -beta * sign(F1(v)): F1 > 0 for v <= 0, and for v > 0 F1 is
-    # sin(sqrt v)/sqrt v, with the sign of sin(sqrt v), as sinc_sqrt takes
-    # it.  No double is a multiple of pi, so s is never 0
+    # sin(sqrt v)/sqrt v, with the sign of sin(sqrt v), as the propagator
+    # kernels take it.  No double is a multiple of pi, so s is never 0
     k2 = np.asarray(k, dtype=float) ** 2
     v = (k2 - barrier.beta * barrier.kappa0**2) * barrier.width**2
     sign = np.sign(np.sin(np.sqrt(np.maximum(v, 0.0))))

@@ -1,14 +1,15 @@
-"""Even-analytic trig/hyperbolic ratio kernels.
+"""Even-analytic trig/hyperbolic ratio kernels, in two families.
 
 Scattering off a uniform potential step depends on the local wavenumber q
 only through q**2, so every closed form in this package is written in
 terms of kernels of v = q**2 * L**2 that stay analytic across q**2 = 0
-(oscillating for v > 0, evanescent for v < 0).  cos_sqrt and sinc_sqrt
-evaluate directly, as cos(s) and sin(s)/s or cosh(s) and sinh(s)/s with
-s = sqrt|v|, and are (1, 1) at v = 0.  The series window is there for the
-three gap quotients of the widths, such as (sinc_sqrt(v) - 1)/v, which
-lose all significant digits as v -> 0: inside |v| <= SERIES_WINDOW they
-run their Taylor series, accurate there to full double precision.
+(oscillating for v > 0, evanescent for v < 0).  Both families take float
+arrays only.  :func:`propagator_kernels` evaluates cos(s) and sin(s)/s, or
+cosh(s) and sinh(s)/s, directly with s = sqrt|v|, and is (1, 1) at v = 0.
+:func:`width_kernels` needs the series window for its three gap quotients,
+such as (sin(s)/s - 1)/v, which lose all significant digits as v -> 0:
+inside |v| <= SERIES_WINDOW they run their Taylor series, accurate there to
+full double precision.
 
 Numerics: the series run as an in-place Horner loop in ``polyval``'s
 operation order.  :func:`width_kernels` takes the five width kernels in one
@@ -17,9 +18,9 @@ pass: one ``|v|``, one mask per window and, off the series, one
 sin/cos or sinh/cosh pair unmasked: one sine of s and 2s, one cosine of s,
 and the sine of s/2 only past the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|``
 and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
-Deep on the evanescent side, width_kernels and :func:`propagator_kernels`
-split each kernel's growth off.  Every split is a :func:`tunneltimes.model.split`,
-which passes one-sided input uncopied and mixed input by indices.
+Deep on the evanescent side, both families split each kernel's growth off.
+Every split is a :func:`tunneltimes.model.split`, which passes one-sided
+input uncopied and mixed input by indices.
 """
 
 from functools import partial
@@ -45,7 +46,7 @@ WIDTH_SWITCH = 20.0
 
 _SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
 _GAP4_COEF = np.array([(-4.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
-_GAP1_COEF = _SINC_COEF[1:]  # (sinc_sqrt(v) - 1)/v: the sinc chain but its last step
+_GAP1_COEF = _SINC_COEF[1:]  # (sin(s)/s - 1)/v: the sinc chain but its last step
 _GAPD_COEF = np.array([(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)])
 
 
@@ -64,9 +65,6 @@ def _piecewise(v, window, near, direct):
     """Tuple of kernels: near(v, |v|) where |v| <= window; outside it
     direct(sin, cos, v, s, |v|) with s = sqrt|v| and (sin, cos) the pair of
     v's sign, hyperbolic below 0."""
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v)
     a = np.abs(v)
 
     def outside(v, a):
@@ -75,25 +73,12 @@ def _piecewise(v, window, near, direct):
         return split(v > 0, partial(direct, np.sin, np.cos),
                      partial(direct, np.sinh, np.cosh), v, np.sqrt(a), a)
 
-    outs = split(a <= window, near, outside, v, a)
-    return tuple(float(out[0]) for out in outs) if scalar else outs
+    return split(a <= window, near, outside, v, a)
 
 
 def _at_zero(v, a):
-    # (cos_sqrt, sinc_sqrt, u) at v = +-0, where sin(s)/s would be 0/0
+    # the propagator pair (cos, sinc, u) at v = +-0, where sin(s)/s would be 0/0
     return np.ones_like(v), np.ones_like(v), np.broadcast_to(0.0, v.shape)
-
-
-def sinc_sqrt(v):
-    """sin(sqrt(v))/sqrt(v) for v > 0, sinh(sqrt(-v))/sqrt(-v) for v < 0, 1 at v = 0."""
-    return _piecewise(v, 0.0, lambda v, a: _at_zero(v, a)[1:2],
-                      lambda sin, cos, v, s, a: (sin(s) / s,))[0]
-
-
-def cos_sqrt(v):
-    """cos(sqrt(v)) for v > 0, cosh(sqrt(-v)) for v < 0."""
-    return _piecewise(v, 0.0, lambda v, a: _at_zero(v, a)[:1],
-                      lambda sin, cos, v, s, a: (cos(s),))[0]
 
 
 def _propagator_direct(sin, cos, v, s, a):
@@ -104,10 +89,10 @@ def _propagator_direct(sin, cos, v, s, a):
 
 
 def propagator_kernels(v):
-    """(cos_sqrt(v) e^{-u}, sinc_sqrt(v) e^{-u}, u) in one pass over v, with
-    u = sqrt(-v) where -v > SCALE_SWITCH**2 and 0 elsewhere (u may be a
-    read-only view): every entry stays O(1), and the first two keep their
-    kernels' bits where u = 0."""
+    """(cos(s) e^{-u}, sin(s)/s e^{-u}, u) in one pass over v, hyperbolic for
+    v < 0, with u = sqrt(-v) where -v > SCALE_SWITCH**2 and 0 elsewhere (u
+    may be a read-only view): every entry stays O(1), and the first two keep
+    their direct bits where u = 0."""
     return _piecewise(v, 0.0, _at_zero, _propagator_direct)
 
 
@@ -141,17 +126,15 @@ def _widths_scaled(v):
 def width_kernels(v):
     """The five kernels of the closed-form widths, in one pass over v.
 
-    Returns ``(sinc_sqrt(v), (sinc_sqrt(4 v) - 1)/v, sinc_sqrt(v/4),
-    (sinc_sqrt(v) - 1)/v, (sinc_sqrt(v) - cos_sqrt(v))/v, e, e2)``, the gaps
-    with their removable singularities filled in (-2/3, -1/6 and 1/3 at
-    v = 0).  Past -v = WIDTH_SWITCH**2, e = e^{-u} and e2 = e^{-2u} with
-    u = sqrt(-v), and each kernel comes times its growth: the second times
-    e2, the third times e^{-u/2}, the rest times e.  Elsewhere e and e2 are
-    read-only views of 1.0, and the kernels keep their bits.
+    With sinc(v) = sin(s)/s and cos(v) = cos(s), s = sqrt|v|, hyperbolic for
+    v < 0, returns ``(sinc(v), (sinc(4 v) - 1)/v, sinc(v/4), (sinc(v) - 1)/v,
+    (sinc(v) - cos(v))/v, e, e2)``, the gaps with their removable singularities
+    filled in (-2/3, -1/6 and 1/3 at v = 0).  Past -v = WIDTH_SWITCH**2,
+    e = e^{-u} and e2 = e^{-2u} with u = sqrt(-v), and each kernel comes times
+    its growth: the second times e2, the third times e^{-u/2}, the rest times
+    e.  Elsewhere e and e2 are read-only views of 1.0, and the kernels keep
+    their bits.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        return tuple(float(out[0]) for out in width_kernels(v[None]))
     # growth first, so the series and sign splits scatter no constant e, e2
     return split(v >= -WIDTH_SWITCH**2,
                  lambda v: (*_piecewise(v, SERIES_WINDOW, _widths_series, _widths_direct),

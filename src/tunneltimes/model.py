@@ -4,9 +4,9 @@ Unit system used throughout the package: energies in eV, lengths in nm,
 times in ps.  With these units hbar = 6.582119569e-4 eV ps and the free
 dispersion is E = kinetic_coeff * k**2 with kinetic_coeff in eV nm**2.
 
-:func:`split` is the one mask split of the piecewise closed forms: v = 0
-or the width kernels' series window, the sign of v and the evanescent
-side's growth split each run one branch per side of a boolean mask through it.
+:func:`split` is the one mask split of both kernel families: the propagator
+pair's v = 0 or the width kernels' series window, the sign of v and the
+evanescent side's growth split each run one branch per side of a mask through it.
 """
 
 import math

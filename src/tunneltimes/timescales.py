@@ -29,12 +29,12 @@ Numerics
 Everything is written in terms of ``v = (k^2 - beta*kappa0^2) * d^2`` and the
 even kernels of :mod:`tunneltimes.kernels`, so a single expression covers the
 below-barrier (v < 0), above-barrier (v > 0) and edge (v = 0) cases without
-cancellation.  Past kappa*d = 20 the kernels come scaled by their own growth
-and the closed form puts e^{-kappa d} or e^{-2 kappa d} on its other terms,
-so one quotient stays finite beyond kappa*d = 700, where sinh overflows; below
-the switch those factors are exactly 1.  An array of k runs in fixed chunks,
-one :func:`tunneltimes.kernels.width_kernels` pass each, copied into the
-preallocated result arrays.
+cancellation.  Past kappa*d = 20 the width kernels come scaled by their own
+growth and the closed form puts e^{-kappa d} or e^{-2 kappa d} on its other
+terms, exactly 1 below it; the long-wave limits take their asymptotic forms
+where the propagator kernels split off growth.  An array of k runs in fixed
+chunks, one :func:`tunneltimes.kernels.width_kernels` pass each, copied into
+the preallocated result arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import cos_sqrt, sinc_sqrt, width_kernels
+from .kernels import propagator_kernels, width_kernels
 from .model import BarrierSpec, NumericInvariantError, group_velocity, require_wavenumbers
 
 __all__ = [
@@ -63,12 +63,6 @@ __all__ = [
 # k per pass of _quadruple: its ~40 temporaries (64 KiB each, under malloc's
 # mmap threshold) stay in cache; 8192 to 32768 timed alike, 2048 slower
 _CHUNK = 8192
-
-# The largest kappa0*d at which a barrier's long-wave denominator
-# -v0*sinc_sqrt(v0) = u*sinh(u) is finite.  Past it coth(u) and tanh(u/2) are
-# 1 to double precision, so the phase and effective ratios are 2/u and the
-# starting ratio -2/(u sinh u) is -4 exp(-u)/u.
-_LONGWAVE_SWITCH = 703.9191965020692
 
 # Orders resonance_table builds at most, one record each: 1e5 take about 1 s
 _MAX_ORDERS = 100_000
@@ -186,6 +180,7 @@ class LongWaveLimits:
     For wells with |sin(kappa0*d)| below ``_POLE_WINDOW``, kappa0*d near
     ``pole_index``*pi, the diverging entries are reported as signed infinities
     (sign taken from the approach from below) and ``divergent`` is True.
+    Past the propagator kernels' growth split, a barrier's ratios are asymptotic.
     """
 
     phase_ratio: float
@@ -202,7 +197,9 @@ def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
     Outside a well's pole window every ratio is finite in exact arithmetic;
     one that lies past float range (kappa0*d below ~1e-154, where the phase
     and starting ratios grow like 2/(kappa0 d)^2), or a well whose
-    (kappa0 d)^2 overflows, raises NumericInvariantError.
+    (kappa0 d)^2 overflows, raises NumericInvariantError.  Where the
+    propagator kernels split a barrier's growth off, coth(u) and tanh(u/2)
+    are 1 to double precision: the ratios are 2/u, 2/u and -4 exp(-u)/u.
     """
     u0 = barrier.kappa0 * barrier.width
     if u0 == 0.0:
@@ -223,18 +220,18 @@ def longwave_limits(barrier: BarrierSpec) -> LongWaveLimits:
                 divergent=True,
                 pole_index=round(u0 / math.pi),
             )
-    if barrier.beta > 0.0 and u0 > _LONGWAVE_SWITCH:
+    v0 = -barrier.beta * u0 * u0
+    # Python floats, whose quotients overflow to inf without a warning
+    c, sinc, u = (out.tolist() for out in propagator_kernels(np.array([v0, 0.25 * v0])))
+    if u[0]:
         phase = effective = 2.0 / u0
         starting = -4.0 * math.exp(-u0) / u0
     else:
-        v0 = -barrier.beta * u0 * u0
-        f1 = sinc_sqrt(v0)
-        c0 = cos_sqrt(v0)
         # v0 underflows to 0 once kappa0*d < ~2e-162; NaN then fails below
-        denom = v0 * f1 or math.nan
-        phase = -2.0 * c0 / denom
+        denom = v0 * sinc[0] or math.nan
+        phase = -2.0 * c[0] / denom
         # 2 f1/(1 + c0) at half the angle, so 1 + cos u0 does not cancel near odd poles
-        effective = sinc_sqrt(0.25 * v0) / cos_sqrt(0.25 * v0)
+        effective = sinc[1] / c[1]
         starting = 2.0 / denom
     for name, value in (("phase", phase), ("effective", effective),
                         ("starting", starting)):

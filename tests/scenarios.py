@@ -203,6 +203,28 @@ SCENARIOS = (
                                          "sweep": {"points": 10**10}},
              (["sweep"],), exit_code=2, rerun=False,
              gates=(stderr_has("sweep needs 1 to 4194304 points, got 10000000000"),)),
+    # configuration errors: each exits 2 before any file is written
+    *(Scenario(name, config, (command,), exit_code=2, rerun=False, gates=(stderr_has(text),))
+      for name, config, command, text in (
+          ("config-not-an-object", [RUN["barrier"]], ["limits"], "must hold a JSON object"),
+          ("config-section-not-an-object", {"barrier": [0.25, 0.5]}, ["limits"],
+           "config section 'barrier' must be a JSON object"),
+          ("config-missing-key", {"barrier": {"height": 0.25}}, ["limits"],
+           "barrier section needs 'width'"),
+          ("config-string-for-number", {"barrier": {"height": "0.25", "width": 0.5}},
+           ["limits"], "barrier.height must be a number"),
+          ("packet-snapshot-times-not-numbers", RUN, ["packet", "--snapshot-times", "0,a"],
+           "--snapshot-times expects comma-separated numbers, got '0,a'"),
+          ("packet-snapshot-times-empty", RUN, ["packet", "--snapshot-times", " , "],
+           "--snapshot-times must list at least one number"),
+          ("packet-points-below-16", dict(RUN, n_x=8), ["packet"], "n_x must be at least 16"),
+          ("larmor-omega-zero", dict(CLOCK, field=dict(FIELD, omega_larmor=0.0)), ["larmor"],
+           "field.omega_larmor must be positive"),
+          ("larmor-ladder-two-rungs", CLOCK, ["larmor", "--omega-ladder", "0.2,0.1"],
+           "--omega-ladder needs exactly three rungs w,w/2,w/4"),
+          ("resonance-no-orders", {"barrier": RUN["barrier"], "n_max": 0}, ["resonance"],
+           "n_max must be at least 1"),
+      )),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}
 

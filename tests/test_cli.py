@@ -121,6 +121,19 @@ def test_missing_barrier_section_exits_2(tmp_path, capsys):
     assert "barrier" in capsys.readouterr().err
 
 
+def test_no_config_exits_2(tmp_path):
+    # no --config reads as an empty one, which lacks the barrier every command reads
+    code, err = scenarios.invoke_main(["limits", "--out", str(tmp_path / "out")])
+    assert code == 2 and "config must provide a 'barrier' section" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_that_is_not_a_string_exits_2(tmp_path):
+    cfg = write_config(tmp_path, {"barrier": BARRIER, "out": 5})
+    code, err = scenarios.invoke_main(["limits", "--config", cfg])
+    assert code == 2 and "'out' must be a directory path string" in err, err
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

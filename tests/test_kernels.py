@@ -54,9 +54,14 @@ def mp_sinc_sqrt_quarter(v):
     return mp_sinc_sqrt(mp.mpf(v) / 4)
 
 
-def _width_output(index, name):
+def _output(family, index, name):
+    """One output of a kernel family, named after the kernel it evaluates;
+    a float v goes in as a one-element array and comes back a float."""
     def output(v):
-        return kernels.width_kernels(v)[index]
+        v = np.asarray(v, dtype=float)
+        if v.ndim:
+            return family(v)[index]
+        return float(family(v[None])[index][0])
     output.__name__ = name
     return output
 
@@ -74,7 +79,7 @@ def _grown(oracle, power):
 
 # width_kernels' five outputs, each named after the kernel it evaluates
 WIDTH_ORACLES = {
-    _width_output(i, name): _grown(oracle, power)
+    _output(kernels.width_kernels, i, name): _grown(oracle, power)
     for i, (name, oracle, power) in enumerate([
         ("width_sinc_sqrt", mp_sinc_sqrt, 1),
         ("sinc4_gap", mp_sinc4_gap, 2),
@@ -84,11 +89,13 @@ WIDTH_ORACLES = {
     ])
 }
 
+# the propagator pair, whose scale switch lies past every value of V_GRID
 ORACLES = {
-    kernels.sinc_sqrt: mp_sinc_sqrt,
-    kernels.cos_sqrt: mp_cos_sqrt,
+    _output(kernels.propagator_kernels, 1, "sinc_sqrt"): mp_sinc_sqrt,
+    _output(kernels.propagator_kernels, 0, "cos_sqrt"): mp_cos_sqrt,
     **WIDTH_ORACLES,
 }
+SINC = next(iter(ORACLES))
 
 
 def _window(fn):
@@ -152,15 +159,15 @@ def test_vectorized_matches_scalar(fn):
 
 
 def test_known_zero_values():
-    assert kernels.sinc_sqrt(0.0) == 1.0
-    assert kernels.cos_sqrt(0.0) == 1.0
     # sin(s)/s would be 0/0 at v = +-0: the pair takes its limit there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for zero in (0.0, -0.0):
-            assert kernels.propagator_kernels(zero) == (1.0, 1.0, 0.0)
+            got = kernels.propagator_kernels(np.array([zero]))
+            assert [out.tolist() for out in got] == [[1.0], [1.0], [0.0]]
             assert kernels.propagator_kernels(np.array([zero, 1.0]))[1][0] == 1.0
-    f1, gap4, quarter, gap, cos_gap, e, e2 = kernels.width_kernels(0.0)
+    f1, gap4, quarter, gap, cos_gap, e, e2 = (
+        float(out[0]) for out in kernels.width_kernels(np.array([0.0])))
     assert f1 == 1.0 and quarter == 1.0 and e == 1.0 and e2 == 1.0
     assert gap4 == pytest.approx(-2.0 / 3.0, rel=1e-16)
     assert gap == pytest.approx(-1.0 / 6.0, rel=1e-16)
@@ -168,10 +175,10 @@ def test_known_zero_values():
 
 
 def test_oscillating_zeros():
-    # sinc_sqrt vanishes at v = (n pi)**2
+    # the sinc vanishes at v = (n pi)**2
     for n in (1, 2, 3):
         v = (n * np.pi) ** 2
-        assert abs(kernels.sinc_sqrt(v)) < 1e-15 * n
+        assert abs(SINC(v)) < 1e-15 * n
 
 
 def test_oscillatory_side_raises_no_overflow_warning():
@@ -181,8 +188,7 @@ def test_oscillatory_side_raises_no_overflow_warning():
         warnings.simplefilter("error")
         rec = evaluate_widths(BarrierSpec(0.25, 100.0), [10.0, 20.0])
         v = np.array([4e6, -4e4, 1e12, -0.5, 0.5])
-        assert np.isfinite(kernels.sinc_sqrt(v)).all()
-        assert np.isfinite(kernels.cos_sqrt(v)).all()
+        assert all(np.isfinite(out).all() for out in kernels.propagator_kernels(v))
         assert all(np.isfinite(out).all() for out in kernels.width_kernels(v))
     assert np.isfinite(rec.transmission).all()
 
@@ -325,7 +331,7 @@ def test_width_kernels_match_prefusion_kernels_bitwise():
 def test_width_kernels_past_the_switch_match_mpmath(v):
     # past it the kernels carry e^{-u}, e^{-2u} or e^{-u/2}, u = sqrt(-v),
     # and e and e2 are e^{-u} and e^{-2u}
-    got = kernels.width_kernels(v)
+    got = [float(out[0]) for out in kernels.width_kernels(np.array([v]))]
     u = mp.sqrt(-mp.mpf(v))
     want = [float(oracle(v)) for oracle in WIDTH_ORACLES.values()]
     want += [float(mp.exp(-u)), float(mp.exp(-2 * u))]
@@ -334,40 +340,42 @@ def test_width_kernels_past_the_switch_match_mpmath(v):
 
 
 # ---------------------------------------------------------------------------
-# propagator_kernels: cos_sqrt and sinc_sqrt to the bit up to the scale
+# propagator_kernels: the direct cos and sinc to the bit up to the scale
 # switch, and their e^{-u}-scaled values past it, with u = sqrt(-v)
 
 SWITCH_V = -kernels.SCALE_SWITCH**2
 
 
 def test_cos_and_sinc_match_mpmath_to_two_ulp_in_the_old_window():
-    # cos_sqrt, sinc_sqrt and the propagator pair evaluate directly next to
-    # v = 0, where they do not cancel: a dense grid over |v| <= SERIES_WINDOW
-    # and a logspace down to 1e-320 on both signs
+    # the propagator pair evaluates directly next to v = 0, where it does
+    # not cancel: a dense grid over |v| <= SERIES_WINDOW and a logspace down
+    # to 1e-320 on both signs
     edge = kernels.SERIES_WINDOW
     tail = np.logspace(-320, np.log10(edge), 500)
     v = np.concatenate([np.linspace(-edge, edge, 4001), tail, -tail])
     with mp.workdps(40):
         want = np.array([[float(mp_cos_sqrt(x)), float(mp_sinc_sqrt(x))] for x in v]).T
     c, sinc, u = kernels.propagator_kernels(v)
-    for got, value in ((kernels.cos_sqrt(v), want[0]), (kernels.sinc_sqrt(v), want[1]),
-                       (c, want[0]), (sinc, want[1])):
+    for got, value in ((c, want[0]), (sinc, want[1])):
         assert np.all(np.abs(got - value) <= 2.0 * np.spacing(value))
     assert not u.any()
 
 
 def test_propagator_kernels_are_cos_and_sinc_up_to_the_switch():
-    v = np.concatenate([DENSE_V, -np.linspace(1e4, -SWITCH_V, 2001)])
+    # cos(s) and sin(s)/s of each sign's pair, and (1, 1) at v = +-0
+    v = np.concatenate([DENSE_V, -np.linspace(1e4, -SWITCH_V, 2001), [0.0, -0.0]])
+    zero = v == 0.0
     c, sinc, u = kernels.propagator_kernels(v)
-    assert np.array_equal(c, kernels.cos_sqrt(v))
-    assert np.array_equal(sinc, kernels.sinc_sqrt(v))
+    assert np.array_equal(c[~zero], _cos_direct(v[~zero]))
+    assert np.array_equal(sinc[~zero], _sinc_direct(v[~zero]))
+    assert (c[zero] == 1.0).all() and (sinc[zero] == 1.0).all()
     assert not u.any()
 
 
 @pytest.mark.parametrize("v", [np.nextafter(SWITCH_V, -np.inf), -1e5, -1e6, -4e6,
                                -1e12, -1e300])
 def test_propagator_kernels_past_the_switch_match_mpmath(v):
-    c, sinc, u = kernels.propagator_kernels(v)
+    c, sinc, u = (float(out[0]) for out in kernels.propagator_kernels(np.array([v])))
     s = mp.sqrt(-mp.mpf(v))
     assert u == np.sqrt(-v)
     assert c == pytest.approx(float(mp.cosh(s) * mp.exp(-s)), rel=1e-15)
@@ -379,7 +387,8 @@ def test_propagator_kernels_mixed_input_matches_per_entry_calls():
     v = np.concatenate([_superpose_v(), -np.logspace(4.5, 6.5, 37)[:, None] * [1.0, 2.0]],
                        axis=1)
     got = kernels.propagator_kernels(v)
-    want = np.array([kernels.propagator_kernels(float(x)) for x in v.ravel()])
+    want = np.array([[float(out[0]) for out in kernels.propagator_kernels(np.array([x]))]
+                     for x in v.ravel()])
     for out, column in zip(got, want.T):
         assert out.shape == v.shape
         assert np.array_equal(out.ravel(), column)

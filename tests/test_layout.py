@@ -93,6 +93,34 @@ def test_only_kernels_read_the_series_window():
     assert series == {"width_kernels", "_widths_series", "_widths_direct"}, series
 
 
+def _names(path):
+    """Every name a module defines, imports, reads or takes as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name.split(".")[-1], node.asname))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            yield getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_kernels_are_two_array_families():
+    # propagator_kernels and width_kernels are the kernels' whole public
+    # API, and both take arrays only: kernels.py reads no ndim, and no
+    # module names the standalone cos_sqrt or sinc_sqrt
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    public = sorted(node.name for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+    assert public == ["propagator_kernels", "width_kernels"], public
+    ndim = [node.lineno for node in ast.walk(tree) if getattr(node, "attr", None) == "ndim"
+            or getattr(node, "id", None) == "ndim"]
+    assert ndim == [], ndim
+    modules = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    named = [(path.name, name) for path in modules for name in _names(path)
+             if name in ("cos_sqrt", "sinc_sqrt")]
+    assert named == [], named
+
+
 def test_only_kernels_take_hyperbolic_functions():
     # every hyperbolic growth goes through the kernels that own its scale
     readers = _readers_outside_kernels("sinh", "cosh")

@@ -173,8 +173,10 @@ def test_records_reject_non_finite_values(make, bad):
     (lambda: PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=2**17), "from 2 to 65536"),
     (lambda: stationary_channels(BAR, np.array([0.3]), 60.2), "one wavenumber"),
     (lambda: stationary_channels(BAR, [0.3], 60.2), "one wavenumber"),
+    (lambda: BarrierSpec(0.25, 0.5, kinetic_coeff=0.0), "kinetic_coeff must be positive"),
 ], ids=["omega_zero", "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
-        "four_estimates", "t_empty", "n_k_float", "n_k_past_bound", "k_array", "k_list"])
+        "four_estimates", "t_empty", "n_k_float", "n_k_past_bound", "k_array", "k_list",
+        "kinetic_coeff_zero"])
 def test_bad_scalars_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -65,6 +65,16 @@ def test_spectrum_unit_norm_and_mean():
     assert abs(spectrum.amplitude[-1]) == 0.0
 
 
+def test_spectrum_of_eight_nodes_or_fewer_is_not_rolled_off():
+    # the roll-off spans 12 % of the nodes, under two up to n_k = 8: there
+    # the window is flat, and |A| is the normalised Gaussian itself
+    for n_k, flat in ((2, True), (8, True), (16, False)):
+        spec = PacketSpec(l0=15.0, x0=0.0, k0=0.5, n_k=n_k)
+        spectrum = gaussian_spectrum(spec)
+        ratio = np.abs(spectrum.amplitude) / np.exp(-spec.l0**2 * (spectrum.k - spec.k0) ** 2)
+        assert np.allclose(ratio, ratio[0], rtol=1e-14, atol=0.0) == flat, n_k
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

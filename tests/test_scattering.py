@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -185,6 +185,31 @@ def z_rounding(pot, k):
                for xl, xr, lev in pot.filled_regions())
 
 
+def input_spread(pot, k):
+    """How far the package's own t (relative to |t|), r and psi at the 9
+    points of thick_errors (relative to max|psi|) move when one region's
+    level or one edge, shared or not, goes to either float neighbour."""
+    a, b = pot.support
+    xs = np.linspace(a, b, 11)[1:-1]
+    segments = pot.segments
+    moved = [segments[:i] + ((xl, xr, math.nextafter(lev, to)),) + segments[i + 1:]
+             for i, (xl, xr, lev) in enumerate(segments) for to in (-math.inf, math.inf)]
+    for edge in sorted({x for xl, xr, _ in segments for x in (xl, xr)}):
+        for to in (-math.inf, math.inf):
+            near = math.nextafter(edge, to)
+            moved.append(tuple((near if xl == edge else xl, near if xr == edge else xr, lev)
+                               for xl, xr, lev in segments))
+    amp, psi = oracles.amplitudes(k, pot, K), oracles.stationary_value(xs, k, pot, K)
+    spread = np.zeros(3)
+    for other in map(PiecewisePotential, moved):
+        far = oracles.amplitudes(k, other, K)
+        spread = np.maximum(spread, (
+            abs(far.t - amp.t) / max(abs(amp.t), 1e-280), abs(far.r - amp.r),
+            np.max(np.abs(oracles.stationary_value(xs, k, other, K) - psi))
+            / np.max(np.abs(psi))))
+    return spread
+
+
 @st.composite
 def thick_regions(draw):
     """A barrier, a well, or a barrier next to a well (with or without a
@@ -203,12 +228,23 @@ def thick_regions(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(thick_regions())
+# a barrier next to a well, each kappa0 L ~ 1000, whose t moves by 3.2e-12 in
+# mpmath when the well's level goes to a float neighbour: t erred by 2.8e-12
+# and 3.4e-12 against bounds of 2.05e-12 and 2.03e-12 without the input spread
+@example((PiecewisePotential(((0.0, 75.4091328250951, 1.0),
+                              (76.16322415334605, 1190.8987301403145, -1.0))),
+          0.06734098125459509))
+@example((PiecewisePotential(((0.0, 75.4091328250951, 1.0),
+                              (75.4091328250951, 1164.4112722354998, -1.0))),
+          0.06630496615837055))
 def test_thick_regions_match_matching_solver(case):
-    # 500 draws came to at most half of each bound, and to 1.1e-15 of
-    # unitarity; a flat 1e-10 fails where E ~ V, on the old pieces too
+    # each error is held to 1e-12, plus 3 times what rounding z = (E - V)/K
+    # moves it by, plus 3 times its spread as the inputs go to float
+    # neighbours.  2200 draws came to at most 0.2 of each bound, and to
+    # 1.1e-15 of unitarity; a flat 1e-10 fails where E ~ V, on the old pieces too
     t_err, r_err, unitarity, psi_err = thick_errors(*case)
-    bound = 1e-12 + 3.0 * z_rounding(*case)
-    assert t_err <= bound and r_err <= bound and psi_err <= bound
+    bound = 1e-12 + 3.0 * z_rounding(*case) + 3.0 * input_spread(*case)
+    assert t_err <= bound[0] and r_err <= bound[1] and psi_err <= bound[2]
     assert unitarity <= 4e-15
 
 

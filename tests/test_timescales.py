@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from oracles import amplitudes, ddk, dwell_norm, lorentz_fit
-from tunneltimes import timescales
+from tunneltimes import kernels, timescales
 from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec, group_velocity
 from tunneltimes.timescales import (
     evaluate_widths,
@@ -148,7 +148,8 @@ def test_starting_point_matches_gamma_derivative(bar):
         assert g_prime == pytest.approx(alt, rel=1e-6)
 
 
-# a barrier's u*sinh(u) overflows past kappa0*d ~ 704: 720 and 1500 lie beyond
+# a barrier's u*sinh(u) overflows past kappa0*d ~ 704: 720 and 1500 lie beyond,
+# on the asymptotic side of the propagator kernels' growth split at 300
 @pytest.mark.parametrize("kappa0_d", [0.5, 1.0, 2.0, 720.0, 1500.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["barrier", "well"])
 def test_longwave_limits_reached(kappa0_d, sign):
@@ -164,13 +165,18 @@ def test_longwave_limits_reached(kappa0_d, sign):
     assert lw.dwell_ratio == 0.0
 
 
-def test_longwave_limits_switch_where_u_sinh_u_overflows():
-    # the direct form is finite up to the switch and the exp(-u) form takes
-    # over one ulp past it, agreeing to rounding
-    switch = timescales._LONGWAVE_SWITCH
-    below = longwave_limits(barrier_for(switch))
+def test_longwave_limits_switch_where_the_kernels_split_off_growth():
+    # the direct form holds up to the propagator kernels' scale switch, and
+    # 2/u, 2/u and -4 exp(-u)/u take over one ulp past it, agreeing to rounding
+    switch = kernels.SCALE_SWITCH
+    us = [switch, math.nextafter(switch, math.inf)]
+    bars = [barrier_for(u) for u in us]
+    assert [bar.kappa0 * bar.width for bar in bars] == us
+    below, above = map(longwave_limits, bars)
     assert 0.0 < below.phase_ratio and -math.inf < below.starting_ratio < 0.0
-    above = longwave_limits(barrier_for(math.nextafter(switch, math.inf)))
+    u = us[1]
+    assert (above.phase_ratio, above.effective_ratio, above.starting_ratio) == (
+        2.0 / u, 2.0 / u, -4.0 * math.exp(-u) / u)
     for name in ("phase_ratio", "effective_ratio", "starting_ratio"):
         assert getattr(above, name) == pytest.approx(getattr(below, name), rel=1e-13)
 
@@ -314,6 +320,15 @@ def test_widths_raise_where_their_denominator_underflows():
     # k^2 underflowing alone leaves T = 0 and finite widths
     rec = evaluate_widths(BarrierSpec(0.25, 1.0), 4e-170)
     assert rec.transmission == 0.0 and math.isfinite(rec.phase_width)
+
+
+def test_widths_raise_past_kappa_d_1e100():
+    # 0.57 eV x 1e110 nm at k 0.5: kappa*d = 8.7e109, where the scaled gap
+    # kernels, ~1/(kappa d)^3, turn subnormal
+    with pytest.raises(NumericInvariantError, match=r"kappa\*d = 8.67e\+109 lies past 1e100"
+                       ) as info:
+        evaluate_widths(BarrierSpec(0.57, 1e110), 0.5)
+    assert info.value.quantity == "kappa*d"
 
 
 def test_widths_raise_where_a_width_denominator_term_overflows():
