@@ -10,22 +10,24 @@ Five subcommands:
 
 Configuration comes from a JSON file (--config), loaded once with the barrier
 built from it before a subcommand runs; command-line flags override config
-values; unknown keys are rejected.  Output files are written atomically
-(temp file + rename) with 17-significant-digit floats, '.' decimal separators,
-'\\n' line endings and no timestamps, so a rerun with the same inputs is
-byte-identical.  CSV cells print infinities as inf/-inf.
+values; unknown keys are rejected.  A subcommand writes no file: it checks
+its keys, computes and yields (file name, text or CSV table) pairs; main
+makes the output directory before the command runs, writes each file
+atomically (temp file + rename) as it is yielded and then prints the paths.
+Files hold 17-significant-digit floats, '.' decimal separators, '\\n' line
+endings and no timestamps, so a rerun with the same inputs is byte-identical.
 
-A CSV cell prints exactly as '%.17g' % x.  Float tables are rendered by numpy
-in blocks of _BLOCK_CELLS cells, streamed to the temp file block by block: the
-17-digit mantissa comes from a double-double product with a table of powers
-of ten, its digits from a 4-digit ASCII table, and each cell's bytes go into a
-fixed NUL-filled field; a block's fields in row order are its rows, which one
-translate squeezes.  Only infinities, |x| <= 1e-290 or >= 1e290, possible
-exact rounding ties and limits.csv (four rows, two label columns) go through
-'%.17g' % x one cell at a time.  Exit codes: 0
-success, 2 configuration error (NaN and infinite inputs, and an output
-directory that cannot be created, too), 3 numeric invariant violation (a NaN
-in any output, an infinity in JSON, or widths past float range, too).
+A CSV cell prints exactly as '%.17g' % x, infinities as inf/-inf.  Float
+tables are rendered by numpy in blocks of _BLOCK_CELLS cells, streamed to the
+temp file block by block: the 17-digit mantissa comes from a double-double
+product with a table of powers of ten, its digits from a 4-digit ASCII table,
+and each cell's bytes go into a fixed NUL-filled field; a block's fields in
+row order are its rows, which one translate squeezes.  Only infinities,
+|x| <= 1e-290 or >= 1e290, possible exact rounding ties and limits.csv (four
+rows, two label columns) go through '%.17g' % x one cell at a time.  Exit
+codes: 0 success, 2 configuration error (NaN and infinite inputs, and an
+output directory that cannot be created, too), 3 numeric invariant violation
+(a NaN in any output, an infinity in JSON, or widths past float range, too).
 """
 
 from __future__ import annotations
@@ -421,7 +423,7 @@ def _parse_float_list(text, flag):
 # subcommands
 
 
-def cmd_sweep(args, cfg, barrier) -> int:
+def cmd_sweep(args, cfg, barrier):
     section = _section(cfg, "sweep", ("points", "emax"), required=False)
     points = args.points if args.points is not None else _number(
         section, "points", "sweep", DEFAULT_SWEEP_POINTS, int)
@@ -437,18 +439,13 @@ def cmd_sweep(args, cfg, barrier) -> int:
     if not math.isfinite(emax * scale / barrier.kinetic_coeff):
         raise ConfigError("sweep emax %g takes k^2 = E / kinetic_coeff past float range"
                           % emax)
-    out = _resolve_out(args, cfg)
-
     ratios = np.linspace(emax / points, emax, points)
     ks = np.sqrt(ratios * scale / barrier.kinetic_coeff)
     record = evaluate_widths(barrier, ks)
     d = barrier.width
     columns = (ratios, ks, record.phase_width / d, record.dwell_width / d,
                record.effective_width / d, record.starting_point / d)
-    path = os.path.join(out, "sweep.csv")
-    write_atomic(path, _CsvTable(SWEEP_HEADER, columns))
-    print(path)
-    return 0
+    yield "sweep.csv", _CsvTable(SWEEP_HEADER, columns)
 
 
 def _snapshot_columns(state):
@@ -457,7 +454,7 @@ def _snapshot_columns(state):
             np.abs(state.psi_tr) ** 2, np.abs(state.psi_ref) ** 2)
 
 
-def cmd_packet(args, cfg, barrier) -> int:
+def cmd_packet(args, cfg, barrier):
     spec = _packet_from(cfg, barrier)
     if args.snapshot_times is not None:
         times = _parse_float_list(args.snapshot_times, "--snapshot-times")
@@ -471,12 +468,9 @@ def cmd_packet(args, cfg, barrier) -> int:
     n_x = _number(cfg, "n_x", "config", N_X_DEFAULT, int)
     if n_x < 16:
         raise ConfigError("n_x must be at least 16")
-    out = _resolve_out(args, cfg)
-
     # one solve for every snapshot and the initial state, whose channel
     # norms and t = 0 center-of-mass separation the summary reports even when
-    # 0 is not among the requested times; the whole summary is built before
-    # any file is written, so a failing check writes none
+    # 0 is not among the requested times
     solved = times if 0.0 in times else times + [0.0]
     states = evolve(spec, barrier, solved, n_x=n_x)
     initial = states[solved.index(0.0)]
@@ -492,13 +486,9 @@ def cmd_packet(args, cfg, barrier) -> int:
         "mean_start_shift": starting_point_packet(spec, barrier) - spec.x0,
     }
     text = _json_text(summary)
-    paths = [os.path.join(out, name) for name in names]
-    for path, state in zip(paths, states):
-        write_atomic(path, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state)))
-    paths.append(os.path.join(out, "packet_summary.json"))
-    write_atomic(paths[-1], text)
-    print("\n".join(paths))
-    return 0
+    for name, state in zip(names, states):
+        yield name, _CsvTable(SNAPSHOT_HEADER, _snapshot_columns(state))
+    yield "packet_summary.json", text
 
 
 def _top_omega(args, layout: FieldLayout):
@@ -517,12 +507,10 @@ def _top_omega(args, layout: FieldLayout):
     return values[0]
 
 
-def cmd_larmor(args, cfg, barrier) -> int:
+def cmd_larmor(args, cfg, barrier):
     spec = _packet_from(cfg, barrier)
     layout = _field_from(cfg)
     top = _top_omega(args, layout)
-    out = _resolve_out(args, cfg)
-
     # only the top rung comes from the ladder: extrapolate_start halves it
     result = extrapolate_start(spec, barrier, replace(layout, omega_larmor=top))
     rungs = [dict(vars(readout), omega_larmor=omega)
@@ -537,33 +525,23 @@ def cmd_larmor(args, cfg, barrier) -> int:
         # the start shift against the detection delay and predicts zero.
         "standard_prediction": 0.0,
     }
-    path = os.path.join(out, "larmor.json")
-    write_atomic(path, _json_text(report))
-    print(path)
-    return 0
+    yield "larmor.json", _json_text(report)
 
 
-def cmd_resonance(args, cfg, barrier) -> int:
+def cmd_resonance(args, cfg, barrier):
     n_max = _number(cfg, "n_max", "config", DEFAULT_RESONANCE_NMAX, int)
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
-    out = _resolve_out(args, cfg)
-
     table = resonance_table(barrier, n_max)
     columns = [[getattr(rec, field) for rec in table.records]
                for field in ("n", "k_res", "phase_ratio", "dwell_ratio",
                              "effective_ratio", "starting_ratio")]
-    path = os.path.join(out, "resonance.csv")
-    write_atomic(path, _CsvTable(RESONANCE_HEADER, columns))
+    yield "resonance.csv", _CsvTable(RESONANCE_HEADER, columns)
     for n, reason in table.omitted:
         print("resonance n=%d omitted: %s" % (n, reason), file=sys.stderr)
-    print(path)
-    return 0
 
 
-def cmd_limits(args, cfg, barrier) -> int:
-    out = _resolve_out(args, cfg)
-
+def cmd_limits(args, cfg, barrier):
     limits = longwave_limits(barrier)
     if barrier.height == 0.0:
         branch = "free"
@@ -577,10 +555,7 @@ def cmd_limits(args, cfg, barrier) -> int:
               limits.starting_ratio)
     _reject_nan(values)
     rows = ["%s,%s,%.17g" % (name, branch, value) for name, value in zip(RATIO_COLUMNS, values)]
-    path = os.path.join(out, "limits.csv")
-    write_atomic(path, "\n".join([LIMITS_HEADER] + rows) + "\n")
-    print(path)
-    return 0
+    yield "limits.csv", "\n".join([LIMITS_HEADER] + rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +606,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every command reads the barrier, and reads it first
+        # every command reads the barrier, and reads it first; a command
+        # makes its checks before it yields its first file (packet renders
+        # its summary before its snapshots), so a failing check writes none
         cfg = _load_config(args.config)
-        return args.func(args, cfg, _barrier_from(cfg))
+        barrier = _barrier_from(cfg)
+        out = _resolve_out(args, cfg)
+        paths = []
+        for name, text in args.func(args, cfg, barrier):
+            paths.append(os.path.join(out, name))
+            write_atomic(paths[-1], text)
+            del text  # a snapshot's columns go before the next one's are built
+        print("\n".join(paths))
+        return 0
     except NumericInvariantError as exc:
         print("numeric invariant violated: %s" % exc, file=sys.stderr)
         return 3

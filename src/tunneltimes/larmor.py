@@ -155,6 +155,8 @@ def invert_precession(sx, sy, left_edge, detector_offset, margin, k, omega_larmo
     if not 0.0 < omega_larmor < math.inf:
         raise ValueError("omega_larmor must be positive and finite, got %r"
                          % omega_larmor)
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise ValueError("spin components must be finite, got sx = %r, sy = %r" % (sx, sy))
     if sx == 0.0:
         raise ValueError("sx = 0 puts the azimuth on a branch boundary; "
                          "reduce omega_larmor")
@@ -292,6 +294,8 @@ def richardson_ladder(estimates):
     if len(estimates) != 3:
         raise ValueError("richardson_ladder needs exactly three estimates "
                          "(omega, omega/2, omega/4), got %d" % len(estimates))
+    if not all(map(math.isfinite, estimates)):
+        raise ValueError("richardson_ladder needs finite estimates, got %r" % (estimates,))
     first = 2.0 * estimates[1] - estimates[0]
     second = 2.0 * estimates[2] - estimates[1]
     return (4.0 * second - first) / 3.0
@@ -299,12 +303,19 @@ def richardson_ladder(estimates):
 
 def extrapolate_start(spec: PacketSpec, barrier: BarrierSpec,
                       layout: FieldLayout) -> StartExtrapolation:
-    """Clock runs at omega, omega/2, omega/4, extrapolated to zero field."""
+    """Clock runs at omega, omega/2, omega/4, extrapolated to zero field.
+
+    A rung that reads a NaN or infinite estimate raises NumericInvariantError.
+    """
     omegas = tuple(layout.omega_larmor / 2.0**j for j in range(3))
     readouts = tuple(run_clock(spec, barrier, replace(layout, omega_larmor=w))
                      for w in omegas)
+    estimates = [r.x_start_est for r in readouts]
+    if not all(map(math.isfinite, estimates)):
+        raise NumericInvariantError("clock estimates %r hold NaN or infinity"
+                                    % (estimates,), quantity="x_start_est")
     return StartExtrapolation(
         omegas=omegas,
         readouts=readouts,
-        extrapolated=richardson_ladder([r.x_start_est for r in readouts]),
+        extrapolated=richardson_ladder(estimates),
     )

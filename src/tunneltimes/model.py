@@ -94,8 +94,16 @@ def split(mask, inside, outside, *args):
     return outs
 
 
+def require_kinetic_coeff(kinetic_coeff):
+    """ValueError unless kinetic_coeff is positive and finite."""
+    if not 0.0 < kinetic_coeff < math.inf:
+        raise ValueError("kinetic_coeff must be positive and finite, got %r"
+                         % (kinetic_coeff,))
+
+
 def wavenumber(energy, kinetic_coeff):
     """k = sqrt(E / kinetic_coeff) for finite E >= 0; E = 0 maps to k = 0."""
+    require_kinetic_coeff(kinetic_coeff)
     energy = np.asarray(energy, dtype=float)
     if not np.all(np.isfinite(energy) & (energy >= 0)):
         raise ValueError("kinetic energy must be finite and non-negative")
@@ -103,16 +111,26 @@ def wavenumber(energy, kinetic_coeff):
     return float(out) if out.ndim == 0 else out
 
 
-def energy(k, kinetic_coeff):
-    """E = kinetic_coeff * k**2."""
+def _finite_k(k, kinetic_coeff):
+    """k as a float array; ValueError unless every k is finite and kinetic_coeff
+    positive and finite."""
+    require_kinetic_coeff(kinetic_coeff)
     k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValueError("wavenumber k must be finite")
+    return k
+
+
+def energy(k, kinetic_coeff):
+    """E = kinetic_coeff * k**2 for finite k."""
+    k = _finite_k(k, kinetic_coeff)
     out = kinetic_coeff * k * k
     return float(out) if out.ndim == 0 else out
 
 
 def group_velocity(k, kinetic_coeff):
-    """Group speed hbar*k/m = 2*kinetic_coeff*k/hbar in nm/ps."""
-    k = np.asarray(k, dtype=float)
+    """Group speed hbar*k/m = 2*kinetic_coeff*k/hbar in nm/ps; k finite, either sign."""
+    k = _finite_k(k, kinetic_coeff)
     out = 2.0 * kinetic_coeff * k / HBAR
     return float(out) if out.ndim == 0 else out
 

@@ -50,6 +50,7 @@ from .model import (
     ParticleSpec,
     group_velocity,
     require_finite,
+    require_kinetic_coeff,
     wavenumber,
 )
 from .scattering import Amplitudes, interior_table
@@ -203,6 +204,7 @@ def gaussian_spectrum(spec: PacketSpec) -> SampledSpectrum:
 
 def dispersion_time(spec: PacketSpec, kinetic_coeff: float) -> float:
     """Free-spreading time: sigma(t)^2 = l0^2 (1 + (t/t_disp)^2)."""
+    require_kinetic_coeff(kinetic_coeff)
     return HBAR * spec.l0**2 / kinetic_coeff
 
 

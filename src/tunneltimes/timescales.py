@@ -99,8 +99,9 @@ def _quadruple(k_arr, k02, beta, d):
         v = (k2 - beta * k02) * (d * d)
         for slot, value in zip(out, _quadruple_kernel(k2, v, k02, beta, d)):
             slot[part] = value
-    # the scaled gap kernels, ~1/(kappa d)^3, turn subnormal past kappa*d ~ 1e102
-    kappa_d = np.sqrt(max(beta * k02 - k_arr.min() ** 2, 0.0) * (d * d))
+    # the scaled gap kernels, ~1/(kappa d)^3, turn subnormal past kappa*d ~ 1e102;
+    # an empty k has no kappa*d
+    kappa_d = np.sqrt(max(beta * k02 - k_arr.min(initial=np.inf) ** 2, 0.0) * (d * d))
     if kappa_d > 1e100:
         raise NumericInvariantError("widths leave float range: kappa*d = %.3g lies past "
                                     "1e100" % kappa_d, quantity="kappa*d")
@@ -269,17 +270,27 @@ class ScalingLimit:
 
 
 def scaling_limit(barrier: BarrierSpec, lam: float) -> ScalingLimit:
-    """Evaluate the widths at k = width/lam^2 and their small-width targets."""
+    """Evaluate the widths at k = width/lam^2 and their small-width targets.
+
+    ValueError unless lam is positive and finite and keeps k, lam^4 kappa0^4
+    and the targets in float range.
+    """
     if not 0.0 < lam < math.inf:
         raise ValueError("length scale lam must be positive and finite, got %r" % (lam,))
     d = barrier.width
-    k = d / lam**2
-    rec = evaluate_widths(barrier, k)
     k02 = barrier.kappa0 ** 2
-    lam4 = lam**4
+    try:
+        k = d / lam**2
+        lam4 = lam**4
+    except (ZeroDivisionError, OverflowError):  # lam**2 underflows, or lam**4 overflows
+        k = lam4 = math.inf
     denom = 4.0 + lam4 * k02 * k02
-    t_star = 4.0 / denom
     phase_star = 2.0 * barrier.beta * lam4 * k02 / (denom * d)
+    if not (0.0 < k < math.inf and denom < math.inf and math.isfinite(phase_star)):
+        raise ValueError("length scale lam = %r takes k = d/lam^2 or lam^4 kappa0^4 "
+                         "past float range" % lam)
+    t_star = 4.0 / denom
+    rec = evaluate_widths(barrier, k)
     return ScalingLimit(
         lam=lam,
         k=k,
@@ -314,6 +325,15 @@ class ResonanceTable:
     omitted: tuple  # (n, reason) pairs
 
 
+def _require_orders(value, name):
+    """ValueError unless value, named name, is an integer (numpy's too, not a
+    bool) from 1 to _MAX_ORDERS."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if not 1 <= value <= _MAX_ORDERS:
+        raise ValueError("%s must be 1 to %d orders, got %d" % (name, _MAX_ORDERS, value))
+
+
 def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     """Transparency points n = 1..n_max with closed-form width ratios.
 
@@ -322,10 +342,9 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     reason instead of producing a record; one whose k_res or width ratio
     lies past float range ((n pi/d)^2 overflows below d ~ 2.3e-154 n nm,
     kappa0^2 d^2 near 1.8e308) raises NumericInvariantError.  ValueError
-    unless 1 <= n_max <= 100000, before any record is built.
+    unless n_max is an integer from 1 to 100000, before any record is built.
     """
-    if not 1 <= n_max <= _MAX_ORDERS:
-        raise ValueError("n_max must be 1 to %d orders, got %d" % (_MAX_ORDERS, n_max))
+    _require_orders(n_max, "n_max")
     d = barrier.width
     k02 = barrier.kappa0 ** 2
     beta = barrier.beta
@@ -366,9 +385,11 @@ def lorentz_width(barrier: BarrierSpec, n: int) -> float:
     Near k_n, R/T = a0^2 (k - k_n)^2 with a0 = |V0| d^3 / (2 K n^2 pi^2),
     from 1/T = 1 + V0^2 sin^2(q d) / (4 E (E - V0)) at q d = n pi.  That is
     the starting-point shift |x_start(k_n)| = |starting_ratio| d of the
-    order's ResonanceRecord.  ValueError when order n has no transparency
-    point; NumericInvariantError when a0 lies past float range.
+    order's ResonanceRecord.  ValueError unless n is an integer from 1 to
+    100000, or when order n has no transparency point; NumericInvariantError
+    when a0 lies past float range.
     """
+    _require_orders(n, "n")
     table = resonance_table(barrier, n)
     # k_res^2 grows with the order, so a well omits a prefix of them
     if not table.records:

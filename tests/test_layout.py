@@ -127,6 +127,36 @@ def test_only_kernels_take_hyperbolic_functions():
     assert readers == [], readers
 
 
+def test_main_alone_writes_the_subcommands_files():
+    # each cmd_* checks its keys, computes and yields (file name, output)
+    # pairs; main alone makes the out dir, writes the files and prints their
+    # paths, so a command calls no writer and prints only stderr notes
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = sorted(name for name in functions if name.startswith("cmd_"))
+    assert commands == ["cmd_larmor", "cmd_limits", "cmd_packet", "cmd_resonance",
+                        "cmd_sweep"], commands
+    found = []
+    for name, node in functions.items():
+        calls = [(ast.unparse(call.func), call) for call in ast.walk(node)
+                 if isinstance(call, ast.Call)]
+        writers = [(name, call.lineno, func) for func, call in calls
+                   if func in ("write_atomic", "_resolve_out", "os.path.join")]
+        if name == "main":
+            assert {func for _, _, func in writers} == {"write_atomic", "_resolve_out",
+                                                        "os.path.join"}, writers
+            continue
+        found += writers
+        if name.startswith("cmd_"):
+            if not any(isinstance(inner, ast.Yield) for inner in ast.walk(node)):
+                found.append((name, node.lineno, "no yield"))
+            found += [(name, call.lineno, "print to stdout") for func, call in calls
+                      if func == "print" and not any(
+                          keyword.arg == "file" and ast.unparse(keyword.value) == "sys.stderr"
+                          for keyword in call.keywords)]
+    assert found == [], found
+
+
 def test_every_export_is_in_readme():
     readme = (ROOT / "README.md").read_text()
     missing = [name for name in tunneltimes.__all__

@@ -17,7 +17,8 @@ from tunneltimes.model import (
     split,
     wavenumber,
 )
-from tunneltimes.packets import PacketSpec, default_grid
+from tunneltimes.packets import PacketSpec, default_grid, dispersion_time
+from tunneltimes.timescales import lorentz_width, resonance_table
 
 BAR = BarrierSpec(0.25, 0.5, left_edge=60.0)
 SPEC = PacketSpec(l0=15.0, x0=0.0, k0=0.47, n_k=256)
@@ -115,6 +116,28 @@ def test_group_velocity():
     assert group_velocity(k, K) == pytest.approx(2.0 * K * k / HBAR, rel=1e-15)
     arr = group_velocity(np.array([0.1, 0.2]), K)
     assert arr[1] == pytest.approx(2.0 * arr[0], rel=1e-15)
+    assert group_velocity(-k, K) == -group_velocity(k, K)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,match", [
+    (lambda: wavenumber(1.0, 0.0), "kinetic_coeff must be positive and finite"),
+    (lambda: wavenumber(1.0, -1.0), "kinetic_coeff must be positive and finite"),
+    (lambda: energy(0.5, math.nan), "kinetic_coeff must be positive and finite"),
+    (lambda: group_velocity(0.5, math.inf), "kinetic_coeff must be positive and finite"),
+    (lambda: dispersion_time(SPEC, -1.0), "kinetic_coeff must be positive and finite"),
+    (lambda: dispersion_time(SPEC, 0.0), "kinetic_coeff must be positive and finite"),
+    (lambda: energy(math.nan, BAR.kinetic_coeff), "wavenumber k must be finite"),
+    (lambda: energy([0.5, math.inf], BAR.kinetic_coeff), "wavenumber k must be finite"),
+    (lambda: group_velocity(math.nan, BAR.kinetic_coeff), "wavenumber k must be finite"),
+    (lambda: group_velocity(-math.inf, BAR.kinetic_coeff), "wavenumber k must be finite"),
+], ids=["wavenumber_coeff_zero", "wavenumber_coeff_negative", "energy_coeff_nan",
+        "velocity_coeff_inf", "dispersion_coeff_negative", "dispersion_coeff_zero",
+        "energy_k_nan", "energy_k_inf", "velocity_k_nan", "velocity_k_minus_inf"])
+def test_kinetic_coeff_helpers_fail_loudly(call, match):
+    # these returned NaN, a negative time or warned from numpy before
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_local_wavenumbers():
@@ -174,9 +197,18 @@ def test_records_reject_non_finite_values(make, bad):
     (lambda: stationary_channels(BAR, np.array([0.3]), 60.2), "one wavenumber"),
     (lambda: stationary_channels(BAR, [0.3], 60.2), "one wavenumber"),
     (lambda: BarrierSpec(0.25, 0.5, kinetic_coeff=0.0), "kinetic_coeff must be positive"),
+    (lambda: invert_precession(math.nan, *SPIN[1:], 0.2, BAR.kinetic_coeff),
+     "spin components must be finite"),
+    (lambda: invert_precession(0.3, math.inf, *SPIN[2:], 0.2, BAR.kinetic_coeff),
+     "spin components must be finite"),
+    (lambda: richardson_ladder([math.nan, 1.0, 2.0]), "finite estimates"),
+    (lambda: lorentz_width(BAR, 0), "n must be 1 to 100000 orders, got 0"),
+    (lambda: resonance_table(BAR, 2.5), "n_max must be an integer, got 2.5"),
+    (lambda: resonance_table(BAR, True), "n_max must be an integer, got True"),
 ], ids=["omega_zero", "omega_negative", "omega_nan", "t_nan", "t_inf", "two_estimates",
         "four_estimates", "t_empty", "n_k_float", "n_k_past_bound", "k_array", "k_list",
-        "kinetic_coeff_zero"])
+        "kinetic_coeff_zero", "sx_nan", "sy_inf", "estimate_nan", "order_zero",
+        "orders_float", "orders_bool"])
 def test_bad_scalars_raise_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,6 +1,7 @@
 """Closed-form widths against derivative/quadrature oracles and known limits."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from oracles import amplitudes, ddk, dwell_norm, lorentz_fit
 from tunneltimes import kernels, timescales
+from tunneltimes.decomposition import channel_amplitudes
 from tunneltimes.model import BarrierSpec, NumericInvariantError, ParticleSpec, group_velocity
 from tunneltimes.timescales import (
     evaluate_widths,
@@ -308,6 +310,26 @@ def test_scaling_limit_rejects_bad_lam():
 def test_scaling_limit_names_a_non_finite_lam(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
         scaling_limit(BARRIER, lam)
+
+
+@pytest.mark.parametrize("barrier,lam", [
+    (BARRIER, 1e-200),   # lam**2 underflows to 0: ZeroDivisionError
+    (BARRIER, 1e-160),   # d/lam^2 = inf: evaluate_widths's "wavenumber k" error
+    (BARRIER, 1e80),     # lam**4 overflows: OverflowError
+    (barrier_for(5e9), 1e70),  # lam^4 kappa0^4 = inf: both targets came out 0
+], ids=["k_overflows", "k_infinite", "lam4_overflows", "strength_overflows"])
+def test_scaling_limit_names_lam_past_float_range(barrier, lam):
+    with pytest.raises(ValueError, match=re.escape("lam = %r takes" % lam)):
+        scaling_limit(barrier, lam)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_widths, channel_amplitudes])
+def test_empty_wavenumbers_give_an_empty_record(evaluate):
+    # numpy's "zero-size array to reduction operation minimum" escaped before
+    rec = evaluate(BARRIER, np.array([]))
+    assert rec.k.shape == (0,)
+    assert all(np.shape(value) == (0,) for value in vars(rec).values()
+               if isinstance(value, np.ndarray))
 
 
 def test_widths_raise_where_their_denominator_underflows():
