@@ -23,9 +23,9 @@ All three times are CM crossings of free channel asymptotes, closed form in
 spectral moments: detection and exit on the transmitted wave (at b + L and
 b + l), entry on the incidence-side channel wave (at a - l).  Each spin
 component is one packets.solve_packet of its potential, synthesized once,
-at detection, through packets.evolve's checked synthesis on a grid measured
-on that solve, with a step of at most pi / (2 k_max), to check that the
-grid holds the packet.  The channel wave enters late by the starting-point
+at detection, through PacketSolve.synthesize, the checked synthesis that
+packets.evolve also calls, on a grid measured on that solve, with a step
+of at most pi / (2 k_max), to check that the grid holds the packet.  The channel wave enters late by the starting-point
 shift yet crosses the interior in pad time plus effective-width time, so
 the shift survives into the readout.  This is the discriminating observable:
 phase-delay bookkeeping applied to the full wave instead would cancel the
@@ -235,9 +235,10 @@ def run_clock(spec: PacketSpec, barrier: BarrierSpec, layout: FieldLayout) -> Sp
     between the CM crossing of the incidence-side channel asymptote at
     a - l and that of the transmitted asymptote at b + l.  Both spin solves
     share one spectrum.  Each is synthesized once, at t_det, through
-    evolve's checked synthesis on its own measured grid, whose step is at
-    most pi / (2 k_max); a grid norm off 1 by more than 1e-6 raises
-    NumericInvariantError naming the spin component.
+    PacketSolve.synthesize, the checked synthesis evolve also calls, on its
+    own measured grid, whose step is at most pi / (2 k_max); a grid norm
+    off 1 by more than 1e-6 raises NumericInvariantError naming the spin
+    component.
     """
     if layout.omega_larmor <= 0.0:
         raise ValueError("omega_larmor must be positive to run the clock")

@@ -101,14 +101,26 @@ def require_kinetic_coeff(kinetic_coeff):
                          % (kinetic_coeff,))
 
 
+def _in_float_range(name, compute):
+    """compute() with overflow ignored, as a float (0-d) or an array;
+    ValueError naming the result name where an entry overflowed to inf."""
+    with np.errstate(over="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise ValueError("%s lies past float range" % name)
+    return float(out) if out.ndim == 0 else out
+
+
 def wavenumber(energy, kinetic_coeff):
-    """k = sqrt(E / kinetic_coeff) for finite E >= 0; E = 0 maps to k = 0."""
+    """k = sqrt(E / kinetic_coeff) for finite E >= 0; E = 0 maps to k = 0.
+
+    ValueError where E / kinetic_coeff overflows."""
     require_kinetic_coeff(kinetic_coeff)
     energy = np.asarray(energy, dtype=float)
     if not np.all(np.isfinite(energy) & (energy >= 0)):
         raise ValueError("kinetic energy must be finite and non-negative")
-    out = np.sqrt(energy / kinetic_coeff)
-    return float(out) if out.ndim == 0 else out
+    return _in_float_range("k^2 = E / kinetic_coeff",
+                           lambda: np.sqrt(energy / kinetic_coeff))
 
 
 def _finite_k(k, kinetic_coeff):
@@ -122,17 +134,18 @@ def _finite_k(k, kinetic_coeff):
 
 
 def energy(k, kinetic_coeff):
-    """E = kinetic_coeff * k**2 for finite k."""
+    """E = kinetic_coeff * k**2 for finite k; ValueError where E overflows."""
     k = _finite_k(k, kinetic_coeff)
-    out = kinetic_coeff * k * k
-    return float(out) if out.ndim == 0 else out
+    return _in_float_range("energy E = kinetic_coeff * k^2", lambda: kinetic_coeff * k * k)
 
 
 def group_velocity(k, kinetic_coeff):
-    """Group speed hbar*k/m = 2*kinetic_coeff*k/hbar in nm/ps; k finite, either sign."""
+    """Group speed hbar*k/m = 2*kinetic_coeff*k/hbar in nm/ps; k finite, either sign.
+
+    ValueError where the speed overflows."""
     k = _finite_k(k, kinetic_coeff)
-    out = 2.0 * kinetic_coeff * k / HBAR
-    return float(out) if out.ndim == 0 else out
+    return _in_float_range("group speed 2 * kinetic_coeff * k / hbar",
+                           lambda: 2.0 * kinetic_coeff * k / HBAR)
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,31 @@ def _require_orders(value, name):
         raise ValueError("%s must be 1 to %d orders, got %d" % (name, _MAX_ORDERS, value))
 
 
+def _order(barrier: BarrierSpec, n: int):
+    """Order n's ResonanceRecord, or as a str the reason it has none;
+    NumericInvariantError when its k_res or a width ratio lies past float range."""
+    d, k02, beta = barrier.width, barrier.kappa0 ** 2, barrier.beta
+    q = n * math.pi / d
+    k2 = beta * k02 + q * q
+    if k2 == math.inf:
+        raise NumericInvariantError(
+            "resonance wavenumber of order %d at d = %.3g nm lies past float range"
+            % (n, d), quantity="k_res", value=math.inf)
+    if k2 <= 0.0:
+        return f"k_res would be imaginary (k_res^2 = {k2:.6g} <= 0)"
+    shift = beta * k02 * d * d / (2.0 * n * n * math.pi * math.pi)
+    ratios = dict(phase_ratio=1.0 + shift, dwell_ratio=1.0 + shift,
+                  effective_ratio=1.0 if n % 2 == 1 else 1.0 + 2.0 * shift,
+                  # + 0.0 turns a zero shift's -0.0 into +0.0 and moves no other bit
+                  starting_ratio=(shift if n % 2 == 0 else -shift) + 0.0)
+    for name, value in ratios.items():
+        if not math.isfinite(value):
+            raise NumericInvariantError(
+                "resonance %s of order %d at kappa0*d = %.3g lies past float range"
+                % (name, n, barrier.kappa0 * d), quantity=name, value=value)
+    return ResonanceRecord(n=n, k_res=math.sqrt(k2), **ratios)
+
+
 def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     """Transparency points n = 1..n_max with closed-form width ratios.
 
@@ -345,37 +370,13 @@ def resonance_table(barrier: BarrierSpec, n_max: int) -> ResonanceTable:
     unless n_max is an integer from 1 to 100000, before any record is built.
     """
     _require_orders(n_max, "n_max")
-    d = barrier.width
-    k02 = barrier.kappa0 ** 2
-    beta = barrier.beta
-    records = []
-    omitted = []
+    records, omitted = [], []
     for n in range(1, n_max + 1):
-        q = n * math.pi / d
-        k2 = beta * k02 + q * q
-        if k2 == math.inf:
-            raise NumericInvariantError(
-                "resonance wavenumber of order %d at d = %.3g nm lies past float range"
-                % (n, d), quantity="k_res", value=math.inf)
-        if k2 <= 0.0:
-            omitted.append(
-                (n, f"k_res would be imaginary (k_res^2 = {k2:.6g} <= 0)")
-            )
-            continue
-        shift = beta * k02 * d * d / (2.0 * n * n * math.pi * math.pi)
-        ratios = dict(
-            phase_ratio=1.0 + shift,
-            dwell_ratio=1.0 + shift,
-            effective_ratio=1.0 if n % 2 == 1 else 1.0 + 2.0 * shift,
-            # + 0.0 turns a zero shift's -0.0 into +0.0 and moves no other bit
-            starting_ratio=(shift if n % 2 == 0 else -shift) + 0.0,
-        )
-        for name, value in ratios.items():
-            if not math.isfinite(value):
-                raise NumericInvariantError(
-                    "resonance %s of order %d at kappa0*d = %.3g lies past float range"
-                    % (name, n, barrier.kappa0 * d), quantity=name, value=value)
-        records.append(ResonanceRecord(n=n, k_res=math.sqrt(k2), **ratios))
+        order = _order(barrier, n)
+        if isinstance(order, str):
+            omitted.append((n, order))
+        else:
+            records.append(order)
     return ResonanceTable(records=tuple(records), omitted=tuple(omitted))
 
 
@@ -384,17 +385,16 @@ def lorentz_width(barrier: BarrierSpec, n: int) -> float:
 
     Near k_n, R/T = a0^2 (k - k_n)^2 with a0 = |V0| d^3 / (2 K n^2 pi^2),
     from 1/T = 1 + V0^2 sin^2(q d) / (4 E (E - V0)) at q d = n pi.  That is
-    the starting-point shift |x_start(k_n)| = |starting_ratio| d of the
-    order's ResonanceRecord.  ValueError unless n is an integer from 1 to
-    100000, or when order n has no transparency point; NumericInvariantError
-    when a0 lies past float range.
+    the starting-point shift |x_start(k_n)| = |starting_ratio| d of order n's
+    ResonanceRecord, built alone.  ValueError unless n is an integer from 1
+    to 100000, or when order n has no transparency point;
+    NumericInvariantError when its k_res, a ratio or a0 lies past float range.
     """
     _require_orders(n, "n")
-    table = resonance_table(barrier, n)
-    # k_res^2 grows with the order, so a well omits a prefix of them
-    if not table.records:
-        raise ValueError(f"no transparency point of order n={n}: {table.omitted[-1][1]}")
-    a0 = abs(table.records[-1].starting_ratio) * barrier.width
+    order = _order(barrier, int(n))
+    if isinstance(order, str):
+        raise ValueError(f"no transparency point of order n={n}: {order}")
+    a0 = abs(order.starting_ratio) * barrier.width
     if not math.isfinite(a0):
         raise NumericInvariantError(
             "Lorentzian length of order %d at kappa0*d = %.3g lies past float range"

@@ -131,11 +131,19 @@ def test_group_velocity():
     (lambda: energy([0.5, math.inf], BAR.kinetic_coeff), "wavenumber k must be finite"),
     (lambda: group_velocity(math.nan, BAR.kinetic_coeff), "wavenumber k must be finite"),
     (lambda: group_velocity(-math.inf, BAR.kinetic_coeff), "wavenumber k must be finite"),
+    (lambda: energy(1e200, 0.5), r"energy E = kinetic_coeff \* k\^2 lies past float range"),
+    (lambda: energy([1.0, 1e200], 0.5), r"energy E = .* lies past float range"),
+    (lambda: group_velocity(1e307, 0.5), r"group speed .* lies past float range"),
+    (lambda: group_velocity(np.array([1.0, -1e307]), 0.5), "group speed .* past float range"),
+    (lambda: wavenumber(1e300, 1e-300), r"k\^2 = E / kinetic_coeff lies past float range"),
+    (lambda: wavenumber([1.0, 1e300], 1e-300), r"k\^2 = .* lies past float range"),
 ], ids=["wavenumber_coeff_zero", "wavenumber_coeff_negative", "energy_coeff_nan",
         "velocity_coeff_inf", "dispersion_coeff_negative", "dispersion_coeff_zero",
-        "energy_k_nan", "energy_k_inf", "velocity_k_nan", "velocity_k_minus_inf"])
+        "energy_k_nan", "energy_k_inf", "velocity_k_nan", "velocity_k_minus_inf",
+        "energy_overflows", "energy_array_overflows", "velocity_overflows",
+        "velocity_array_overflows", "wavenumber_overflows", "wavenumber_array_overflows"])
 def test_kinetic_coeff_helpers_fail_loudly(call, match):
-    # these returned NaN, a negative time or warned from numpy before
+    # these returned NaN, a negative time, or inf with a numpy warning before
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -14,7 +14,7 @@ from diagnostics import (
     cm_trajectory,
     second_central_moment,
 )
-from tunneltimes import packets
+from tunneltimes import kernels, packets
 from tunneltimes.larmor import FieldLayout, run_clock, spin_potentials
 from tunneltimes.model import BarrierSpec, HBAR, NumericInvariantError, group_velocity, wavenumber
 from tunneltimes.packets import (
@@ -439,6 +439,27 @@ def test_deep_well_synthesis_matches_dense_sum(t):
     x = default_grid(DEEP_SPEC, DEEP_WELL, t)
     fast, dense = _synthesis_pair(solve_packet(DEEP_SPEC, DEEP_WELL), t, x)
     _assert_same_waves(fast, dense)
+
+
+def test_opaque_barrier_synthesis_matches_dense_sum():
+    # kappa0 d ~ 398: points deeper than SCALE_SWITCH/kappa from the right
+    # edge reach superpose's growth rescale.  dense_synthesis's complex cos
+    # overflows past kappa0 d ~ 700
+    barrier = BarrierSpec(0.25, 600.0)
+    spec = PacketSpec(l0=15.0, x0=-100.0, k0=0.3, n_k=256)
+    x = np.linspace(-300.0, 900.0, 8193)
+    solve = solve_packet(spec, barrier)
+    (reg,) = solve.tables
+    inside = (x >= reg.x_left) & (x < reg.x_right)
+    assert np.count_nonzero(inside) == 4096
+    rescaled = inside & (-reg.z.min() * (reg.x_right - x) ** 2 > kernels.SCALE_SWITCH**2)
+    assert np.count_nonzero(rescaled) > 0
+    fast, dense = _synthesis_pair(solve, 0.3, x)
+    _assert_same_waves(fast, dense)
+    # the rescaled points fall to 1e-35 of the peak, below what the bound
+    # above can see; each holds to the dense sum on its own
+    for got, want in zip(fast, dense):
+        assert np.all(np.abs(got - want)[rescaled] <= 1e-11 * np.abs(want)[rescaled])
 
 
 @pytest.mark.parametrize("t", [0.0, 1.5])

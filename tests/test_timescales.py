@@ -459,6 +459,31 @@ def test_lorentz_width_matches_starting_point():
         assert a0 == pytest.approx(target, rel=1e-3)
 
 
+def test_lorentz_width_evaluates_order_n_alone(monkeypatch):
+    # lorentz_width reads order n's record alone and builds no table of the
+    # orders below it
+    barrier, well = barrier_for(2.0), barrier_for(7.0, sign=-1.0)
+    want = [(b, r.n, abs(r.starting_ratio) * b.width)
+            for b in (barrier, well) for r in resonance_table(b, 4).records]
+    assert [n for b, n, _ in want if b is well] == [3, 4]
+
+    def refuse(*args):
+        raise AssertionError("lorentz_width built a resonance table")
+
+    monkeypatch.setattr(timescales, "resonance_table", refuse)
+    for b, n, a0 in want:
+        assert lorentz_width(b, n) == a0
+        assert lorentz_width(b, np.int64(n)) == a0
+    with pytest.raises(ValueError, match="no transparency point of order n=2"):
+        lorentz_width(well, 2)
+    # (n pi/d)^2 overflows from order 1 on; the error names the order asked for
+    with pytest.raises(NumericInvariantError, match="resonance wavenumber of order 3 "):
+        lorentz_width(BarrierSpec(0.25, 1e-154), 3)
+    # kappa0^2 d^2 overflows, so every order's ratios do
+    with pytest.raises(NumericInvariantError, match="phase_ratio of order 2 "):
+        lorentz_width(BarrierSpec(1e300, 1e10), 2)
+
+
 def test_lorentz_width_rejects_missing_order():
     with pytest.raises(ValueError, match="no transparency point of order n=1"):
         lorentz_width(barrier_for(7.0, sign=-1.0), 1)
