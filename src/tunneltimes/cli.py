@@ -530,8 +530,6 @@ def cmd_larmor(args, cfg, barrier):
 
 def cmd_resonance(args, cfg, barrier):
     n_max = _number(cfg, "n_max", "config", DEFAULT_RESONANCE_NMAX, int)
-    if n_max < 1:
-        raise ConfigError("n_max must be at least 1")
     table = resonance_table(barrier, n_max)
     columns = [[getattr(rec, field) for rec in table.records]
                for field in ("n", "k_res", "phase_ratio", "dwell_ratio",

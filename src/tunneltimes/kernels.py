@@ -12,12 +12,12 @@ inside |v| <= SERIES_WINDOW they run their Taylor series, accurate there to
 full double precision.
 
 Numerics: the series run as an in-place Horner loop in ``polyval``'s
-operation order.  :func:`width_kernels` takes the five width kernels in one
-pass: one ``|v|``, one mask per window and, off the series, one
-``s = sqrt|v|`` split once by the sign of v, so each side runs its own
-sin/cos or sinh/cosh pair unmasked: one sine of s and 2s, one cosine of s,
-and the sine of s/2 only past the v/4 window.  ``sqrt(4|v|) == 2*sqrt|v|``
-and ``v/4`` are exact, so each output keeps the bits of its kernel alone.
+operation order, and the window serves only the gap chain: with gap(v) =
+(sinc(v) - 1)/v, (sinc(4v) - 1)/v is 4 gap(4v) and sinc(v/4) is 1 + (v/4)
+gap(v/4), exact scalings by 4 that keep each series' bits.  Off the window
+one ``s = sqrt|v|`` is split once by the sign of v, so each side runs its
+own sin/cos or sinh/cosh pair unmasked: one sine and one cosine of s, whose
+product (sin(s)/s) cos(s) is sinc(4v), and the half-angle sine for sinc(v/4).
 Deep on the evanescent side, both families split each kernel's growth off.
 Every split is a :func:`tunneltimes.model.split`, which passes one-sided
 input uncopied and mixed input by indices.
@@ -44,9 +44,9 @@ SCALE_SWITCH = 300.0
 # f1^2 ~ e^600 would overflow their denominator for widths d below ~1e-20 nm
 WIDTH_SWITCH = 20.0
 
-_SINC_COEF = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
-_GAP4_COEF = np.array([(-4.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
-_GAP1_COEF = _SINC_COEF[1:]  # (sin(s)/s - 1)/v: the sinc chain but its last step
+# gap(v) = (sin(s)/s - 1)/v, the sinc series but its last step 1 + v*gap:
+# 8 terms serve |v| <= SERIES_WINDOW, all 11 serve 4v there
+_GAP1_COEF = np.array([(-1.0) ** (m + 1) / factorial(2 * m + 3) for m in range(11)])
 _GAPD_COEF = np.array([(-1.0) ** m * (2 * m + 2) / factorial(2 * m + 3) for m in range(9)])
 
 
@@ -63,15 +63,17 @@ def _horner(u, coef):
 
 def _piecewise(v, window, near, direct):
     """Tuple of kernels: near(v, |v|) where |v| <= window; outside it
-    direct(sin, cos, v, s, |v|) with s = sqrt|v| and (sin, cos) the pair of
-    v's sign, hyperbolic below 0."""
+    direct(sin, cos, v, s) with s = sqrt|v| and (sin, cos) the pair of v's
+    sign, hyperbolic below 0.  The widths' window serves only their gap chain,
+    and their direct branch takes one sine and one cosine of s, sinc(4v) as
+    their product, and the half-angle sine."""
     a = np.abs(v)
 
     def outside(v, a):
         # each pair runs only on its own side of v = 0: sinh/cosh of the
         # oscillatory side's sqrt(v) would overflow once v >~ 5e5
         return split(v > 0, partial(direct, np.sin, np.cos),
-                     partial(direct, np.sinh, np.cosh), v, np.sqrt(a), a)
+                     partial(direct, np.sinh, np.cosh), v, np.sqrt(a))
 
     return split(a <= window, near, outside, v, a)
 
@@ -81,7 +83,7 @@ def _at_zero(v, a):
     return np.ones_like(v), np.ones_like(v), np.broadcast_to(0.0, v.shape)
 
 
-def _propagator_direct(sin, cos, v, s, a):
+def _propagator_direct(sin, cos, v, s):
     # only the evanescent side grows: v > 0 keeps the mask whole
     return split(v >= -SCALE_SWITCH**2,
                  lambda s: (cos(s), sin(s) / s, np.broadcast_to(0.0, s.shape)),
@@ -97,19 +99,15 @@ def propagator_kernels(v):
 
 
 def _widths_series(v, a):
-    gap = _horner(v, _GAP1_COEF)
-    return (1.0 + gap * v, _horner(v, _GAP4_COEF), _horner(0.25 * v, _SINC_COEF),
-            gap, _horner(v, _GAPD_COEF))
+    gap, q = _horner(v, _GAP1_COEF[:8]), 0.25 * v
+    return (1.0 + gap * v, 4.0 * _horner(4.0 * v, _GAP1_COEF),
+            1.0 + _horner(q, _GAP1_COEF[:8]) * q, gap, _horner(v, _GAPD_COEF))
 
 
-def _widths_direct(sin, cos, v, s, a):
-    sinc, sinc4 = sin(s) / s, sin(2.0 * s) / (2.0 * s)
-    # v/4 keeps its own series window, four times as wide in v: the s/2
-    # sine runs only past it
-    half, = split(a <= 4.0 * SERIES_WINDOW,
-                  lambda v, s: (_horner(0.25 * v, _SINC_COEF),),
-                  lambda v, s: (sin(0.5 * s) / (0.5 * s),), v, s)
-    return sinc, (sinc4 - 1.0) / v, half, (sinc - 1.0) / v, (sinc - cos(s)) / v
+def _widths_direct(sin, cos, v, s):
+    sinc, c = sin(s) / s, cos(s)
+    return (sinc, (sinc * c - 1.0) / v, sin(0.5 * s) / (0.5 * s), (sinc - 1.0) / v,
+            (sinc - c) / v)
 
 
 def _widths_scaled(v):

@@ -25,11 +25,12 @@ b + l), entry on the incidence-side channel wave (at a - l).  Each spin
 component is one packets.solve_packet of its potential, synthesized once,
 at detection, through PacketSolve.synthesize, the checked synthesis that
 packets.evolve also calls, on a grid measured on that solve, with a step
-of at most pi / (2 k_max), to check that the grid holds the packet.  The channel wave enters late by the starting-point
-shift yet crosses the interior in pad time plus effective-width time, so
-the shift survives into the readout.  This is the discriminating observable:
-phase-delay bookkeeping applied to the full wave instead would cancel the
-shift against the detection delay and always return zero.
+of at most pi / (2 k_max), to check that the grid holds the packet.  The
+channel wave enters late by the starting-point shift yet crosses the
+interior in pad time plus effective-width time, so the shift survives into
+the readout.  This is the discriminating observable: phase-delay
+bookkeeping applied to the full wave instead would cancel the shift against
+the detection delay and always return zero.
 """
 
 import math

@@ -96,7 +96,7 @@ def _taper_window(n):
         return w
     u = np.arange(1, m + 1) / (m + 1.0)
     z = 1.0 / u - 1.0 / (1.0 - u)
-    rise = np.where(z > 40.0, 0.0, np.where(z < -40.0, 1.0, 1.0 / (1.0 + np.exp(np.clip(z, -40.0, 40.0)))))
+    rise = np.where(z > 40.0, 0.0, 1.0 / (1.0 + np.exp(np.minimum(z, 40.0))))
     w[:m] = rise
     w[-m:] = rise[::-1]
     return w

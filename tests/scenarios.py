@@ -223,7 +223,7 @@ SCENARIOS = (
           ("larmor-ladder-two-rungs", CLOCK, ["larmor", "--omega-ladder", "0.2,0.1"],
            "--omega-ladder needs exactly three rungs w,w/2,w/4"),
           ("resonance-no-orders", {"barrier": RUN["barrier"], "n_max": 0}, ["resonance"],
-           "n_max must be at least 1"),
+           "n_max must be 1 to 100000 orders, got 0"),
       )),
 )
 BY_NAME = {row.name: row for row in SCENARIOS}

@@ -98,15 +98,9 @@ ORACLES = {
 SINC = next(iter(ORACLES))
 
 
-def _window(fn):
-    """Series window of one output: the v/4 kernel's is four times as wide."""
-    quarter = fn.__name__.endswith("_quarter")
-    return (4 if quarter else 1) * kernels.SERIES_WINDOW
-
-
-# spans both sides of the series windows at 0.3 (and 1.2 for v/4) to the
-# last bit, the branch point at +-0 and the subnormals beside it, and deep
-# oscillating/evanescent values
+# spans both sides of the series window at 0.3 to the last bit, both sides
+# of 1.2, where v/4 crosses it, the branch point at +-0 and the subnormals
+# beside it, and deep oscillating/evanescent values
 V_GRID = [
     0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-18, -1e-18, 1e-9, -1e-9, 1e-4, -1e-4,
     0.2999, -0.2999, 0.3001, -0.3001, 1.0, -1.0, 1.1999, -1.1999, 1.2001, -1.2001,
@@ -145,7 +139,7 @@ def test_series_direct_seam(fn):
     # just inside the window the series path must agree with a direct
     # evaluation at the very same point
     for s in (1.0, -1.0):
-        v = s * _window(fn) * 0.999
+        v = s * kernels.SERIES_WINDOW * 0.999
         assert fn(v) == pytest.approx(_np_direct(fn.__name__, v), rel=1e-13)
 
 
@@ -231,7 +225,8 @@ def test_mixed_input_matches_one_sided_calls(fn):
 
 def _superpose_v():
     """(m, n) v = dx^2 z as RegionTable.superpose builds it, mixing the series
-    window, the v/4 window (0.3 < |v| <= 1.2) and the direct side on both signs."""
+    window, the band 0.3 < |v| <= 1.2 where v/4 lies inside it and the direct
+    side beyond, on both signs."""
     dx = np.linspace(-2.0, 0.0, 37)
     z = np.array([-40.0, -0.2, -1e-3, 0.0, 1e-3, 0.09, 0.25, 0.7, 3.0, 250.0])
     return np.outer(dx * dx, z)
@@ -255,8 +250,8 @@ def test_2d_mixed_input_matches_per_entry_calls(fn, layout):
 
 # ---------------------------------------------------------------------------
 # width_kernels against the kernels it fused, evaluated one at a time: the
-# series by numpy.polynomial inside each output's own window, the direct
-# quotients of sqrt|v| outside it
+# series by numpy.polynomial inside the series window, the direct quotients
+# of sqrt|v| outside it, sinc(4 v) as sinc(v) cos(v)
 
 def _series_coefficients():
     sinc = np.array([(-1.0) ** n / factorial(2 * n + 1) for n in range(9)])
@@ -276,11 +271,11 @@ def _cos_direct(u):
     return np.where(u > 0, np.cos(s), np.cosh(s))
 
 
-def _one_kernel(u, coef, direct):
-    small = np.abs(u) <= kernels.SERIES_WINDOW
-    out = np.empty_like(u)
-    out[small] = polyval(u[small], coef)
-    out[~small] = direct(u[~small])
+def _one_kernel(v, coef, direct, scale=1.0):
+    small = np.abs(v) <= kernels.SERIES_WINDOW
+    out = np.empty_like(v)
+    out[small] = polyval(scale * v[small], coef)
+    out[~small] = direct(v[~small])
     return out
 
 
@@ -288,8 +283,8 @@ def _prefusion_width_kernels(v):
     sinc, gap4, gap1, gapd = _series_coefficients()
     return (
         _one_kernel(v, sinc, _sinc_direct),
-        _one_kernel(v, gap4, lambda u: (_sinc_direct(4.0 * u) - 1.0) / u),
-        _one_kernel(0.25 * v, sinc, _sinc_direct),
+        _one_kernel(v, gap4, lambda u: (_sinc_direct(u) * _cos_direct(u) - 1.0) / u),
+        _one_kernel(v, sinc, lambda u: _sinc_direct(0.25 * u), scale=0.25),
         _one_kernel(v, gap1, lambda u: (_sinc_direct(u) - 1.0) / u),
         _one_kernel(v, gapd, lambda u: (_sinc_direct(u) - _cos_direct(u)) / u),
     )
@@ -299,8 +294,8 @@ def _edges(x):
     return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
 
 
-# dense over both windows and both signs, every window edge to the last
-# bit, and far out on both sides (|v| <= 1e4 keeps sinh of 2*sqrt|v| finite)
+# dense over the series window and past it on both signs, its edges and
+# those of 1.2 to the last bit, and far out on both sides
 DENSE_V = np.concatenate([
     np.linspace(-1.5, 1.5, 60001),
     *(s * np.array(_edges(x)) for s in (1.0, -1.0) for x in (0.3, 1.2)),
@@ -324,6 +319,27 @@ def test_width_kernels_match_prefusion_kernels_bitwise():
     for index, (g, w) in enumerate(zip(got, want)):
         assert np.array_equal(g[shallow], w[shallow]), index
     assert (e[shallow] == 1.0).all() and (e2[shallow] == 1.0).all()
+
+
+def _assert_rel(got, want, rel):
+    bad = np.abs(got - want) > rel * np.abs(want)
+    assert not bad.any(), list(zip(got[bad], want[bad]))
+
+
+def test_direct_width_kernels_match_mpmath_densely():
+    # sinc(4 v) - 1 over v from the product sinc(v) cos(v), and sinc(v/4)
+    # from the half-angle sine where v/4 lies inside the series window; the
+    # bitwise test mirrors these formulas, this one holds them to mpmath
+    edge = np.nextafter(kernels.SERIES_WINDOW, np.inf)
+    v = np.concatenate([np.geomspace(edge, 1e4, 800),
+                        -np.geomspace(edge, -WIDTH_SWITCH_V, 400)])
+    quarter = np.linspace(edge, 4.0 * kernels.SERIES_WINDOW, 300)
+    quarter = np.concatenate([quarter, -quarter])
+    with mp.workdps(40):
+        want_gap4 = np.array([float(mp_sinc4_gap(x)) for x in v])
+        want_quarter = np.array([float(mp_sinc_sqrt_quarter(x)) for x in quarter])
+    _assert_rel(kernels.width_kernels(v)[1], want_gap4, 1e-14)
+    _assert_rel(kernels.width_kernels(quarter)[2], want_quarter, 1e-14)
 
 
 @pytest.mark.parametrize("v", [np.nextafter(WIDTH_SWITCH_V, -np.inf), -1234.5, -4e4,

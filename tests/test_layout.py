@@ -90,7 +90,7 @@ def test_only_kernels_read_the_series_window():
             if (isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
                     and inner.id in ("SERIES_WINDOW", "_horner")):
                 series.add(getattr(node, "name", "<module level>"))
-    assert series == {"width_kernels", "_widths_series", "_widths_direct"}, series
+    assert series == {"width_kernels", "_widths_series"}, series
 
 
 def _names(path):
